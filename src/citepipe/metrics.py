@@ -2,7 +2,7 @@
 
 All metrics share one tokenizer (lowercase, split on runs of
 non-alphanumeric characters). ROUGE-N uses clipped n-gram overlap, ROUGE-L
-the dynamic-programming LCS, and METEOR a two-stage unigram alignment:
+the bit-parallel LCS length, and METEOR a two-stage unigram alignment:
 exact matches first, then stem matches on the leftovers, maximizing the
 match count and, among maximum alignments, minimizing the number of
 contiguous chunks. Small inputs get an exact branch-and-bound search for
@@ -28,13 +28,12 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 @dataclass
 class TokenizedText:
-    raw: str
     tokens: list[str] = field(default_factory=list)
 
 
 def tokenize(text: str) -> TokenizedText:
     """Lowercase and split on non-alphanumeric runs; no empty tokens."""
-    return TokenizedText(raw=text, tokens=_TOKEN_RE.findall(text.lower()))
+    return TokenizedText(tokens=_TOKEN_RE.findall(text.lower()))
 
 
 def _tokens(text: str | TokenizedText) -> list[str]:
@@ -74,20 +73,23 @@ def rouge_n(candidate: str | TokenizedText, reference: str | TokenizedText, n: i
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    # classic DP, rolling row
+    """LCS length by the bit-parallel row recurrence (Allison & Dix 1986; Hyyrö 2004).
+
+    Bit j of `row` is 0 exactly where the DP row over `b` steps up at j, so
+    the LCS length is the number of zero bits once every token of `a` has
+    been folded in with one add/or/and step.
+    """
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
-    for i in range(1, len(a) + 1):
-        cur = [0] * (len(b) + 1)
-        ai = a[i - 1]
-        for j in range(1, len(b) + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[len(b)]
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    row = full
+    for tok in a:
+        match = row & masks.get(tok, 0)
+        row = ((row + match) | (row - match)) & full
+    return len(b) - row.bit_count()
 
 
 def rouge_l(candidate: str | TokenizedText, reference: str | TokenizedText) -> MetricScore:
@@ -106,9 +108,15 @@ def rouge_l(candidate: str | TokenizedText, reference: str | TokenizedText) -> M
 # reach its maximum cardinality before stage 2 fills in; both maxima are
 # fixed by per-class counts, so the search only decides which positions
 # pair up, which is what the chunk count depends on.
+#
+# Every search reads the reference through one index per pair: ascending
+# reference positions by token (`exact_ref`) and by stem (`stem_ref`). A
+# search that walks i in order and, for each i, the indexed positions in
+# order visits the compatible cells in the same i-then-j order as a scan
+# of every cell, so ties break the same way.
 
 
-def _stage_maxima(cand: list[str], ref: list[str]) -> tuple[int, int]:
+def _stage_maxima(cand: list[str], ref: list[str], stem_of: dict[str, str]) -> tuple[int, int]:
     cand_counts = Counter(cand)
     ref_counts = Counter(ref)
     m1 = sum(min(count, ref_counts[tok]) for tok, count in cand_counts.items())
@@ -116,11 +124,21 @@ def _stage_maxima(cand: list[str], ref: list[str]) -> tuple[int, int]:
     left_c: Counter = Counter()
     left_r: Counter = Counter()
     for tok, count in cand_counts.items():
-        left_c[stem(tok)] += count - min(count, ref_counts[tok])
+        left_c[stem_of[tok]] += count - min(count, ref_counts[tok])
     for tok, count in ref_counts.items():
-        left_r[stem(tok)] += count - min(count, cand_counts[tok])
+        left_r[stem_of[tok]] += count - min(count, cand_counts[tok])
     m2 = sum(min(count, left_r[s]) for s, count in left_c.items())
     return m1, m2
+
+
+def _ref_index(ref: list[str], stems_r: list[str]) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """Ascending reference positions by token and by stem."""
+    exact_ref: dict[str, list[int]] = {}
+    stem_ref: dict[str, list[int]] = {}
+    for j, (tok, s) in enumerate(zip(ref, stems_r)):
+        exact_ref.setdefault(tok, []).append(j)
+        stem_ref.setdefault(s, []).append(j)
+    return exact_ref, stem_ref
 
 
 def _chunk_count(pairs: list[tuple[int, int]]) -> int:
@@ -134,13 +152,16 @@ def _chunk_count(pairs: list[tuple[int, int]]) -> int:
     return chunks
 
 
-def _greedy_first_match(cand: list[str], ref: list[str], stems_c, stems_r) -> list[tuple[int, int]]:
+def _greedy_first_match(
+    cand: list[str], ref: list[str], stems_c, exact_ref, stem_ref
+) -> list[tuple[int, int]]:
+    """Pair each candidate token with its first free compatible reference position, per stage."""
     pairs: list[tuple[int, int]] = []
     used_r = [False] * len(ref)
     matched_c = [False] * len(cand)
     for i, tok in enumerate(cand):
-        for j, rtok in enumerate(ref):
-            if not used_r[j] and tok == rtok:
+        for j in exact_ref.get(tok, ()):
+            if not used_r[j]:
                 pairs.append((i, j))
                 used_r[j] = True
                 matched_c[i] = True
@@ -148,15 +169,17 @@ def _greedy_first_match(cand: list[str], ref: list[str], stems_c, stems_r) -> li
     for i, tok in enumerate(cand):
         if matched_c[i]:
             continue
-        for j in range(len(ref)):
-            if not used_r[j] and stems_c[i] == stems_r[j] and tok != ref[j]:
+        for j in stem_ref.get(stems_c[i], ()):
+            if not used_r[j] and tok != ref[j]:
                 pairs.append((i, j))
                 used_r[j] = True
                 break
     return pairs
 
 
-def _greedy_longest_run(cand: list[str], ref: list[str], stems_c, stems_r) -> list[tuple[int, int]]:
+def _greedy_longest_run(
+    cand: list[str], ref: list[str], stems_c, stems_r, exact_ref, stem_ref
+) -> list[tuple[int, int]]:
     """Commit the longest available diagonal run per stage, ties to the earliest."""
     used_c = [False] * len(cand)
     used_r = [False] * len(ref)
@@ -168,16 +191,20 @@ def _greedy_longest_run(cand: list[str], ref: list[str], stems_c, stems_r) -> li
         return cand[i] != ref[j] and stems_c[i] == stems_r[j]
 
     for stage in (1, 2):
+        # stage 1 leaves no free exact pair, so in stage 2 every free pair in
+        # the same stem class is compatible
+        index, keys = (exact_ref, cand) if stage == 1 else (stem_ref, stems_c)
+        starts = [index.get(key, ()) for key in keys]
         while True:
             best_len = 0
             best = None
-            for i in range(len(cand)):
+            for i, js in enumerate(starts):
                 if used_c[i]:
                     continue
-                for j in range(len(ref)):
-                    if used_r[j] or not compatible(stage, i, j):
+                for j in js:
+                    if used_r[j]:
                         continue
-                    length = 0
+                    length = 1
                     while (
                         i + length < len(cand)
                         and j + length < len(ref)
@@ -203,7 +230,8 @@ def _exact_min_chunks(
     cand: list[str],
     ref: list[str],
     stems_c,
-    stems_r,
+    exact_ref: dict[str, list[int]],
+    stem_ref: dict[str, list[int]],
     m1: int,
     m2: int,
     seed_pairs: list[tuple[int, int]],
@@ -215,12 +243,6 @@ def _exact_min_chunks(
     best_pairs = list(seed_pairs)
     nodes = 0
     budget_hit = False
-
-    exact_ref: dict[str, list[int]] = {}
-    stem_ref: dict[str, list[int]] = {}
-    for j, tok in enumerate(ref):
-        exact_ref.setdefault(tok, []).append(j)
-        stem_ref.setdefault(stems_r[j], []).append(j)
 
     used_r = [False] * m
     chosen: list[tuple[int, int, bool]] = []  # (i, j, is_exact)
@@ -285,20 +307,22 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int]:
     """Return (matched unigrams, chunk count) for the METEOR alignment."""
     if not cand or not ref:
         return 0, 0
-    stems_c = [stem(t) for t in cand]
-    stems_r = [stem(t) for t in ref]
-    m1, m2 = _stage_maxima(cand, ref)
+    stem_of = {tok: stem(tok) for tok in {*cand, *ref}}
+    m1, m2 = _stage_maxima(cand, ref, stem_of)
     if m1 + m2 == 0:
         return 0, 0
+    stems_c = [stem_of[tok] for tok in cand]
+    stems_r = [stem_of[tok] for tok in ref]
+    exact_ref, stem_ref = _ref_index(ref, stems_r)
 
     if len(cand) * len(ref) <= _RUN_GREEDY_MAX_CELLS:
-        seed = _greedy_longest_run(cand, ref, stems_c, stems_r)
+        seed = _greedy_longest_run(cand, ref, stems_c, stems_r, exact_ref, stem_ref)
     else:
-        seed = _greedy_first_match(cand, ref, stems_c, stems_r)
+        seed = _greedy_first_match(cand, ref, stems_c, exact_ref, stem_ref)
 
     pairs = seed
     if len(cand) <= _EXACT_MAX_TOKENS and len(ref) <= _EXACT_MAX_TOKENS:
-        exact = _exact_min_chunks(cand, ref, stems_c, stems_r, m1, m2, seed)
+        exact = _exact_min_chunks(cand, ref, stems_c, exact_ref, stem_ref, m1, m2, seed)
         if exact is not None:
             pairs = exact
     return len(pairs), _chunk_count(pairs)

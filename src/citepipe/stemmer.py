@@ -8,6 +8,8 @@ variants of the same word.
 
 from __future__ import annotations
 
+import functools
+
 _VOWELS = "aeiou"
 
 
@@ -55,8 +57,11 @@ def _ends_cvc(word: str) -> bool:
 
 
 def _replace_longest(word: str, rules: list[tuple[str, str]], min_measure: int) -> str:
-    """Apply the longest matching suffix rule whose stem clears min_measure."""
-    for suffix, replacement in sorted(rules, key=lambda r: -len(r[0])):
+    """Apply the longest matching suffix rule whose stem clears min_measure.
+
+    `rules` must be ordered longest suffix first.
+    """
+    for suffix, replacement in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) > min_measure:
@@ -65,23 +70,24 @@ def _replace_longest(word: str, rules: list[tuple[str, str]], min_measure: int) 
     return word
 
 
-_STEP2 = [
+# rule tables are ordered longest suffix first, the order the steps try them in
+_STEP2 = sorted([
     ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
     ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
     ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
     ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
     ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
-]
+], key=lambda r: -len(r[0]))
 
-_STEP3 = [
+_STEP3 = sorted([
     ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
     ("ical", "ic"), ("ful", ""), ("ness", ""),
-]
+], key=lambda r: -len(r[0]))
 
-_STEP4 = [
+_STEP4 = sorted([
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-]
+], key=len, reverse=True)
 
 
 def _step1a(word: str) -> str:
@@ -125,7 +131,7 @@ def _step1c(word: str) -> str:
 
 
 def _step4(word: str) -> str:
-    for suffix in sorted(_STEP4, key=len, reverse=True):
+    for suffix in _STEP4:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) > 1:
@@ -154,8 +160,13 @@ def _step5b(word: str) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=None)
 def stem(word: str) -> str:
-    """Stem one lowercase token. Words shorter than 3 characters pass through."""
+    """Stem one lowercase token. Words shorter than 3 characters pass through.
+
+    Results are memoised for the life of the process: scoring stems the same
+    few thousand distinct tokens tens of thousands of times.
+    """
     if len(word) < 3:
         return word
     word = _step1a(word)

@@ -2,8 +2,10 @@
 
 The alignment oracle enumerates every stage-respecting maximum alignment
 and takes the true chunk minimum; the LCS oracle is an independent memoized
-recursion; ROUGE overlaps are recounted from scratch. Hand values below
-were computed on paper from the definitions.
+recursion, and a row DP checks the bit-parallel LCS on long inputs; the
+greedy alignments are checked against scan-every-cell reference copies;
+ROUGE overlaps are recounted from scratch. Hand values below were computed
+on paper from the definitions.
 """
 
 import functools
@@ -15,9 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citepipe.metrics import (
+    _RUN_GREEDY_MAX_CELLS,
     EvalReport,
     _align,
     _chunk_count,
+    _greedy_first_match,
+    _greedy_longest_run,
+    _lcs_length,
+    _ref_index,
     evaluate_corpus,
     meteor,
     render_report_table,
@@ -32,6 +39,32 @@ from citepipe.stemmer import stem
 WORDS = ["the", "cat", "cats", "sat", "mat", "dog", "run", "runs", "running"]
 
 token_lists = st.lists(st.sampled_from(WORDS), max_size=5)
+
+WORDS_12 = [f"w{k}" for k in range(12)]
+
+# inflection families share one stem, so stage-2 (stem-only) matches occur
+FAMILIES = [
+    ["walk", "walks", "walked", "walking"],
+    ["jump", "jumps", "jumped", "jumping"],
+    ["talk", "talks", "talked", "talking"],
+    ["mark", "marks", "marked", "marking"],
+]
+INFLECTED = [w for family in FAMILIES for w in family] + ["the", "of", "a"]
+
+
+def sized_lists(words: list[str], min_size: int, max_size: int):
+    # draw the length first so long lists are as likely as short ones
+    return st.integers(min_size, max_size).flatmap(
+        lambda n: st.lists(st.sampled_from(words), min_size=n, max_size=n)
+    )
+
+
+long_token_lists = sized_lists(INFLECTED, 17, 120)
+# every pair from the first band stays at or under the longest-run greedy's
+# cell limit and every pair from the second goes over it
+switch_bands = st.sampled_from([(17, 99), (101, 120)]).flatmap(
+    lambda band: st.tuples(sized_lists(INFLECTED, *band), sized_lists(INFLECTED, *band))
+)
 
 
 def _positions_by_key(tokens, key, skip=()):
@@ -92,6 +125,83 @@ def oracle_lcs(a: list[str], b: list[str]) -> int:
         return max(rec(i + 1, j), rec(i, j + 1))
 
     return rec(0, 0)
+
+
+def reference_lcs(a: list[str], b: list[str]) -> int:
+    """Rolling-row LCS DP, the textbook O(n*m) recurrence."""
+    prev = [0] * (len(b) + 1)
+    for ai in a:
+        cur = [0] * (len(b) + 1)
+        for j, bj in enumerate(b, 1):
+            cur[j] = prev[j - 1] + 1 if ai == bj else max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+def reference_first_match(cand, ref, stems_c, stems_r):
+    """First free compatible reference position per candidate token, scanning every cell."""
+    pairs = []
+    used_r = [False] * len(ref)
+    matched_c = [False] * len(cand)
+    for i, tok in enumerate(cand):
+        for j, rtok in enumerate(ref):
+            if not used_r[j] and tok == rtok:
+                pairs.append((i, j))
+                used_r[j] = True
+                matched_c[i] = True
+                break
+    for i, tok in enumerate(cand):
+        if matched_c[i]:
+            continue
+        for j in range(len(ref)):
+            if not used_r[j] and stems_c[i] == stems_r[j] and tok != ref[j]:
+                pairs.append((i, j))
+                used_r[j] = True
+                break
+    return pairs
+
+
+def reference_longest_run(cand, ref, stems_c, stems_r):
+    """Longest free diagonal run per stage, ties to the earliest, scanning every cell."""
+    used_c = [False] * len(cand)
+    used_r = [False] * len(ref)
+    pairs = []
+
+    def compatible(stage, i, j):
+        if stage == 1:
+            return cand[i] == ref[j]
+        return cand[i] != ref[j] and stems_c[i] == stems_r[j]
+
+    for stage in (1, 2):
+        while True:
+            best_len = 0
+            best = None
+            for i in range(len(cand)):
+                if used_c[i]:
+                    continue
+                for j in range(len(ref)):
+                    if used_r[j] or not compatible(stage, i, j):
+                        continue
+                    length = 0
+                    while (
+                        i + length < len(cand)
+                        and j + length < len(ref)
+                        and not used_c[i + length]
+                        and not used_r[j + length]
+                        and compatible(stage, i + length, j + length)
+                    ):
+                        length += 1
+                    if length > best_len:
+                        best_len = length
+                        best = (i, j)
+            if best is None:
+                break
+            i, j = best
+            for k in range(best_len):
+                used_c[i + k] = True
+                used_r[j + k] = True
+                pairs.append((i + k, j + k))
+    return pairs
 
 
 def oracle_clipped_overlap(cand_grams, ref_grams) -> int:
@@ -180,6 +290,19 @@ class TestRougeProperties:
         assert ab.recall == pytest.approx(ba.precision)
 
 
+class TestLcsLength:
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda k: st.tuples(sized_lists(WORDS_12[:k], 0, 200), sized_lists(WORDS_12[:k], 0, 200))
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_dp(self, lists):
+        # up to 200 reference tokens, so the match masks span several 64-bit words
+        a, b = lists
+        assert _lcs_length(a, b) == reference_lcs(a, b)
+
+
 class TestMeteorHandValues:
     def test_identity_six_tokens(self):
         text = "the cat sat on the mat"
@@ -250,6 +373,46 @@ class TestMeteorAgainstOracle:
             return
         text = " ".join(ref)
         assert meteor(text, text).f >= meteor(" ".join(ref[::-1]), text).f - 1e-12
+
+
+class TestGreedyAlignments:
+    """The indexed greedies commit exactly the pairs a scan of every cell commits."""
+
+    @staticmethod
+    def _inputs(cand, ref):
+        stems_c = [stem(t) for t in cand]
+        stems_r = [stem(t) for t in ref]
+        return stems_c, stems_r, *_ref_index(ref, stems_r)
+
+    def test_families_share_a_stem(self):
+        for family in FAMILIES:
+            assert len({stem(w) for w in family}) == 1
+
+    @given(long_token_lists, long_token_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_first_match_equals_scan(self, cand, ref):
+        stems_c, stems_r, exact_ref, stem_ref = self._inputs(cand, ref)
+        got = _greedy_first_match(cand, ref, stems_c, exact_ref, stem_ref)
+        assert got == reference_first_match(cand, ref, stems_c, stems_r)
+
+    @given(long_token_lists, long_token_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_longest_run_equals_scan(self, cand, ref):
+        stems_c, stems_r, exact_ref, stem_ref = self._inputs(cand, ref)
+        got = _greedy_longest_run(cand, ref, stems_c, stems_r, exact_ref, stem_ref)
+        assert got == reference_longest_run(cand, ref, stems_c, stems_r)
+
+    @given(switch_bands)
+    @settings(max_examples=40, deadline=None)
+    def test_align_equals_scan_on_both_sides_of_the_switch(self, lists):
+        cand, ref = lists
+        stems_c = [stem(t) for t in cand]
+        stems_r = [stem(t) for t in ref]
+        if len(cand) * len(ref) <= _RUN_GREEDY_MAX_CELLS:
+            pairs = reference_longest_run(cand, ref, stems_c, stems_r)
+        else:
+            pairs = reference_first_match(cand, ref, stems_c, stems_r)
+        assert _align(cand, ref) == (len(pairs), _chunk_count(pairs))
 
 
 class TestEvaluateCorpus:
