@@ -17,7 +17,7 @@ from pathlib import Path
 
 import click
 
-from .client import ClientPolicy, EndpointError, GenerationRequest, generate_batch
+from .client import ClientPolicy, EndpointError, GenerationRequest, generate_batch, request_summary
 from .config import ConfigError, PipelineConfig, write_run_manifest
 from .corpus import CorpusFilter, IngestStats, ValidationError, corpus_files, stream_corpus
 from .dataset import (
@@ -367,6 +367,7 @@ def generate(
         f"generated {len(results)} completion(s) to {out_path} "
         f"({reused} reused from a previous run)"
     )
+    click.echo(request_summary(results), err=True)
 
 
 @cli.command()

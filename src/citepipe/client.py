@@ -2,8 +2,9 @@
 
 The endpoint contract: POST a JSON object {"prompt", "max_new_tokens",
 "temperature", "stop"} and receive {"text": "..."} back. The client runs a
-bounded worker pool, retries transient failures with exponential backoff,
-and appends each completed row to the output file as it lands so an
+bounded worker pool, each worker holding one keep-alive connection for every
+request and retry it handles, retries transient failures with exponential
+backoff, and appends each completed row to the output file as it lands so an
 interrupted run can resume without re-requesting finished samples.
 
 Completed output files are canonical: rows sorted by sample_id, stable JSON
@@ -14,12 +15,14 @@ the bytes untouched.
 from __future__ import annotations
 
 import json
+import math
+import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-import requests as _http
+from urllib.parse import urlsplit
 
 from .jsonl import dump_row, iter_jsonl
 
@@ -77,12 +80,79 @@ class _Fatal(Exception):
     pass
 
 
-def _call_once(
-    endpoint: str,
-    request: GenerationRequest,
-    timeout: float,
-    headers: dict[str, str],
-) -> str:
+class _Transport:
+    """One keep-alive connection per worker thread, opened on first use.
+
+    `close` shuts every connection the transport opened; call it once the
+    workers are done.
+    """
+
+    def __init__(self, endpoint: str, timeout: float, headers: dict[str, str]):
+        # imported here: only `generate` sends requests, and http.client with
+        # ssl would add about 20 ms to the start-up of every command
+        from http.client import HTTPConnection, HTTPException, HTTPSConnection
+
+        url = urlsplit(endpoint)
+        self._scheme = url.scheme
+        self._factory = {"http": HTTPConnection, "https": HTTPSConnection}.get(url.scheme)
+        self._netloc = url.netloc
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._timeout = timeout
+        self._headers = {"Content-Type": "application/json", **headers}
+        self._errors = (OSError, HTTPException)
+        self._local = threading.local()
+        self._opened: list = []
+        self._lock = threading.Lock()
+
+    def _connection(self):
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            if self._factory is None:
+                raise _Transient(f"connection failed: unsupported URL scheme {self._scheme!r}")
+            try:
+                conn = self._factory(self._netloc, timeout=self._timeout)
+            except self._errors as exc:  # a malformed host or port
+                raise _Transient(f"connection failed: {exc}") from exc
+            with self._lock:
+                self._opened.append(conn)
+            self._local.conn = conn
+        return conn
+
+    def _drop(self) -> None:
+        self._local.conn.close()
+        self._local.conn = None
+
+    def post(self, body: bytes) -> tuple[int, bytes]:
+        """Send one request and read the whole response body."""
+        while True:
+            conn = self._connection()
+            idle = conn.sock is not None  # None: this request opens a new socket
+            try:
+                conn.request("POST", self._target, body, self._headers)
+                response = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError) as exc:  # incl. RemoteDisconnected
+                self._drop()
+                if idle:  # the server closed the idle connection: one free reconnect
+                    continue
+                raise _Transient(f"connection failed: {exc}") from exc
+            except self._errors as exc:
+                self._drop()
+                raise _Transient(f"connection failed: {exc}") from exc
+            try:
+                return response.status, response.read()
+            except self._errors as exc:
+                response.close()
+                self._drop()
+                raise _Transient(f"connection failed: {exc}") from exc
+
+    def close(self) -> None:
+        with self._lock:
+            for conn in self._opened:
+                conn.close()
+            self._opened.clear()
+
+
+def _encode(request: GenerationRequest) -> bytes:
     payload = {
         "prompt": request.prompt,
         "max_new_tokens": request.max_new_tokens,
@@ -90,15 +160,20 @@ def _call_once(
         "stop": list(request.stop_sequences),
     }
     try:
-        response = _http.post(endpoint, json=payload, timeout=timeout, headers=headers)
-    except _http.RequestException as exc:
-        raise _Transient(f"connection failed: {exc}") from exc
-    if response.status_code >= 500:
-        raise _Transient(f"server error {response.status_code}")
-    if response.status_code >= 400:
-        raise _Fatal(f"client error {response.status_code}: {response.text[:200]}")
+        return json.dumps(payload, allow_nan=False).encode("utf-8")
+    except ValueError as exc:  # NaN or infinite temperature: no attempt can succeed
+        raise _Fatal(f"invalid request: {exc}") from exc
+
+
+def _call_once(transport: _Transport, body: bytes) -> str:
+    status, data = transport.post(body)
+    if status >= 500:
+        raise _Transient(f"server error {status}")
+    if not 200 <= status < 300:
+        kind = "client error" if status >= 400 else "unexpected status"
+        raise _Fatal(f"{kind} {status}: {data.decode('utf-8', 'replace')[:200]}")
     try:
-        body = response.json()
+        body = json.loads(data)
     except ValueError as exc:
         raise _Transient(f"invalid json body: {exc}") from exc
     if not isinstance(body, dict) or not isinstance(body.get("text"), str):
@@ -107,17 +182,17 @@ def _call_once(
 
 
 def _call_with_retries(
-    endpoint: str,
+    transport: _Transport,
     request: GenerationRequest,
     policy: ClientPolicy,
-    headers: dict[str, str],
 ) -> GenerationResult:
+    body = _encode(request)
     delay = policy.backoff_seconds
     last_reason = "unknown"
     for attempt in range(1, policy.max_attempts + 1):
         started = time.monotonic()
         try:
-            text = _call_once(endpoint, request, policy.timeout_seconds, headers)
+            text = _call_once(transport, body)
         except _Transient as exc:
             last_reason = str(exc)
             if attempt < policy.max_attempts and delay > 0:
@@ -188,10 +263,11 @@ def generate_batch(
     failures: list[tuple[str, str]] = []
     if pending:
         append_handle = open(out_file, "a", encoding="utf-8") if out_file is not None else None
+        transport = _Transport(endpoint, policy.timeout_seconds, headers)
         try:
             with ThreadPoolExecutor(max_workers=policy.max_parallel) as pool:
                 futures = {
-                    pool.submit(_call_with_retries, endpoint, request, policy, headers): request
+                    pool.submit(_call_with_retries, transport, request, policy): request
                     for request in pending
                 }
                 for future in as_completed(futures):
@@ -211,6 +287,7 @@ def generate_batch(
                         )
                         append_handle.flush()
         finally:
+            transport.close()
             if append_handle is not None:
                 append_handle.close()
 
@@ -223,3 +300,23 @@ def generate_batch(
         merged.update({r.sample_id: r.text for r in results})
         _write_canonical(out_file, merged)
     return results
+
+
+def request_summary(results: list[GenerationResult]) -> str:
+    """One line on the requests behind `results`: count, latency, attempts."""
+    fresh = [r for r in results if r.attempt > 0]
+    sent = sum(r.attempt for r in fresh)
+    line = f"requests: {sent} sent for {len(fresh)} new row(s)"
+    if not fresh:
+        return line
+    latencies = sorted(r.latency_ms for r in fresh)
+
+    def rank(q: float) -> float:  # nearest-rank percentile
+        return latencies[max(0, math.ceil(q * len(latencies)) - 1)]
+
+    attempts = Counter(r.attempt for r in fresh)
+    histogram = " ".join(f"{n}:{attempts[n]}" for n in sorted(attempts))
+    return (
+        f"{line}; latency_ms p50 {rank(0.5):.1f} p95 {rank(0.95):.1f} "
+        f"max {latencies[-1]:.1f}; attempts {histogram}"
+    )

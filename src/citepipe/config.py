@@ -16,8 +16,6 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .jsonl import file_digest, json_digest
 
 
@@ -142,6 +140,8 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
+        import yaml  # only a --config run needs it
+
         with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
         if data is None:

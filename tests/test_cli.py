@@ -310,6 +310,25 @@ class TestGenerateEvaluate:
         assert code == 0
         assert {entry["auth"] for entry in mock_endpoint.requests} == {"Bearer tok123"}
 
+    def test_generate_prints_request_summary_to_stderr(self, dataset, tmp_path, capsys, mock_endpoint, monkeypatch):
+        monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
+        mock_endpoint.fail_remaining = 1
+        prompts = self.make_prompts(dataset, tmp_path, capsys)
+        generated = tmp_path / "g.jsonl"
+        argv = ["generate", "--prompts", str(prompts), "--out", str(generated),
+                "--endpoint", mock_endpoint.url, "--backoff-seconds", "0"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert "requests:" not in out
+        [line] = [line for line in err.splitlines() if line.startswith("requests:")]
+        assert line.startswith("requests: 4 sent for 3 new row(s); latency_ms p50 ")
+        assert line.endswith("; attempts 1:2 2:1")
+        assert "latency" not in run_manifest_path(generated).read_text()
+
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert err.splitlines() == ["requests: 0 sent for 0 new row(s)"]
+
     def test_endpoint_failure_exits_2(self, dataset, tmp_path, capsys, mock_endpoint, monkeypatch):
         monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
         mock_endpoint.status_override = 500

@@ -1,7 +1,13 @@
 """Generation client behavior against a scripted in-process HTTP endpoint."""
 
+import gc
 import json
+import socket
+import sys
+import threading
 import time
+import warnings
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -9,7 +15,9 @@ from citepipe.client import (
     ClientPolicy,
     EndpointError,
     GenerationRequest,
+    GenerationResult,
     generate_batch,
+    request_summary,
 )
 from citepipe.jsonl import dump_row
 
@@ -188,3 +196,155 @@ class TestResumableOutput:
         results = generate_batch([req("a")], mock_endpoint.url, FAST)
         assert results[0].text == "echo: prompt for a"
         assert list(tmp_path.iterdir()) == []
+
+
+class _KeepAliveServer(ThreadingHTTPServer):
+    """HTTP/1.1 echo endpoint counting the connections it accepts."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.requests = 0
+        self.delay_seconds = 0.0
+        self.close_after_reply = False  # close the socket without saying so
+        self.announce_close = False  # send `Connection: close` and close
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}/generate"
+
+    def process_request(self, request, client_address):
+        with self.lock:
+            self.connections += 1
+        super().process_request(request, client_address)
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out leaves the handler writing to a closed socket
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        server: _KeepAliveServer = self.server
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.requests += 1
+        if server.delay_seconds:
+            time.sleep(server.delay_seconds)
+        body = json.dumps({"text": "echo: " + payload["prompt"]}).encode("utf-8")
+        close = "Connection: close\r\n" if server.announce_close else ""
+        self.wfile.write(
+            f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n{close}"
+            f"Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body
+        )
+        self.close_connection = server.close_after_reply or server.announce_close
+
+
+@pytest.fixture
+def keepalive_endpoint():
+    server = _KeepAliveServer()
+    # a short poll interval, since shutdown() waits for the next poll
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def closed_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestKeepAlive:
+    def test_each_worker_reuses_one_connection(self, keepalive_endpoint):
+        batch = [req(f"s{i:02d}") for i in range(20)]
+        policy = ClientPolicy(max_parallel=2, backoff_seconds=0.0)
+        results = generate_batch(batch, keepalive_endpoint.url, policy)
+        assert [r.text for r in results] == [f"echo: prompt for s{i:02d}" for i in range(20)]
+        assert all(r.attempt == 1 for r in results)
+        assert keepalive_endpoint.requests == 20
+        assert 1 <= keepalive_endpoint.connections <= 2
+
+    @pytest.mark.parametrize("announced", [False, True], ids=["silent", "announced"])
+    def test_server_closing_after_each_reply_costs_no_attempt(self, keepalive_endpoint, announced):
+        keepalive_endpoint.close_after_reply = not announced
+        keepalive_endpoint.announce_close = announced
+        batch = [req(f"s{i:02d}") for i in range(10)]
+        policy = ClientPolicy(max_parallel=2, max_attempts=1, backoff_seconds=0.0)
+        results = generate_batch(batch, keepalive_endpoint.url, policy)
+        assert [r.attempt for r in results] == [1] * 10
+        assert keepalive_endpoint.requests == 10
+        assert keepalive_endpoint.connections == 10
+
+    def test_timeout_is_retried_then_fails(self, keepalive_endpoint):
+        keepalive_endpoint.delay_seconds = 0.5
+        policy = ClientPolicy(max_parallel=1, max_attempts=2, backoff_seconds=0.0, timeout_seconds=0.1)
+        with pytest.raises(EndpointError) as err:
+            generate_batch([req("a")], keepalive_endpoint.url, policy)
+        assert err.value.failures[0][1].startswith("connection failed")
+        assert keepalive_endpoint.requests == 2
+        assert keepalive_endpoint.connections == 2
+
+    def test_closed_port_is_a_connection_failure(self):
+        policy = ClientPolicy(max_attempts=2, backoff_seconds=0.0, timeout_seconds=2.0)
+        with pytest.raises(EndpointError) as err:
+            generate_batch([req("a")], f"http://127.0.0.1:{closed_port()}/generate", policy)
+        assert err.value.failures[0][1].startswith("connection failed")
+
+    @pytest.mark.parametrize("scheme", ["ftp", "https"])
+    def test_other_schemes_fail_as_connection_failures(self, keepalive_endpoint, scheme):
+        url = keepalive_endpoint.url.replace("http", scheme, 1)
+        policy = ClientPolicy(max_attempts=1, backoff_seconds=0.0, timeout_seconds=2.0)
+        with pytest.raises(EndpointError) as err:
+            generate_batch([req("a")], url, policy)
+        assert err.value.failures[0][1].startswith("connection failed")
+
+    def test_no_socket_outlives_the_batch(self, keepalive_endpoint, monkeypatch):
+        opened: list[socket.socket] = []
+        real_create = socket.create_connection
+
+        def recording_create(*args, **kwargs):
+            sock = real_create(*args, **kwargs)
+            opened.append(sock)
+            return sock
+
+        monkeypatch.setattr(socket, "create_connection", recording_create)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        batch = [req(f"s{i}") for i in range(8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            generate_batch(batch, keepalive_endpoint.url, ClientPolicy(max_parallel=3, backoff_seconds=0.0))
+            assert len(opened) == keepalive_endpoint.connections >= 1
+            assert all(sock.fileno() == -1 for sock in opened)
+            opened.clear()
+            gc.collect()
+        assert [u.exc_value for u in unraisable] == []
+
+
+class TestRequestSummary:
+    def test_counts_latency_and_attempts(self):
+        results = [
+            GenerationResult("a", "x", latency_ms=10.0, attempt=1),
+            GenerationResult("b", "x", latency_ms=30.0, attempt=3),
+            GenerationResult("c", "x", latency_ms=20.0, attempt=1),
+            GenerationResult("d", "x"),
+        ]
+        assert request_summary(results) == (
+            "requests: 5 sent for 3 new row(s); latency_ms p50 20.0 p95 30.0 max 30.0; attempts 1:2 3:1"
+        )
+
+    def test_nothing_sent(self):
+        assert request_summary([GenerationResult("d", "x")]) == "requests: 0 sent for 0 new row(s)"
