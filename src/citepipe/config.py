@@ -35,9 +35,8 @@ def _check_keys(section: str, data: dict, allowed: tuple[str, ...]) -> None:
 class PathsConfig:
     corpus: str = "corpus"
     triplets: str = ""
-    work_dir: str = "out"
 
-    _KEYS = ("corpus", "triplets", "work_dir")
+    _KEYS = ("corpus", "triplets")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PathsConfig":

@@ -5,23 +5,24 @@ non-alphanumeric characters). ROUGE-N uses clipped n-gram overlap, ROUGE-L
 the bit-parallel LCS length, and METEOR a two-stage unigram alignment:
 exact matches first, then stem matches on the leftovers, maximizing the
 match count and, among maximum alignments, minimizing the number of
-contiguous chunks. Small inputs get an exact branch-and-bound search for
-the chunk minimum; longer inputs fall back to a deterministic greedy that
-repeatedly commits the longest remaining diagonal run.
+contiguous chunks. Every pair is first aligned by one deterministic greedy
+that repeatedly commits the longest remaining diagonal run; pairs of at
+most 16 tokens a side then get an exact branch-and-bound search for the
+chunk minimum, seeded with the greedy's alignment.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .stemmer import stem
 
-# alignment search limits; beyond these the greedy path takes over
+# exact chunk search limits; beyond these the longest-run greedy's alignment stands
 _EXACT_MAX_TOKENS = 16
 _EXACT_NODE_BUDGET = 300_000
-_RUN_GREEDY_MAX_CELLS = 10_000
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -110,10 +111,10 @@ def rouge_l(candidate: str | TokenizedText, reference: str | TokenizedText) -> M
 # pair up, which is what the chunk count depends on.
 #
 # Every search reads the reference through one index per pair: ascending
-# reference positions by token (`exact_ref`) and by stem (`stem_ref`). A
-# search that walks i in order and, for each i, the indexed positions in
-# order visits the compatible cells in the same i-then-j order as a scan
-# of every cell, so ties break the same way.
+# reference positions by token (`exact_ref`) and by stem (`stem_ref`). The
+# exact search walks i in order and, for each i, the indexed positions in
+# order, and the greedy breaks ties to the smallest (i, j), so both meet
+# the compatible cells in the same i-then-j order as a scan of every cell.
 
 
 def _stage_maxima(cand: list[str], ref: list[str], stem_of: dict[str, str]) -> tuple[int, int]:
@@ -152,74 +153,46 @@ def _chunk_count(pairs: list[tuple[int, int]]) -> int:
     return chunks
 
 
-def _greedy_first_match(
-    cand: list[str], ref: list[str], stems_c, exact_ref, stem_ref
-) -> list[tuple[int, int]]:
-    """Pair each candidate token with its first free compatible reference position, per stage."""
-    pairs: list[tuple[int, int]] = []
-    used_r = [False] * len(ref)
-    matched_c = [False] * len(cand)
-    for i, tok in enumerate(cand):
-        for j in exact_ref.get(tok, ()):
-            if not used_r[j]:
-                pairs.append((i, j))
-                used_r[j] = True
-                matched_c[i] = True
-                break
-    for i, tok in enumerate(cand):
-        if matched_c[i]:
-            continue
-        for j in stem_ref.get(stems_c[i], ()):
-            if not used_r[j] and tok != ref[j]:
-                pairs.append((i, j))
-                used_r[j] = True
-                break
-    return pairs
-
-
 def _greedy_longest_run(
     cand: list[str], ref: list[str], stems_c, stems_r, exact_ref, stem_ref
 ) -> list[tuple[int, int]]:
-    """Commit the longest available diagonal run per stage, ties to the earliest."""
+    """Commit the longest available diagonal run per stage, ties to the earliest.
+
+    Each stage tabulates the run length at every indexed free cell once,
+    back to front, and keeps the cells in a lazy max-heap keyed
+    (-length, i, j). Committed runs only shorten other runs, so a popped
+    cell whose recount still equals its key is the longest run left and,
+    among equals, the earliest (i, j); a cell that shrank goes back in with
+    its new length.
+    """
     used_c = [False] * len(cand)
     used_r = [False] * len(ref)
     pairs: list[tuple[int, int]] = []
-
-    def compatible(stage: int, i: int, j: int) -> bool:
-        if stage == 1:
-            return cand[i] == ref[j]
-        return cand[i] != ref[j] and stems_c[i] == stems_r[j]
-
-    for stage in (1, 2):
+    for index, keys in ((exact_ref, cand), (stem_ref, stems_c)):
         # stage 1 leaves no free exact pair, so in stage 2 every free pair in
         # the same stem class is compatible
-        index, keys = (exact_ref, cand) if stage == 1 else (stem_ref, stems_c)
-        starts = [index.get(key, ()) for key in keys]
-        while True:
-            best_len = 0
-            best = None
-            for i, js in enumerate(starts):
-                if used_c[i]:
-                    continue
-                for j in js:
-                    if used_r[j]:
-                        continue
-                    length = 1
-                    while (
-                        i + length < len(cand)
-                        and j + length < len(ref)
-                        and not used_c[i + length]
-                        and not used_r[j + length]
-                        and compatible(stage, i + length, j + length)
-                    ):
-                        length += 1
-                    if length > best_len:
-                        best_len = length
-                        best = (i, j)
-            if best is None:
-                break
-            i, j = best
-            for k in range(best_len):
+        heap: list[tuple[int, int, int]] = []
+        below: dict[int, int] = {}
+        for i in range(len(cand) - 1, -1, -1):
+            row: dict[int, int] = {}
+            if not used_c[i]:
+                for j in index.get(keys[i], ()):
+                    if not used_r[j]:
+                        row[j] = below.get(j + 1, 0) + 1
+                        heap.append((-row[j], i, j))
+            below = row
+        heapq.heapify(heap)
+        while heap:
+            key, i, j = heapq.heappop(heap)
+            bound = -key
+            length = 0
+            while length < bound and not used_c[i + length] and not used_r[j + length]:
+                length += 1
+            if length < bound:
+                if length:
+                    heapq.heappush(heap, (-length, i, j))
+                continue
+            for k in range(length):
                 used_c[i + k] = True
                 used_r[j + k] = True
                 pairs.append((i + k, j + k))
@@ -315,14 +288,9 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int]:
     stems_r = [stem_of[tok] for tok in ref]
     exact_ref, stem_ref = _ref_index(ref, stems_r)
 
-    if len(cand) * len(ref) <= _RUN_GREEDY_MAX_CELLS:
-        seed = _greedy_longest_run(cand, ref, stems_c, stems_r, exact_ref, stem_ref)
-    else:
-        seed = _greedy_first_match(cand, ref, stems_c, exact_ref, stem_ref)
-
-    pairs = seed
+    pairs = _greedy_longest_run(cand, ref, stems_c, stems_r, exact_ref, stem_ref)
     if len(cand) <= _EXACT_MAX_TOKENS and len(ref) <= _EXACT_MAX_TOKENS:
-        exact = _exact_min_chunks(cand, ref, stems_c, exact_ref, stem_ref, m1, m2, seed)
+        exact = _exact_min_chunks(cand, ref, stems_c, exact_ref, stem_ref, m1, m2, pairs)
         if exact is not None:
             pairs = exact
     return len(pairs), _chunk_count(pairs)

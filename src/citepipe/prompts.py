@@ -53,10 +53,6 @@ def default_estimator(text: str) -> int:
 Estimator = Callable[[str], int]
 
 
-def estimate_tokens(text: str, estimator: Estimator | None = None) -> int:
-    return (estimator or default_estimator)(text)
-
-
 @dataclass(frozen=True)
 class TokenBudget:
     max_tokens: int = DEFAULT_MAX_TOKENS
@@ -78,20 +74,16 @@ class TokenBudget:
 class PromptTemplate:
     name: str
     instruction: str
-    input_layout: tuple[str, ...]
-    response_key: str = RESPONSE_MARKER
 
 
 BASELINE_TEMPLATE = PromptTemplate(
     name="instruct-baseline",
     instruction=INSTRUCTION,
-    input_layout=("source_abstract", "target_abstracts"),
 )
 
 KG_TEMPLATE = PromptTemplate(
     name="instruct-kg",
     instruction=INSTRUCTION,
-    input_layout=("source_abstract", "source_relations", "target_abstracts", "target_relations"),
 )
 
 

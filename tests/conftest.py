@@ -196,7 +196,7 @@ def mock_endpoint():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _MockHandler)
     server.state = state
     state.url = f"http://127.0.0.1:{server.server_address[1]}/generate"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield state

@@ -3,7 +3,7 @@
 The alignment oracle enumerates every stage-respecting maximum alignment
 and takes the true chunk minimum; the LCS oracle is an independent memoized
 recursion, and a row DP checks the bit-parallel LCS on long inputs; the
-greedy alignments are checked against scan-every-cell reference copies;
+greedy alignment is checked against a scan-every-cell reference copy;
 ROUGE overlaps are recounted from scratch. Hand values below were computed
 on paper from the definitions.
 """
@@ -17,11 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citepipe.metrics import (
-    _RUN_GREEDY_MAX_CELLS,
     EvalReport,
     _align,
     _chunk_count,
-    _greedy_first_match,
     _greedy_longest_run,
     _lcs_length,
     _ref_index,
@@ -60,8 +58,8 @@ def sized_lists(words: list[str], min_size: int, max_size: int):
 
 
 long_token_lists = sized_lists(INFLECTED, 17, 120)
-# every pair from the first band stays at or under the longest-run greedy's
-# cell limit and every pair from the second goes over it
+# pairs from the first band have at most 10,000 cells and pairs from the
+# second more, so the greedy is checked on small and large pairs alike
 switch_bands = st.sampled_from([(17, 99), (101, 120)]).flatmap(
     lambda band: st.tuples(sized_lists(INFLECTED, *band), sized_lists(INFLECTED, *band))
 )
@@ -136,29 +134,6 @@ def reference_lcs(a: list[str], b: list[str]) -> int:
             cur[j] = prev[j - 1] + 1 if ai == bj else max(prev[j], cur[j - 1])
         prev = cur
     return prev[-1]
-
-
-def reference_first_match(cand, ref, stems_c, stems_r):
-    """First free compatible reference position per candidate token, scanning every cell."""
-    pairs = []
-    used_r = [False] * len(ref)
-    matched_c = [False] * len(cand)
-    for i, tok in enumerate(cand):
-        for j, rtok in enumerate(ref):
-            if not used_r[j] and tok == rtok:
-                pairs.append((i, j))
-                used_r[j] = True
-                matched_c[i] = True
-                break
-    for i, tok in enumerate(cand):
-        if matched_c[i]:
-            continue
-        for j in range(len(ref)):
-            if not used_r[j] and stems_c[i] == stems_r[j] and tok != ref[j]:
-                pairs.append((i, j))
-                used_r[j] = True
-                break
-    return pairs
 
 
 def reference_longest_run(cand, ref, stems_c, stems_r):
@@ -376,7 +351,7 @@ class TestMeteorAgainstOracle:
 
 
 class TestGreedyAlignments:
-    """The indexed greedies commit exactly the pairs a scan of every cell commits."""
+    """The heap greedy commits exactly the pairs a scan of every cell commits."""
 
     @staticmethod
     def _inputs(cand, ref):
@@ -387,13 +362,6 @@ class TestGreedyAlignments:
     def test_families_share_a_stem(self):
         for family in FAMILIES:
             assert len({stem(w) for w in family}) == 1
-
-    @given(long_token_lists, long_token_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_first_match_equals_scan(self, cand, ref):
-        stems_c, stems_r, exact_ref, stem_ref = self._inputs(cand, ref)
-        got = _greedy_first_match(cand, ref, stems_c, exact_ref, stem_ref)
-        assert got == reference_first_match(cand, ref, stems_c, stems_r)
 
     @given(long_token_lists, long_token_lists)
     @settings(max_examples=40, deadline=None)
@@ -408,11 +376,16 @@ class TestGreedyAlignments:
         cand, ref = lists
         stems_c = [stem(t) for t in cand]
         stems_r = [stem(t) for t in ref]
-        if len(cand) * len(ref) <= _RUN_GREEDY_MAX_CELLS:
-            pairs = reference_longest_run(cand, ref, stems_c, stems_r)
-        else:
-            pairs = reference_first_match(cand, ref, stems_c, stems_r)
+        pairs = reference_longest_run(cand, ref, stems_c, stems_r)
         assert _align(cand, ref) == (len(pairs), _chunk_count(pairs))
+
+    def test_interleaved_repeat_is_two_chunks_above_ten_thousand_cells(self):
+        # 120 x 120 tokens: cand[i] == ref[i + 1] makes one chunk of 119
+        # pairs, and the last "the" pairs with the first in a second
+        cand = [tok for k in range(60) for tok in (f"w{k}", "the")]
+        ref = [tok for k in range(60) for tok in ("the", f"w{k}")]
+        assert len(cand) * len(ref) > 10_000
+        assert _align(cand, ref) == (120, 2)
 
 
 class TestEvaluateCorpus:

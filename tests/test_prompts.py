@@ -20,7 +20,6 @@ from citepipe.prompts import (
     TokenBudget,
     default_estimator,
     emit_finetune_file,
-    estimate_tokens,
     manifest_path,
     read_prompt_file,
     render_baseline,
@@ -103,10 +102,6 @@ class TestEstimator:
     )
     def test_ceiling_of_quarters(self, text, want):
         assert default_estimator(text) == want
-
-    def test_custom_estimator_passthrough(self):
-        assert estimate_tokens("abcd", estimator=len) == 4
-        assert estimate_tokens("abcd") == 1
 
     @given(st.text(max_size=200), st.integers(min_value=0, max_value=200))
     def test_prefix_never_costs_more(self, text, cut):
