@@ -32,6 +32,7 @@ from .dataset import (
     split_dataset,
     write_dataset,
 )
+from .jsonl import write_json
 from .kg import SCIERC_RELATIONS, AttachStats, attach_triplets, load_triplets, read_enriched, write_enriched
 from .metrics import evaluate_corpus, render_report_table, report_from_dict, report_to_dict
 from .numerics import LrSchedule, build_quantile_map, minimize, quadratic
@@ -97,13 +98,13 @@ def build(ctx, corpus_path, out_path, fields, max_samples_per_source):
             stats=extract,
         )
     )
-    write_dataset(samples, out_path)
+    written = write_dataset(samples, out_path)
     write_run_manifest(
         out_path,
         "build",
         list(corpus_files(corpus)),
         cfg,
-        counts={"samples": len(samples), "ingest": asdict(ingest), "extract": asdict(extract)},
+        counts={**written, "ingest": asdict(ingest), "extract": asdict(extract)},
     )
     click.echo(
         f"read {ingest.records_yielded} record(s) from {ingest.files_read} file(s); "
@@ -173,13 +174,13 @@ def split(ctx, dataset_path, out_dir, seed, train, validation, test):
     sizes = []
     for name, part in zip(("train", "validation", "test"), parts):
         part_path = Path(out_dir) / f"{name}.jsonl"
-        write_dataset(part, part_path)
+        written = write_dataset(part, part_path)
         write_run_manifest(
             part_path,
             f"split:{name}",
             [dataset_path],
             cfg,
-            counts={"samples": len(part), "seed": spec.seed},
+            counts={**written, "seed": spec.seed},
         )
         sizes.append(len(part))
     click.echo(
@@ -284,14 +285,14 @@ def prompts(
             for es in read_enriched(enriched_path)
         ]
         input_path = enriched_path
-    emit_finetune_file(instances, out_path, include_response=responses)
+    written = emit_finetune_file(instances, out_path, include_response=responses)
     truncated = sum(1 for instance in instances if instance.truncations)
     write_run_manifest(
         out_path,
         "prompts",
         [input_path],
         cfg,
-        counts={"prompts": len(instances), "truncated": truncated, "mode": mode},
+        counts={**written, "truncated": truncated, "mode": mode},
     )
     click.echo(
         f"wrote {len(instances)} prompt(s) to {out_path}; "
@@ -390,9 +391,7 @@ def evaluate(ctx, generated_path, dataset_path, report_path, label):
         raise ValueError(f"generated sample(s) missing from the dataset: {', '.join(unknown[:3])}")
     ids = sorted(generated)
     report = evaluate_corpus([(generated[i], gold[i]) for i in ids], sample_ids=ids)
-    payload = {"label": label, **report_to_dict(report)}
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(report_path, {"label": label, **report_to_dict(report)})
     write_run_manifest(
         report_path,
         "evaluate",

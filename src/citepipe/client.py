@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .jsonl import dump_row, iter_jsonl
+from .jsonl import dump_row, read_jsonl, write_text
 
 DEFAULT_STOP: tuple[str, ...] = ("### Response:",)
 
@@ -35,7 +35,6 @@ class GenerationRequest:
     prompt: str
     max_new_tokens: int = 512
     temperature: float = 0.0
-    stop_sequences: tuple[str, ...] = DEFAULT_STOP
 
 
 @dataclass
@@ -157,7 +156,7 @@ def _encode(request: GenerationRequest) -> bytes:
         "prompt": request.prompt,
         "max_new_tokens": request.max_new_tokens,
         "temperature": request.temperature,
-        "stop": list(request.stop_sequences),
+        "stop": list(DEFAULT_STOP),
     }
     try:
         return json.dumps(payload, allow_nan=False).encode("utf-8")
@@ -204,18 +203,18 @@ def _call_with_retries(
     raise _Transient(last_reason)
 
 
+def _generation_row(row) -> tuple[str, str]:
+    if not isinstance(row, dict) or "sample_id" not in row or "text" not in row:
+        raise ValueError("not a generation row")
+    return row["sample_id"], row["text"]
+
+
 def _load_existing(path: Path) -> dict[str, str]:
     if not path.exists():
         return {}
     texts: dict[str, str] = {}
-    for lineno, line in iter_jsonl(path):
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-        if not isinstance(row, dict) or "sample_id" not in row or "text" not in row:
-            raise ValueError(f"{path}: line {lineno}: not a generation row")
-        texts.setdefault(row["sample_id"], row["text"])
+    for sample_id, text in read_jsonl(path, _generation_row):
+        texts.setdefault(sample_id, text)
     return texts
 
 
@@ -225,7 +224,7 @@ def _write_canonical(path: Path, texts: dict[str, str]) -> None:
     )
     if path.exists() and path.read_text(encoding="utf-8") == canonical:
         return
-    path.write_text(canonical, encoding="utf-8")
+    write_text(path, (canonical,))
 
 
 def generate_batch(

@@ -4,10 +4,11 @@ Configuration lives in one YAML file with fixed sections; unknown keys are
 rejected at every level so typos fail loudly instead of silently falling
 back to defaults. Every CLI stage writes a run manifest next to its output
 (`<output>.run.json`) recording input digests, the digest of each input's
-own run manifest when present, and the configuration digest, so a finished
-artifact can be traced back through the stages that produced it. Manifests
-carry no timestamps: re-running a stage on identical inputs yields an
-identical manifest.
+own run manifest when present, the configuration digest and the stage's
+counts (for datasets also the stats digest and builder/schema versions),
+so a finished artifact can be traced back through the stages that produced
+it. Manifests carry no timestamps: re-running a stage on identical inputs
+yields an identical manifest.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .jsonl import file_digest, json_digest
+from .jsonl import file_digest, json_digest, write_json
 
 
 class ConfigError(ValueError):
@@ -186,8 +187,7 @@ def write_run_manifest(
         "config_sha256": config_digest(config) if config is not None else None,
         "counts": counts or {},
     }
-    with open(run_manifest_path(out_path), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(run_manifest_path(out_path), manifest)
     return manifest
 
 

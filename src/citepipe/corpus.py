@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
+from .jsonl import iter_jsonl
+
 
 class ValidationError(ValueError):
     """A record violated the corpus schema. `field_name` is the first bad field."""
@@ -256,27 +258,24 @@ def stream_corpus(
     seen_ids: set[str] = set()
     for shard in corpus_files(path):
         stats.files_read += 1
-        with open(shard, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                stats.lines_read += 1
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError:
-                    stats.parse_errors += 1
-                    continue
-                try:
-                    record = validate_record(raw)
-                except ValidationError:
-                    stats.validation_errors += 1
-                    continue
-                if record.paper_id in seen_ids:
-                    stats.duplicate_ids += 1
-                    continue
-                seen_ids.add(record.paper_id)
-                if not corpus_filter.matches(record):
-                    stats.filtered_out += 1
-                    continue
-                stats.records_yielded += 1
-                yield record
+        for _, line in iter_jsonl(shard):
+            stats.lines_read += 1
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError:
+                stats.parse_errors += 1
+                continue
+            try:
+                record = validate_record(raw)
+            except ValidationError:
+                stats.validation_errors += 1
+                continue
+            if record.paper_id in seen_ids:
+                stats.duplicate_ids += 1
+                continue
+            seen_ids.add(record.paper_id)
+            if not corpus_filter.matches(record):
+                stats.filtered_out += 1
+                continue
+            stats.records_yielded += 1
+            yield record

@@ -10,7 +10,6 @@ same papers travels as one passage.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from typing import Iterable, Mapping
 
 from . import __version__
 from .corpus import BodySection, PaperRecord
-from .jsonl import dump_row, iter_jsonl, json_digest
+from .jsonl import json_digest, read_jsonl, write_jsonl
 
 SCHEMA_VERSION = 1
 
@@ -359,34 +358,17 @@ def sample_from_dict(row: dict) -> CitationSample:
     )
 
 
-def manifest_path(path: str | Path) -> Path:
-    return Path(str(path) + ".manifest.json")
-
-
 def write_dataset(samples: list[CitationSample], path: str | Path) -> dict:
-    """Write samples as JSONL plus a sidecar manifest; returns the manifest."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(dump_row(sample_to_dict(sample)) + "\n")
-    manifest = {
-        "count": len(samples),
+    """Write samples as JSONL; returns the sample count, stats digest and
+    builder/schema versions, which the stage records in its `.run.json`."""
+    return {
+        "samples": write_jsonl(path, (sample_to_dict(sample) for sample in samples)),
         "stats_digest": json_digest(compute_stats(samples).to_dict()),
         "builder_version": __version__,
         "schema_version": SCHEMA_VERSION,
     }
-    with open(manifest_path(path), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest
 
 
 def read_dataset(path: str | Path) -> list[CitationSample]:
     """Read a dataset file back; a corrupt line fails with its line number."""
-    samples: list[CitationSample] = []
-    for lineno, line in iter_jsonl(path):
-        try:
-            row = json.loads(line)
-            samples.append(sample_from_dict(row))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DatasetReadError(f"{path}: line {lineno}: {exc}") from exc
-    return samples
+    return read_jsonl(path, sample_from_dict, DatasetReadError)

@@ -1,11 +1,14 @@
-"""Small JSONL helpers shared by the ingest, dataset, and client modules."""
+"""How every artifact goes on disk and comes back: one atomic writer, one
+canonical row encoding, one strict line reader, and file and JSON digests.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -16,18 +19,50 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
+def read_jsonl(
+    path: str | Path, parse: Callable[[Any], Any] = lambda row: row, error=ValueError
+) -> list:
+    """Each row of a JSONL file through `parse`. Bad JSON, or a ValueError,
+    KeyError or TypeError from `parse`, raises `error` naming the line."""
+    out = []
+    for lineno, line in iter_jsonl(path):
+        try:
+            out.append(parse(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise error(f"{path}: line {lineno}: {exc}") from exc
+    return out
+
+
 def dump_row(obj: Any) -> str:
     # sort_keys keeps files byte-stable across runs
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
-def write_jsonl(path: str | Path, rows: Iterable[Any]) -> int:
+def write_text(path: str | Path, chunks: Iterable[str]) -> int:
+    """Replace `path` with the chunks via a hidden temp file and `os.replace`,
+    so a failure or interrupt leaves `path` as it was. Returns the chunk count."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(dump_row(row) + "\n")
-            count += 1
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            for count, chunk in enumerate(chunks, start=1):
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return count
+
+
+def write_jsonl(path: str | Path, rows: Iterable[Any]) -> int:
+    """Write one canonical JSON row per line; returns the row count."""
+    return write_text(path, (dump_row(row) + "\n" for row in rows))
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    """Write one indented, key-sorted JSON document with a trailing newline."""
+    write_text(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n",))
 
 
 def file_digest(path: str | Path) -> str:

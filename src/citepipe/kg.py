@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .dataset import CitationSample
-from .jsonl import dump_row, iter_jsonl
+from .jsonl import iter_jsonl, read_jsonl, write_jsonl
 
 SECTIONS = ("abstract", "introduction", "conclusion")
 
@@ -325,17 +325,8 @@ def enriched_from_dict(row: dict) -> EnrichedSample:
 
 
 def write_enriched(samples: list[EnrichedSample], path: str | Path) -> int:
-    with open(path, "w", encoding="utf-8") as fh:
-        for es in samples:
-            fh.write(dump_row(enriched_to_dict(es)) + "\n")
-    return len(samples)
+    return write_jsonl(path, (enriched_to_dict(es) for es in samples))
 
 
 def read_enriched(path: str | Path) -> list[EnrichedSample]:
-    out: list[EnrichedSample] = []
-    for lineno, line in iter_jsonl(path):
-        try:
-            out.append(enriched_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return out
+    return read_jsonl(path, enriched_from_dict)

@@ -19,13 +19,11 @@ If the ladder runs out the sample does not fit and BudgetExhausted names it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from .dataset import CitationSample
-from .jsonl import dump_row, iter_jsonl
+from .jsonl import read_jsonl, write_jsonl
 from .kg import EnrichedSample, pooled_triplets, render_triplets
 
 DEFAULT_MAX_TOKENS = 2048
@@ -50,14 +48,10 @@ def default_estimator(text: str) -> int:
     return (len(text) + 3) // 4
 
 
-Estimator = Callable[[str], int]
-
-
 @dataclass(frozen=True)
 class TokenBudget:
     max_tokens: int = DEFAULT_MAX_TOKENS
     reserve_for_response: int = DEFAULT_RESERVE
-    estimator: Estimator = default_estimator
 
     def __post_init__(self):
         if self.max_tokens < 1:
@@ -136,12 +130,12 @@ def _compose(instruction: str, blocks: list[_Block]) -> str:
     )
 
 
-def _chars_for_tokens(text: str, tokens: int, estimator: Estimator) -> int:
+def _chars_for_tokens(text: str, tokens: int) -> int:
     """Largest prefix length whose estimate stays within `tokens`."""
     lo, hi, best = 0, len(text), 0
     while lo <= hi:
         mid = (lo + hi) // 2
-        if estimator(text[:mid]) <= tokens:
+        if default_estimator(text[:mid]) <= tokens:
             best = mid
             lo = mid + 1
         else:
@@ -155,11 +149,10 @@ def _fit(
     budget: TokenBudget,
     sample_id: str,
 ) -> tuple[str, list[Truncation]]:
-    estimator = budget.estimator
     truncations: list[Truncation] = []
 
     def fits() -> bool:
-        return estimator(_compose(instruction, blocks)) <= budget.usable
+        return default_estimator(_compose(instruction, blocks)) <= budget.usable
 
     def shrink_to_fit(block: _Block, floor_chars: int) -> bool:
         """Tail-trim `block` to the longest prefix that fits, floored; True if it fits."""
@@ -204,7 +197,7 @@ def _fit(
         if block.rung == 6 and not block.dropped and block.content:
             floor_chars = min(
                 len(block.content),
-                _chars_for_tokens(block.content, SOURCE_ABSTRACT_FLOOR_TOKENS, estimator),
+                _chars_for_tokens(block.content, SOURCE_ABSTRACT_FLOOR_TOKENS),
             )
             if shrink_to_fit(block, floor_chars):
                 return _compose(instruction, blocks), truncations
@@ -262,7 +255,7 @@ def render_baseline(
         sample_id=sample.sample_id,
         template_name=BASELINE_TEMPLATE.name,
         text=text,
-        token_estimate=budget.estimator(text),
+        token_estimate=default_estimator(text),
         truncations=truncations,
         gold_response=sample.citation_text,
     )
@@ -345,14 +338,10 @@ def render_kg(
         sample_id=sample.sample_id,
         template_name=KG_TEMPLATE.name,
         text=text,
-        token_estimate=budget.estimator(text),
+        token_estimate=default_estimator(text),
         truncations=truncations,
         gold_response=sample.citation_text,
     )
-
-
-def manifest_path(path: str | Path) -> Path:
-    return Path(str(path) + ".manifest.json")
 
 
 def emit_finetune_file(
@@ -360,34 +349,24 @@ def emit_finetune_file(
     path: str | Path,
     include_response: bool = True,
 ) -> dict:
-    """Write prompt/response rows as JSONL plus a count manifest.
+    """Write prompt/response rows as JSONL; returns the prompt count, the
+    templates used and `with_responses`, which the stage records in its
+    `.run.json`. JSON encoding keeps multi-line prompts one row per line."""
 
-    JSON encoding keeps multi-line prompts one-record-per-line safe.
-    """
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for instance in instances:
-            row: dict = {"sample_id": instance.sample_id, "prompt": instance.text}
-            if include_response:
-                if instance.gold_response is None:
-                    raise ValueError(f"sample {instance.sample_id} has no gold response")
-                row["response"] = instance.gold_response
-            fh.write(dump_row(row) + "\n")
-    manifest = {
-        "count": len(instances),
+    def row(instance: PromptInstance) -> dict:
+        out = {"sample_id": instance.sample_id, "prompt": instance.text}
+        if include_response:
+            if instance.gold_response is None:
+                raise ValueError(f"sample {instance.sample_id} has no gold response")
+            out["response"] = instance.gold_response
+        return out
+
+    return {
+        "prompts": write_jsonl(path, (row(instance) for instance in instances)),
         "templates": sorted({i.template_name for i in instances}),
         "with_responses": include_response,
     }
-    with open(manifest_path(path), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest
 
 
 def read_prompt_file(path: str | Path) -> list[dict]:
-    rows = []
-    for lineno, line in iter_jsonl(path):
-        try:
-            rows.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return rows
+    return read_jsonl(path)

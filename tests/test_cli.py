@@ -8,9 +8,11 @@ import json
 
 import pytest
 
+from citepipe import __version__
 from citepipe.cli import AUTH_TOKEN_ENV, main
 from citepipe.config import read_run_manifest, run_manifest_path
-from citepipe.jsonl import dump_row, file_digest
+from citepipe.dataset import SCHEMA_VERSION, compute_stats, read_dataset
+from citepipe.jsonl import dump_row, file_digest, json_digest
 
 STATS_ROWS = [
     "# citations",
@@ -215,7 +217,13 @@ class TestPrompts:
         rows = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert {"sample_id", "prompt", "response"} <= set(rows[0])
         manifest = read_run_manifest(out_path)
-        assert manifest["counts"] == {"prompts": 3, "truncated": 0, "mode": "baseline"}
+        assert manifest["counts"] == {
+            "prompts": 3,
+            "truncated": 0,
+            "mode": "baseline",
+            "templates": ["instruct-baseline"],
+            "with_responses": True,
+        }
 
     def test_kg_prompts(self, dataset, triplets_file, tmp_path, capsys):
         enriched = tmp_path / "enriched.jsonl"
@@ -358,6 +366,52 @@ class TestGenerateEvaluate:
         )
         assert code == 1
         assert "missing from the dataset: ghost" in err
+
+
+class TestProvenance:
+    def test_each_output_gets_exactly_one_run_manifest(
+        self, hand_corpus, triplets_file, tmp_path, capsys, mock_endpoint, monkeypatch
+    ):
+        monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
+        work = tmp_path / "run"
+        work.mkdir()
+        dataset = work / "dataset.jsonl"
+        enriched = work / "enriched.jsonl"
+        prompts = work / "prompts.jsonl"
+        generated = work / "generated.jsonl"
+        report_file = work / "report.json"
+        steps = [
+            ("build", "--corpus", str(hand_corpus), "--out", str(dataset)),
+            ("split", "--dataset", str(dataset), "--out-dir", str(work)),
+            ("kg-merge", "--dataset", str(dataset), "--triplets", str(triplets_file),
+             "--out", str(enriched)),
+            ("prompts", "--mode", "kg", "--enriched", str(enriched), "--out", str(prompts)),
+            ("generate", "--prompts", str(prompts), "--out", str(generated),
+             "--endpoint", mock_endpoint.url, "--backoff-seconds", "0"),
+            ("evaluate", "--generated", str(generated), "--dataset", str(dataset),
+             "--out", str(report_file)),
+        ]
+        for argv in steps:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, (argv[0], out, err)
+
+        outputs = ["dataset.jsonl", "train.jsonl", "validation.jsonl", "test.jsonl",
+                   "enriched.jsonl", "prompts.jsonl", "generated.jsonl", "report.json"]
+        expected = sorted(outputs + [name + ".run.json" for name in outputs])
+        assert sorted(p.name for p in work.iterdir()) == expected
+
+        counts = read_run_manifest(dataset)["counts"]
+        assert counts["samples"] == 3
+        assert counts["stats_digest"] == json_digest(compute_stats(read_dataset(dataset)).to_dict())
+        assert counts["builder_version"] == __version__
+        assert counts["schema_version"] == SCHEMA_VERSION
+        train = work / "train.jsonl"
+        assert read_run_manifest(train)["counts"]["stats_digest"] == json_digest(
+            compute_stats(read_dataset(train)).to_dict()
+        )
+        counts = read_run_manifest(prompts)["counts"]
+        assert counts["templates"] == ["instruct-kg"]
+        assert counts["with_responses"] is True
 
 
 class TestNumericsCommands:

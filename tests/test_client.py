@@ -2,6 +2,7 @@
 
 import gc
 import json
+import os
 import socket
 import sys
 import threading
@@ -191,6 +192,26 @@ class TestResumableOutput:
         out.write_text('{"sample_id": "s1"}\n')
         with pytest.raises(ValueError, match="not a generation row"):
             generate_batch([req("s1")], mock_endpoint.url, FAST, out_path=out)
+
+    def test_kill_during_the_canonical_rewrite_keeps_every_row(self, mock_endpoint, tmp_path, monkeypatch):
+        out = tmp_path / "gen.jsonl"
+        out.write_text(dump_row({"sample_id": "s2", "text": "from before"}) + "\n")
+
+        def killed(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            generate_batch([req("s3"), req("s1"), req("s2")], mock_endpoint.url, FAST, out_path=out)
+        monkeypatch.undo()
+        assert sorted(row_id(line) for line in out.read_text().splitlines()) == ["s1", "s2", "s3"]
+        assert [p.name for p in tmp_path.iterdir()] == ["gen.jsonl"]
+
+        mock_endpoint.requests.clear()
+        results = generate_batch([req("s1"), req("s2"), req("s3")], mock_endpoint.url, FAST, out_path=out)
+        assert mock_endpoint.requests == []
+        assert [r.attempt for r in results] == [0, 0, 0]
+        assert [row_id(line) for line in out.read_text().splitlines()] == ["s1", "s2", "s3"]
 
     def test_no_output_path_keeps_everything_in_memory(self, mock_endpoint, tmp_path):
         results = generate_batch([req("a")], mock_endpoint.url, FAST)

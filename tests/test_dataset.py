@@ -1,5 +1,6 @@
 """Sample extraction, seeded splitting, statistics, and dataset files."""
 
+import dataclasses
 import json
 
 import pytest
@@ -205,7 +206,7 @@ class TestDatasetFiles:
         samples, _ = hand_samples
         path = tmp_path / "dataset.jsonl"
         manifest = write_dataset(samples, path)
-        assert manifest["count"] == len(samples)
+        assert manifest["samples"] == len(samples)
         back = read_dataset(path)
         assert [s.sample_id for s in back] == [s.sample_id for s in samples]
         assert back[1].targets[0].paper_id == samples[1].targets[0].paper_id
@@ -218,6 +219,17 @@ class TestDatasetFiles:
         first = path.read_bytes()
         write_dataset(samples, path)
         assert path.read_bytes() == first
+
+    def test_failed_rewrite_keeps_the_previous_file(self, hand_samples, tmp_path):
+        samples, _ = hand_samples
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(samples, path)
+        before = path.read_bytes()
+        bad = [samples[0], dataclasses.replace(samples[1], targets=None)]
+        with pytest.raises(TypeError):
+            write_dataset(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
 
     def test_corrupt_line_names_line_number(self, hand_samples, tmp_path):
         samples, _ = hand_samples

@@ -2,7 +2,18 @@
 
 import json
 
-from citepipe.jsonl import dump_row, file_digest, iter_jsonl, json_digest, write_jsonl
+import pytest
+
+from citepipe.jsonl import (
+    dump_row,
+    file_digest,
+    iter_jsonl,
+    json_digest,
+    read_jsonl,
+    write_json,
+    write_jsonl,
+    write_text,
+)
 
 
 def test_dump_row_is_canonical():
@@ -29,6 +40,50 @@ def test_write_jsonl_round_trip(tmp_path):
     assert write_jsonl(path, rows) == 5
     back = [json.loads(line) for _, line in iter_jsonl(path)]
     assert back == rows
+
+
+def test_write_text_replaces_the_whole_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("a much longer previous content\n", encoding="utf-8")
+    write_text(path, ["short", "\n"])
+    assert path.read_text(encoding="utf-8") == "short\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_interrupted_write_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, [{"k": 1}, {"k": 2}])
+    before = path.read_bytes()
+
+    def rows():
+        yield {"k": 3}
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_jsonl(path, rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_write_json_is_indented_sorted_and_newline_terminated(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"b": [1], "a": "é"})
+    assert path.read_text(encoding="utf-8") == '{\n  "a": "\\u00e9",\n  "b": [\n    1\n  ]\n}\n'
+
+
+class _RowError(RuntimeError):
+    pass
+
+
+def test_read_jsonl_names_the_bad_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n{"a": 2}\n{"b": 3}\n', encoding="utf-8")
+    assert read_jsonl(path) == [{"a": 1}, {"a": 2}, {"b": 3}]
+    with pytest.raises(_RowError, match=r"rows.jsonl: line 4: 'a'"):
+        read_jsonl(path, lambda row: row["a"], _RowError)
+    path.write_text('{"a": 1}\n{oops\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2"):
+        read_jsonl(path)
 
 
 def test_file_digest_tracks_content(tmp_path):

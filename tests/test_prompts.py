@@ -5,8 +5,6 @@ estimate minus one becomes the next budget, which must trigger exactly the
 next rung. Golden prompt texts are frozen as full literals.
 """
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +18,6 @@ from citepipe.prompts import (
     TokenBudget,
     default_estimator,
     emit_finetune_file,
-    manifest_path,
     read_prompt_file,
     render_baseline,
     render_kg,
@@ -384,13 +381,13 @@ class TestPromptFiles:
             render_kg(tiny_enriched(), BIG),
         ]
         out = tmp_path / "prompts.jsonl"
-        manifest = emit_finetune_file(instances, out)
-        assert manifest == {
-            "count": 2,
+        counts = emit_finetune_file(instances, out)
+        assert counts == {
+            "prompts": 2,
             "templates": ["instruct-baseline", "instruct-kg"],
             "with_responses": True,
         }
-        assert json.loads(manifest_path(out).read_text()) == manifest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prompts.jsonl"]
         rows = read_prompt_file(out)
         assert [r["sample_id"] for r in rows] == ["p1:0:0", "p1:0:0"]
         assert rows[0]["prompt"] == GOLDEN_BASELINE
@@ -409,6 +406,17 @@ class TestPromptFiles:
         instance.gold_response = None
         with pytest.raises(ValueError, match="p1:0:0"):
             emit_finetune_file([instance], tmp_path / "prompts.jsonl")
+
+    def test_failed_rewrite_keeps_the_previous_file(self, tmp_path):
+        out = tmp_path / "prompts.jsonl"
+        emit_finetune_file([render_baseline(tiny_sample(), BIG), render_kg(tiny_enriched(), BIG)], out)
+        before = out.read_bytes()
+        broken = render_kg(tiny_enriched(), BIG)
+        broken.gold_response = None
+        with pytest.raises(ValueError, match="no gold response"):
+            emit_finetune_file([render_baseline(tiny_sample(), BIG), broken], out)
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["prompts.jsonl"]
 
     def test_corrupt_line_is_located(self, tmp_path):
         bad = tmp_path / "prompts.jsonl"
