@@ -35,7 +35,6 @@ from .dataset import (
 from .jsonl import write_json
 from .kg import SCIERC_RELATIONS, AttachStats, attach_triplets, load_triplets, read_enriched, write_enriched
 from .metrics import evaluate_corpus, render_report_table, report_from_dict, report_to_dict
-from .numerics import LrSchedule, build_quantile_map, minimize, quadratic
 from .prompts import (
     BudgetExhausted,
     TokenBudget,
@@ -172,6 +171,7 @@ def split(ctx, dataset_path, out_dir, seed, train, validation, test):
     parts = split_dataset(samples, spec)
     os.makedirs(out_dir, exist_ok=True)
     sizes = []
+    digests: dict = {}  # the three manifests hash the dataset once
     for name, part in zip(("train", "validation", "test"), parts):
         part_path = Path(out_dir) / f"{name}.jsonl"
         written = write_dataset(part, part_path)
@@ -181,6 +181,7 @@ def split(ctx, dataset_path, out_dir, seed, train, validation, test):
             [dataset_path],
             cfg,
             counts={**written, "seed": spec.seed},
+            digests=digests,
         )
         sizes.append(len(part))
     click.echo(
@@ -263,16 +264,17 @@ def prompts(
         if dataset_path is None:
             raise click.UsageError("--mode baseline needs --dataset")
         samples = read_dataset(dataset_path)
-        instances = [
+        # rendered one row at a time as the file is written, never all held
+        instances = (
             render_baseline(s, budget, include_introductions, include_conclusions)
             for s in samples
-        ]
+        )
         input_path = dataset_path
     else:
         if enriched_path is None:
             raise click.UsageError("--mode kg needs --enriched")
         k = _pick(triplet_budget, cfg.budget.triplet_budget)
-        instances = [
+        instances = (
             render_kg(
                 es,
                 budget,
@@ -283,20 +285,19 @@ def prompts(
                 include_conclusions=include_conclusions,
             )
             for es in read_enriched(enriched_path)
-        ]
+        )
         input_path = enriched_path
     written = emit_finetune_file(instances, out_path, include_response=responses)
-    truncated = sum(1 for instance in instances if instance.truncations)
     write_run_manifest(
         out_path,
         "prompts",
         [input_path],
         cfg,
-        counts={**written, "truncated": truncated, "mode": mode},
+        counts={**written, "mode": mode},
     )
     click.echo(
-        f"wrote {len(instances)} prompt(s) to {out_path}; "
-        f"{truncated} truncated to fit {budget.max_tokens} tokens"
+        f"wrote {written['prompts']} prompt(s) to {out_path}; "
+        f"{written['truncated']} truncated to fit {budget.max_tokens} tokens"
     )
 
 
@@ -423,6 +424,8 @@ def numerics():
 @click.option("--symmetric/--asymmetric", "symmetric", default=True)
 def quantile_map_cmd(bits, symmetric):
     """Print the quantile bin values for an n-bit code."""
+    from .numerics import build_quantile_map  # only the numerics commands need it
+
     qmap = build_quantile_map(bits, symmetric=symmetric)
     click.echo(f"n_bits={qmap.n_bits} symmetric={qmap.symmetric} normalization={qmap.normalization}")
     for index, value in enumerate(qmap.bins):
@@ -440,6 +443,8 @@ def quantile_map_cmd(bits, symmetric):
 @click.option("--weight-decay", type=float, default=0.0)
 def optimize_cmd(curvatures, x0, steps, lr, mode, warmup, total, weight_decay):
     """Minimize a quadratic and print the trajectory as CSV."""
+    from .numerics import LrSchedule, minimize, quadratic  # only the numerics commands need it
+
     curves = [float(c) for c in curvatures.split(",") if c.strip()]
     if not curves:
         raise click.UsageError("--curvatures needs at least one value")

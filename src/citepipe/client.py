@@ -19,7 +19,6 @@ import math
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -261,6 +260,8 @@ def generate_batch(
 
     failures: list[tuple[str, str]] = []
     if pending:
+        from concurrent.futures import ThreadPoolExecutor, as_completed  # only a batch with work needs it
+
         append_handle = open(out_file, "a", encoding="utf-8") if out_file is not None else None
         transport = _Transport(endpoint, policy.timeout_seconds, headers)
         try:

@@ -170,15 +170,29 @@ def write_run_manifest(
     inputs: list[str | Path],
     config: PipelineConfig | None = None,
     counts: dict | None = None,
+    *,
+    digests: dict[Path, str] | None = None,
 ) -> dict:
-    """Record how `out_path` was produced; returns the manifest written."""
+    """Record how `out_path` was produced; returns the manifest written.
+
+    `digests` maps a file to its sha256 and gains every file this call
+    hashes; a command writing several manifests over the same inputs passes
+    one dict to all of them so each input is hashed once."""
+    if digests is None:
+        digests = {}
+
+    def digest(path: Path) -> str:
+        if path not in digests:
+            digests[path] = file_digest(path)
+        return digests[path]
+
     described = []
     for input_path in inputs:
         input_path = Path(input_path)
-        entry: dict = {"path": input_path.name, "sha256": file_digest(input_path)}
+        entry: dict = {"path": input_path.name, "sha256": digest(input_path)}
         upstream = run_manifest_path(input_path)
         if upstream.exists():
-            entry["run_manifest_sha256"] = file_digest(upstream)
+            entry["run_manifest_sha256"] = digest(upstream)
         described.append(entry)
     manifest = {
         "stage": stage,

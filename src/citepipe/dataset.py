@@ -14,11 +14,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import __version__
 from .corpus import BodySection, PaperRecord
-from .jsonl import json_digest, read_jsonl, write_jsonl
+from .jsonl import all_text, dump_row, encoded_by_identity, json_digest, read_jsonl, write_text
 
 SCHEMA_VERSION = 1
 
@@ -316,7 +316,18 @@ def compute_stats(samples: list[CitationSample]) -> DatasetStats:
     )
 
 
-def sample_to_dict(sample: CitationSample) -> dict:
+def _target_to_dict(target: TargetPaper) -> dict:
+    return {
+        "paper_id": target.paper_id,
+        "title": target.title,
+        "abstract": target.abstract,
+        "introduction": target.introduction,
+        "conclusion": target.conclusion,
+    }
+
+
+def _sample_fields(sample: CitationSample) -> dict:
+    """Every field of a sample's row but `targets`."""
     return {
         "schema_version": SCHEMA_VERSION,
         "sample_id": sample.sample_id,
@@ -324,30 +335,49 @@ def sample_to_dict(sample: CitationSample) -> dict:
         "source_abstract": sample.source_abstract,
         "section_name": sample.section_name,
         "citation_text": sample.citation_text,
-        "targets": [
-            {
-                "paper_id": t.paper_id,
-                "title": t.title,
-                "abstract": t.abstract,
-                "introduction": t.introduction,
-                "conclusion": t.conclusion,
-            }
-            for t in sample.targets
-        ],
     }
 
 
-def sample_from_dict(row: dict) -> CitationSample:
-    targets = [
-        TargetPaper(
-            paper_id=t["paper_id"],
-            title=t.get("title", ""),
-            abstract=t.get("abstract", ""),
-            introduction=t.get("introduction"),
-            conclusion=t.get("conclusion"),
+def sample_to_dict(sample: CitationSample) -> dict:
+    """The dataset row of a sample; `sample_encoder` writes these bytes faster."""
+    return {**_sample_fields(sample), "targets": [_target_to_dict(t) for t in sample.targets]}
+
+
+def sample_encoder() -> Callable[[CitationSample], str]:
+    """`dump_row(sample_to_dict(s))`, with each distinct target object encoded
+    once for as long as the returned function is kept."""
+    encode_target = encoded_by_identity(lambda t: dump_row(_target_to_dict(t)))
+
+    def encode(sample: CitationSample) -> str:
+        head = dump_row(_sample_fields(sample))
+        # "targets" sorts after every other key, so it closes the object
+        targets = ", ".join([encode_target(t) for t in sample.targets])
+        return f'{head[:-1]}, "targets": [{targets}]}}'
+
+    return encode
+
+
+def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
+    """A sample from its dataset row. Targets come from `papers`, which maps
+    every field of a target to its one shared TargetPaper, and are added to it
+    when new; without it each row gets its own."""
+    if papers is None:
+        papers = {}
+    targets = []
+    for t in row["targets"]:
+        key = (
+            t["paper_id"],
+            t.get("title", ""),
+            t.get("abstract", ""),
+            t.get("introduction"),
+            t.get("conclusion"),
         )
-        for t in row["targets"]
-    ]
+        target = papers.get(key)
+        if target is None:
+            target = TargetPaper(*key)
+            if all_text(key):
+                papers[key] = target
+        targets.append(target)
     return CitationSample(
         sample_id=row["sample_id"],
         source_paper_id=row["source_paper_id"],
@@ -361,8 +391,9 @@ def sample_from_dict(row: dict) -> CitationSample:
 def write_dataset(samples: list[CitationSample], path: str | Path) -> dict:
     """Write samples as JSONL; returns the sample count, stats digest and
     builder/schema versions, which the stage records in its `.run.json`."""
+    encode = sample_encoder()
     return {
-        "samples": write_jsonl(path, (sample_to_dict(sample) for sample in samples)),
+        "samples": write_text(path, (encode(sample) + "\n" for sample in samples)),
         "stats_digest": json_digest(compute_stats(samples).to_dict()),
         "builder_version": __version__,
         "schema_version": SCHEMA_VERSION,
@@ -370,5 +401,7 @@ def write_dataset(samples: list[CitationSample], path: str | Path) -> dict:
 
 
 def read_dataset(path: str | Path) -> list[CitationSample]:
-    """Read a dataset file back; a corrupt line fails with its line number."""
-    return read_jsonl(path, sample_from_dict, DatasetReadError)
+    """Read a dataset file back; a corrupt line fails with its line number.
+    Samples share one TargetPaper per distinct target, so treat them as read-only."""
+    papers: dict = {}
+    return read_jsonl(path, lambda row: sample_from_dict(row, papers), DatasetReadError)

@@ -1,5 +1,6 @@
 """How every artifact goes on disk and comes back: one atomic writer, one
-canonical row encoding, one strict line reader, and file and JSON digests.
+canonical row encoding (with a per-write cache for objects shared between
+rows), one strict line reader, and file and JSON digests.
 """
 
 from __future__ import annotations
@@ -36,6 +37,27 @@ def read_jsonl(
 def dump_row(obj: Any) -> str:
     # sort_keys keeps files byte-stable across runs
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+
+
+def all_text(values: Iterable[Any]) -> bool:
+    """True when every value is a string or None. Such values are equal
+    exactly when they encode alike; 1, 1.0 and true are equal but do not."""
+    return all(v is None or type(v) is str for v in values)
+
+
+def encoded_by_identity(encode: Callable[[Any], str]) -> Callable[[Any], str]:
+    """`encode`, run once per distinct object for as long as the returned
+    function is kept. Objects are keyed by identity and held meanwhile, so an
+    id is never reused; the cache assumes nobody mutates them while it lives."""
+    seen: dict[int, tuple[Any, str]] = {}
+
+    def encoded(obj: Any) -> str:
+        hit = seen.get(id(obj))
+        if hit is None:
+            hit = seen[id(obj)] = (obj, encode(obj))
+        return hit[1]
+
+    return encoded
 
 
 def write_text(path: str | Path, chunks: Iterable[str]) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .dataset import CitationSample
 from .jsonl import read_jsonl, write_jsonl
@@ -345,15 +346,21 @@ def render_kg(
 
 
 def emit_finetune_file(
-    instances: list[PromptInstance],
+    instances: Iterable[PromptInstance],
     path: str | Path,
     include_response: bool = True,
 ) -> dict:
-    """Write prompt/response rows as JSONL; returns the prompt count, the
-    templates used and `with_responses`, which the stage records in its
-    `.run.json`. JSON encoding keeps multi-line prompts one row per line."""
+    """Write prompt/response rows as JSONL in one pass over `instances`, which
+    may be a generator; returns the prompt count, the templates used, how many
+    prompts were truncated and `with_responses`, which the stage records in
+    its `.run.json`. JSON encoding keeps multi-line prompts one row per line."""
+    templates: set[str] = set()
+    truncated = 0
 
     def row(instance: PromptInstance) -> dict:
+        nonlocal truncated
+        templates.add(instance.template_name)
+        truncated += bool(instance.truncations)
         out = {"sample_id": instance.sample_id, "prompt": instance.text}
         if include_response:
             if instance.gold_response is None:
@@ -363,7 +370,8 @@ def emit_finetune_file(
 
     return {
         "prompts": write_jsonl(path, (row(instance) for instance in instances)),
-        "templates": sorted({i.template_name for i in instances}),
+        "templates": sorted(templates),
+        "truncated": truncated,
         "with_responses": include_response,
     }
 

@@ -5,13 +5,27 @@ streams can be asserted directly.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import citepipe
+import citepipe.config
 
 from citepipe import __version__
 from citepipe.cli import AUTH_TOKEN_ENV, main
 from citepipe.config import read_run_manifest, run_manifest_path
-from citepipe.dataset import SCHEMA_VERSION, compute_stats, read_dataset
+from citepipe.dataset import (
+    SCHEMA_VERSION,
+    CitationSample,
+    TargetPaper,
+    compute_stats,
+    read_dataset,
+    write_dataset,
+)
 from citepipe.jsonl import dump_row, file_digest, json_digest
 
 STATS_ROWS = [
@@ -129,6 +143,22 @@ class TestSplit:
         assert entry["sha256"] == file_digest(dataset)
         assert entry["run_manifest_sha256"] == file_digest(run_manifest_path(dataset))
 
+    def test_each_input_is_hashed_once(self, dataset, tmp_path, capsys, monkeypatch):
+        hashed = []
+
+        def counting_digest(path):
+            hashed.append(path.name)
+            return file_digest(path)
+
+        monkeypatch.setattr(citepipe.config, "file_digest", counting_digest)
+        out_dir = tmp_path / "splits"
+        code, _, _ = run(capsys, "split", "--dataset", str(dataset), "--out-dir", str(out_dir))
+        assert code == 0
+        assert sorted(hashed) == ["dataset.jsonl", "dataset.jsonl.run.json"]
+        parts = ("train", "validation", "test")
+        inputs = [read_run_manifest(out_dir / f"{n}.jsonl")["inputs"] for n in parts]
+        assert inputs[0] == inputs[1] == inputs[2]
+
     def test_seed_comes_from_config_unless_flagged(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("split:\n  seed: 9\n", encoding="utf-8")
@@ -238,6 +268,24 @@ class TestPrompts:
         rows = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert "(parser | used-for | trees)" in rows[0]["prompt"]
         assert "response" not in rows[0]
+
+    def test_budget_exhausted_mid_stream_keeps_the_previous_file(self, tmp_path, capsys):
+        targets = [TargetPaper("t1", abstract="One."), TargetPaper("t2", abstract="Two.")]
+        fits = CitationSample("a:0:0", "a", "Short.", targets, "Cited.")
+        too_long = CitationSample("b:0:0", "b", "word " * 400, targets, "Cited.")
+        dataset = tmp_path / "dataset.jsonl"
+        write_dataset([fits, too_long], dataset)
+        out_path = tmp_path / "prompts.jsonl"
+        argv = ["prompts", "--mode", "baseline", "--dataset", str(dataset), "--out", str(out_path)]
+        assert run(capsys, *argv)[0] == 0
+        before = out_path.read_bytes()
+        # the first sample fits 250 tokens; the second cannot keep its 200-token source floor
+        code, _, err = run(capsys, *argv, "--max-tokens", "250", "--reserve", "0")
+        assert code == 1 and "sample b:0:0 cannot fit a 250-token budget" in err
+        assert out_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dataset.jsonl", "prompts.jsonl", "prompts.jsonl.run.json"
+        ]
 
     def test_mode_input_mismatch(self, dataset, tmp_path, capsys):
         code, _, err = run(capsys, "prompts", "--mode", "kg", "--out", str(tmp_path / "p"))
@@ -412,6 +460,18 @@ class TestProvenance:
         counts = read_run_manifest(prompts)["counts"]
         assert counts["templates"] == ["instruct-kg"]
         assert counts["with_responses"] is True
+
+
+def test_importing_the_cli_loads_neither_numerics_nor_the_thread_pool():
+    # each command starts a fresh interpreter, so every module the cli imports
+    # up front is paid by every command
+    probe = (
+        "import sys, citepipe.cli; "
+        "print(sorted(m for m in ('citepipe.numerics', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(citepipe.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestNumericsCommands:

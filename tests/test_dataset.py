@@ -22,6 +22,7 @@ from citepipe.dataset import (
     split_sizes,
     write_dataset,
 )
+from citepipe.jsonl import dump_row
 
 from conftest import INTRO_SENTENCES, RELATED_SENTENCES, hand_corpus_records
 
@@ -230,6 +231,42 @@ class TestDatasetFiles:
             write_dataset(bad, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["dataset.jsonl"]
+
+    def test_identical_targets_come_back_as_one_object(self, tmp_path):
+        first = TargetPaper("t1", "Title", "Abstract.", None, "Done.")
+        second = TargetPaper("t2", abstract="Other.")
+        samples = [
+            CitationSample(f"s:0:{i}", "s", "Source.", [dataclasses.replace(first), second], "Cited.")
+            for i in range(5)
+        ]
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(samples, path)
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        # hand edits: one field differs in row 2; rows 3 and 4 hold equal non-strings
+        rows[2]["targets"][0]["conclusion"] = "Edited."
+        rows[3]["targets"][0]["title"] = 1
+        rows[4]["targets"][0]["title"] = True
+        path.write_text("".join(dump_row(r) + "\n" for r in rows), encoding="utf-8")
+
+        back = read_dataset(path)
+        firsts = [s.targets[0] for s in back]
+        assert firsts[0] is firsts[1]
+        assert len({id(t) for t in firsts}) == 4
+        assert len({id(s.targets[1]) for s in back}) == 1
+        assert firsts[2].conclusion == "Edited."
+        again = tmp_path / "again.jsonl"
+        write_dataset(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_target_field_holding_a_list_names_its_line(self, hand_samples, tmp_path):
+        samples, _ = hand_samples
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(samples, path)
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        rows[1]["targets"][0]["abstract"] = ["not", "text"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(DatasetReadError, match="line 2"):
+            read_dataset(path)
 
     def test_corrupt_line_names_line_number(self, hand_samples, tmp_path):
         samples, _ = hand_samples

@@ -1,13 +1,19 @@
 """Triplet ingest, normalization, sample enrichment, and rendering."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from citepipe.dataset import CitationSample, TargetPaper
+from citepipe.dataset import CitationSample, TargetPaper, read_dataset, sample_to_dict, write_dataset
+from citepipe.jsonl import dump_row
 from citepipe.kg import (
     SCIERC_RELATIONS,
+    SECTIONS,
     AttachStats,
+    EnrichedSample,
     KGTriplet,
     TargetTriplets,
     TripletSet,
@@ -257,3 +263,95 @@ class TestEnrichedFiles:
         out.write_text(out.read_text(encoding="utf-8") + "{bad\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
             read_enriched(out)
+
+
+# text that JSON must escape or pass through: quotes, backslashes, newlines,
+# control characters, non-ASCII and astral characters
+TEXT = st.text(st.sampled_from('ab "\\\n\r\t\x00\x1f\x7f\u2028é中😀'), max_size=6)
+MAYBE_TEXT = st.none() | TEXT
+TARGETS = st.builds(TargetPaper, TEXT, TEXT, TEXT, MAYBE_TEXT, MAYBE_TEXT)
+TRIPLET_SETS = st.builds(
+    TripletSet,
+    TEXT,
+    st.sampled_from(SECTIONS),
+    st.lists(st.builds(KGTriplet, TEXT, TEXT, TEXT, MAYBE_TEXT, MAYBE_TEXT), max_size=3),
+)
+
+
+@st.composite
+def enriched_rows(draw):
+    """Enriched samples whose targets and blocks are drawn from shared pools,
+    as equal-content copies of pool objects, or fresh."""
+    papers = draw(st.lists(TARGETS, min_size=1, max_size=3))
+    blocks = draw(st.lists(TRIPLET_SETS, min_size=1, max_size=3))
+
+    def pick(pool, fresh, nullable=False):
+        choices = [st.sampled_from(pool), st.sampled_from(pool).map(dataclasses.replace), fresh]
+        return draw(st.one_of(choices + [st.none()] * nullable))
+
+    rows = []
+    for i in range(draw(st.integers(1, 4))):
+        targets = [pick(papers, TARGETS) for _ in range(draw(st.integers(0, 3)))]
+        sample = CitationSample(f"s:{i}", draw(TEXT), draw(TEXT), targets, draw(TEXT), draw(TEXT))
+        per_target = [
+            TargetTriplets(t.paper_id, *(pick(blocks, TRIPLET_SETS, nullable=True) for _ in range(3)))
+            for t in targets
+        ]
+        rows.append(EnrichedSample(sample, pick(blocks, TRIPLET_SETS), per_target, draw(st.booleans())))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("rows")
+
+
+class TestEncoding:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=enriched_rows())
+    def test_written_rows_equal_the_reference_encoding(self, scratch_dir, rows):
+        out = scratch_dir
+        samples = [es.sample for es in rows]
+        write_dataset(samples, out / "dataset.jsonl")
+        write_enriched(rows, out / "enriched.jsonl")
+        assert (out / "dataset.jsonl").read_bytes() == "".join(
+            dump_row(sample_to_dict(s)) + "\n" for s in samples
+        ).encode("utf-8")
+        assert (out / "enriched.jsonl").read_bytes() == "".join(
+            dump_row(enriched_to_dict(es)) + "\n" for es in rows
+        ).encode("utf-8")
+        # the shared objects read back write the same bytes again
+        write_dataset(read_dataset(out / "dataset.jsonl"), out / "dataset-again.jsonl")
+        write_enriched(read_enriched(out / "enriched.jsonl"), out / "enriched-again.jsonl")
+        assert (out / "dataset-again.jsonl").read_bytes() == (out / "dataset.jsonl").read_bytes()
+        assert (out / "enriched-again.jsonl").read_bytes() == (out / "enriched.jsonl").read_bytes()
+
+    def test_identical_blocks_come_back_as_one_object(self, tmp_path):
+        store_path = write_jsonl_file(
+            tmp_path / "kg.jsonl",
+            [
+                block("t1", "abstract", [("a", "Used-For", "b")]),
+                block("t2", "abstract", [("c", "Used-For", "d")]),
+            ],
+        )
+        samples = [sample(f"s{i}:0:0", f"s{i}") for i in range(4)]
+        out = tmp_path / "enriched.jsonl"
+        write_enriched(attach_triplets(samples, load_triplets(store_path)), out)
+        rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        # hand edits: one field differs in row 2; rows 1 and 3 hold equal non-strings
+        rows[2]["target_triplets"][0]["abstract"]["triplets"][0]["tail"] = "edited"
+        rows[1]["target_triplets"][1]["abstract"]["triplets"][0]["head_type"] = True
+        rows[3]["target_triplets"][1]["abstract"]["triplets"][0]["head_type"] = 1
+        out.write_text("".join(dump_row(r) + "\n" for r in rows), encoding="utf-8")
+
+        back = read_enriched(out)
+        t1_blocks = [es.target_triplets[0].abstract for es in back]
+        assert t1_blocks[0] is t1_blocks[1] is t1_blocks[3] is not t1_blocks[2]
+        assert t1_blocks[2].triplets[0].tail == "edited"
+        t2_blocks = [es.target_triplets[1].abstract for es in back]
+        assert t2_blocks[0] is t2_blocks[2]
+        assert len({id(b) for b in t2_blocks}) == 3
+        assert back[0].sample.targets[0] is back[2].sample.targets[0]
+        again = tmp_path / "again.jsonl"
+        write_enriched(back, again)
+        assert again.read_bytes() == out.read_bytes()

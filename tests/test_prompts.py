@@ -385,6 +385,7 @@ class TestPromptFiles:
         assert counts == {
             "prompts": 2,
             "templates": ["instruct-baseline", "instruct-kg"],
+            "truncated": 0,
             "with_responses": True,
         }
         assert sorted(p.name for p in tmp_path.iterdir()) == ["prompts.jsonl"]
@@ -394,6 +395,16 @@ class TestPromptFiles:
         assert rows[0]["response"] == "Cited passage [1] [2]."
         # multi-line prompts stay one record per line
         assert len(out.read_text().splitlines()) == 2
+
+    def test_one_shot_generator_counts_like_a_list(self, tmp_path):
+        def instances():
+            return [render_baseline(tiny_sample(), BIG), render_kg(tiny_enriched(), TokenBudget(211, 0))]
+
+        from_list = emit_finetune_file(instances(), tmp_path / "list.jsonl")
+        from_stream = emit_finetune_file((i for i in instances()), tmp_path / "stream.jsonl")
+        assert from_stream == from_list
+        assert from_list["truncated"] == 1
+        assert (tmp_path / "stream.jsonl").read_bytes() == (tmp_path / "list.jsonl").read_bytes()
 
     def test_without_responses(self, tmp_path):
         out = tmp_path / "prompts.jsonl"
