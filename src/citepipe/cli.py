@@ -9,40 +9,79 @@ errors).
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from .client import ClientPolicy, EndpointError, GenerationRequest, generate_batch, request_summary
 from .config import ConfigError, PipelineConfig, write_run_manifest
-from .corpus import CorpusFilter, IngestStats, ValidationError, corpus_files, stream_corpus
-from .dataset import (
-    DatasetReadError,
-    DatasetStats,
-    ExtractStats,
-    SplitSpec,
-    build_lookup,
-    compute_stats,
-    extract_samples,
-    read_dataset,
-    split_dataset,
-    write_dataset,
-)
-from .jsonl import write_json
-from .kg import SCIERC_RELATIONS, AttachStats, attach_triplets, load_triplets, read_enriched, write_enriched
-from .metrics import evaluate_corpus, render_report_table, report_from_dict, report_to_dict
-from .prompts import (
-    BudgetExhausted,
-    TokenBudget,
-    emit_finetune_file,
-    read_prompt_file,
-    render_baseline,
-    render_kg,
-)
+from .jsonl import read_prompt_file, write_json
+
+if TYPE_CHECKING:
+    from .dataset import DatasetStats
+
+# The layer names the commands call, by module. Each command binds the
+# names of its own layers when it starts (`_bind`), so a command imports only
+# what it runs; any other access is bound on first use by the module
+# `__getattr__`. A name already bound is kept: whatever wraps one, like the
+# benchmark's tracer, must set its wrapper before the command runs.
+_LAYERS = {
+    "corpus": ("CorpusFilter", "IngestStats", "corpus_files", "stream_corpus"),
+    "dataset": (
+        "ExtractStats",
+        "SplitSpec",
+        "build_lookup",
+        "compute_stats",
+        "extract_samples",
+        "read_dataset",
+        "split_dataset",
+        "write_dataset",
+    ),
+    "kg": (
+        "SCIERC_RELATIONS",
+        "AttachStats",
+        "attach_triplets",
+        "load_triplets",
+        "read_enriched",
+        "write_enriched",
+    ),
+    "prompts": ("TokenBudget", "emit_finetune_file", "render_baseline", "render_kg", "triplet_renderer"),
+    "client": ("ClientPolicy", "GenerationRequest", "generate_batch", "request_summary"),
+    "metrics": ("evaluate_corpus", "render_report_table", "report_from_dict", "report_to_dict"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+
+def _bind(*layers: str) -> None:
+    """Import `layers` and bind those of their names not bound yet."""
+    bound = globals()
+    for layer in layers:
+        module = None
+        for name in _LAYERS[layer]:
+            if name not in bound:
+                module = module or importlib.import_module(f"{__package__}.{layer}")
+                bound[name] = getattr(module, name)
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(layer)
+    return globals()[name]
+
+
+def _loaded(layer: str, error: str) -> tuple[type, ...]:
+    """The error class `error` of `layer`, or none when the layer was never
+    imported, since then nothing can have raised it."""
+    module = sys.modules.get(f"{__package__}.{layer}")
+    return (getattr(module, error),) if module else ()
+
 
 AUTH_TOKEN_ENV = "CITEPIPE_API_TOKEN"
 
@@ -81,6 +120,7 @@ def cli(ctx: click.Context, config_path: str | None):
 @click.pass_context
 def build(ctx, corpus_path, out_path, fields, max_samples_per_source):
     """Extract citation samples from a corpus into a dataset file."""
+    _bind("corpus", "dataset")
     cfg: PipelineConfig = ctx.obj["config"]
     corpus = _pick(corpus_path, cfg.paths.corpus)
     keep = frozenset(fields) if fields else frozenset(cfg.filter.fields_of_study)
@@ -143,6 +183,7 @@ def _stats_table(stats: DatasetStats) -> str:
 @click.pass_context
 def stats(ctx, dataset_path, as_json):
     """Print dataset statistics."""
+    _bind("dataset")
     dataset_stats = compute_stats(read_dataset(dataset_path))
     if as_json:
         click.echo(json.dumps(dataset_stats.to_dict(), indent=2, sort_keys=True))
@@ -160,6 +201,7 @@ def stats(ctx, dataset_path, as_json):
 @click.pass_context
 def split(ctx, dataset_path, out_dir, seed, train, validation, test):
     """Partition a dataset into train/validation/test files."""
+    _bind("dataset")
     cfg: PipelineConfig = ctx.obj["config"]
     spec = SplitSpec(
         train_fraction=_pick(train, cfg.split.train),
@@ -202,6 +244,7 @@ def split(ctx, dataset_path, out_dir, seed, train, validation, test):
 @click.pass_context
 def kg_merge(ctx, dataset_path, triplets_path, out_path, scierc_vocabulary):
     """Join knowledge-graph triplets onto dataset samples."""
+    _bind("dataset", "kg")
     cfg: PipelineConfig = ctx.obj["config"]
     triplets = _pick(triplets_path, cfg.paths.triplets)
     if not triplets:
@@ -255,6 +298,7 @@ def prompts(
     responses,
 ):
     """Compose budgeted prompts from a dataset or an enriched dataset."""
+    _bind("dataset", "kg", "prompts")
     cfg: PipelineConfig = ctx.obj["config"]
     budget = TokenBudget(
         max_tokens=_pick(max_tokens, cfg.budget.max_tokens),
@@ -274,11 +318,13 @@ def prompts(
         if enriched_path is None:
             raise click.UsageError("--mode kg needs --enriched")
         k = _pick(triplet_budget, cfg.budget.triplet_budget)
+        blocks = triplet_renderer(k)  # each shared triplet block rendered once
         instances = (
             render_kg(
                 es,
                 budget,
                 triplet_budget=k,
+                render_block=blocks,
                 include_empty_kg_headers=empty_kg_headers,
                 pooled=pooled,
                 include_introductions=include_introductions,
@@ -328,6 +374,7 @@ def generate(
 
     Bearer auth comes from the CITEPIPE_API_TOKEN environment variable.
     """
+    _bind("client")
     cfg: PipelineConfig = ctx.obj["config"]
     ep = cfg.endpoint
     policy = ClientPolicy(
@@ -380,6 +427,7 @@ def generate(
 @click.pass_context
 def evaluate(ctx, generated_path, dataset_path, report_path, label):
     """Score generated texts against gold citation passages."""
+    _bind("dataset", "metrics")
     cfg: PipelineConfig = ctx.obj["config"]
     gold = {s.sample_id: s.citation_text for s in read_dataset(dataset_path)}
     generated: dict[str, str] = {}
@@ -408,6 +456,7 @@ def evaluate(ctx, generated_path, dataset_path, report_path, label):
 @click.option("--label", default=None, help="Override the stored row label.")
 def report_cmd(report_path, label):
     """Re-render a stored evaluation report."""
+    _bind("metrics")
     with open(report_path, encoding="utf-8") as fh:
         payload = json.load(fh)
     report = report_from_dict(payload)
@@ -481,15 +530,22 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except BudgetExhausted as exc:
+    except Exception as exc:
+        bad_input = (
+            *_loaded("prompts", "BudgetExhausted"),
+            ConfigError,
+            *_loaded("corpus", "ValidationError"),
+            ValueError,
+        )
+        environment = (*_loaded("dataset", "DatasetReadError"), *_loaded("client", "EndpointError"), OSError)
+        if isinstance(exc, bad_input):
+            code = 1
+        elif isinstance(exc, environment):
+            code = 2
+        else:
+            raise
         click.echo(f"error: {exc}", err=True)
-        return 1
-    except (ConfigError, ValidationError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except (DatasetReadError, EndpointError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
+        return code
     return 0
 
 

@@ -14,11 +14,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from . import __version__
-from .corpus import BodySection, PaperRecord
 from .jsonl import all_text, dump_row, encoded_by_identity, json_digest, read_jsonl, write_text
+
+if TYPE_CHECKING:
+    from .corpus import BodySection, PaperRecord
 
 SCHEMA_VERSION = 1
 

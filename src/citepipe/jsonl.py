@@ -34,6 +34,12 @@ def read_jsonl(
     return out
 
 
+def read_prompt_file(path: str | Path) -> list[dict]:
+    """The rows of a prompts or generations file, which `generate` and
+    `evaluate` check for their own fields."""
+    return read_jsonl(path)
+
+
 def dump_row(obj: Any) -> str:
     # sort_keys keeps files byte-stable across runs
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)

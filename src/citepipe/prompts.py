@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .dataset import CitationSample
-from .jsonl import read_jsonl, write_jsonl
-from .kg import EnrichedSample, pooled_triplets, render_triplets
+from .jsonl import encoded_by_identity, write_jsonl
+from .jsonl import read_prompt_file  # noqa: F401  (still importable from here)
+from .kg import EnrichedSample, TripletSet, pooled_triplets, render_triplets
 
 DEFAULT_MAX_TOKENS = 2048
 DEFAULT_RESERVE = 256
@@ -131,17 +132,13 @@ def _compose(instruction: str, blocks: list[_Block]) -> str:
     )
 
 
-def _chars_for_tokens(text: str, tokens: int) -> int:
-    """Largest prefix length whose estimate stays within `tokens`."""
-    lo, hi, best = 0, len(text), 0
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if default_estimator(text[:mid]) <= tokens:
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
+def _part_len(block: _Block) -> int | None:
+    """Length of the block's part of the composed input; None if it has none."""
+    if block.dropped:
+        return None
+    if block.content:
+        return len(block.label) + 1 + len(block.content)
+    return len(block.label) if block.header_when_empty else None
 
 
 def _fit(
@@ -150,40 +147,56 @@ def _fit(
     budget: TokenBudget,
     sample_id: str,
 ) -> tuple[str, list[Truncation]]:
-    truncations: list[Truncation] = []
+    """Walk the truncation ladder until the prompt fits, composing it once.
 
-    def fits() -> bool:
-        return default_estimator(_compose(instruction, blocks)) <= budget.usable
+    The composed length is kept as a running total of the parts `_compose`
+    joins, so each step costs one part and a trim's kept length is solved for.
+    """
+    truncations: list[Truncation] = []
+    # default_estimator(text) <= usable exactly when len(text) <= 4 * usable
+    limit = 4 * budget.usable
+    frame = len(_compose(instruction, []))
+    present = [n for n in map(_part_len, blocks) if n is not None]
+    chars, parts = sum(present), len(present)
+
+    def length() -> int:
+        return frame + chars + 2 * max(parts - 1, 0)  # parts are joined by "\n\n"
+
+    def resize(old: int | None, new: int | None) -> None:
+        nonlocal chars, parts
+        chars += (new or 0) - (old or 0)
+        parts += (new is not None) - (old is not None)
 
     def shrink_to_fit(block: _Block, floor_chars: int) -> bool:
         """Tail-trim `block` to the longest prefix that fits, floored; True if it fits."""
         original = block.content
-        lo, hi, best = floor_chars, len(original), None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            block.content = original[:mid]
-            if fits():
-                best = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        kept = best if best is not None else floor_chars
+        resize(_part_len(block), None)
+        # a prefix of k >= 1 characters adds a separator and len(label) + 1 + k
+        joined = frame + chars + 2 * parts
+        best = min(len(original), limit - joined - len(block.label) - 1)
+        if best < 1:  # only the empty prefix can fit: the bare header, or nothing
+            empty = joined + len(block.label) if block.header_when_empty else length()
+            best = 0 if empty <= limit else -1
+        fitted = best >= floor_chars
+        kept = best if fitted else floor_chars
         block.content = original[:kept]
+        resize(None, _part_len(block))
         if kept < len(original):
             truncations.append(Truncation(block.slot, len(original), kept))
-        return best is not None
+        return fitted
 
-    if fits():
+    if length() <= limit:
         return _compose(instruction, blocks), truncations
 
     for rung in (1, 2, 3, 4):
         for block in blocks:
             if block.rung != rung or block.dropped:
                 continue
+            resize(_part_len(block), None)
             block.dropped = True
             if block.content:
                 truncations.append(Truncation(block.slot, len(block.content), 0))
-            if fits():
+            if length() <= limit:
                 return _compose(instruction, blocks), truncations
 
     while True:
@@ -196,10 +209,7 @@ def _fit(
 
     for block in blocks:
         if block.rung == 6 and not block.dropped and block.content:
-            floor_chars = min(
-                len(block.content),
-                _chars_for_tokens(block.content, SOURCE_ABSTRACT_FLOOR_TOKENS),
-            )
+            floor_chars = min(len(block.content), 4 * SOURCE_ABSTRACT_FLOOR_TOKENS)
             if shrink_to_fit(block, floor_chars):
                 return _compose(instruction, blocks), truncations
 
@@ -262,6 +272,12 @@ def render_baseline(
     )
 
 
+def triplet_renderer(triplet_budget: int | None = None) -> Callable[[TripletSet | None], str]:
+    """`render_triplets` under `triplet_budget`, run once per distinct block
+    object for as long as the returned function is kept."""
+    return encoded_by_identity(lambda tset: render_triplets(tset, triplet_budget))
+
+
 def render_kg(
     enriched: EnrichedSample,
     budget: TokenBudget | None = None,
@@ -270,15 +286,20 @@ def render_kg(
     pooled: bool = False,
     include_introductions: bool = False,
     include_conclusions: bool = False,
+    render_block: Callable[[TripletSet | None], str] | None = None,
 ) -> PromptInstance:
     """Compose the relation-augmented prompt.
 
     Per-section relation blocks follow each abstract; pooled=True collapses a
     target's sections into one block. triplet_budget keeps only the first k
     triplets of each set. With triplet_budget=0 and headers off the output
-    text equals render_baseline's.
+    text equals render_baseline's. Samples that share triplet blocks can
+    share one `render_block = triplet_renderer(triplet_budget)`, which then
+    renders each block once.
     """
     budget = budget or TokenBudget()
+    if render_block is None:
+        render_block = triplet_renderer(triplet_budget)
     sample = enriched.sample
     source, per_target = _abstract_blocks(sample, include_introductions, include_conclusions)
 
@@ -287,7 +308,7 @@ def render_kg(
         _Block(
             "source_kg_abstract",
             "Source abstract relations:",
-            render_triplets(enriched.source_triplets, triplet_budget),
+            render_block(enriched.source_triplets),
             rung=0,
             header_when_empty=include_empty_kg_headers,
         ),
@@ -310,7 +331,7 @@ def render_kg(
                 _Block(
                     f"target_kg_abstract[{k}]",
                     f"Target paper {k} abstract relations:",
-                    render_triplets(tt.abstract, triplet_budget),
+                    render_block(tt.abstract),
                     rung=0,
                     header_when_empty=include_empty_kg_headers,
                 )
@@ -319,7 +340,7 @@ def render_kg(
                 _Block(
                     f"target_kg_introduction[{k}]",
                     f"Target paper {k} introduction relations:",
-                    render_triplets(tt.introduction, triplet_budget),
+                    render_block(tt.introduction),
                     rung=2,
                     header_when_empty=include_empty_kg_headers,
                 )
@@ -328,7 +349,7 @@ def render_kg(
                 _Block(
                     f"target_kg_conclusion[{k}]",
                     f"Target paper {k} conclusion relations:",
-                    render_triplets(tt.conclusion, triplet_budget),
+                    render_block(tt.conclusion),
                     rung=1,
                     header_when_empty=include_empty_kg_headers,
                 )
@@ -374,7 +395,3 @@ def emit_finetune_file(
         "truncated": truncated,
         "with_responses": include_response,
     }
-
-
-def read_prompt_file(path: str | Path) -> list[dict]:
-    return read_jsonl(path)

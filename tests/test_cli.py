@@ -462,16 +462,127 @@ class TestProvenance:
         assert counts["with_responses"] is True
 
 
+def fresh(*argv: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run the interpreter on `argv` with the package importable, as a user does."""
+    env = {**os.environ, "PYTHONPATH": str(Path(citepipe.__file__).parents[1])}
+    env.pop(AUTH_TOKEN_ENV, None)
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True, text=True)
+
+
+CLI_MODULES = ["citepipe", "citepipe.cli", "citepipe.config", "citepipe.jsonl"]
+
+
 def test_importing_the_cli_loads_neither_numerics_nor_the_thread_pool():
     # each command starts a fresh interpreter, so every module the cli imports
     # up front is paid by every command
     probe = (
         "import sys, citepipe.cli; "
-        "print(sorted(m for m in ('citepipe.numerics', 'concurrent.futures') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'citepipe')); "
+        "print('concurrent.futures' in sys.modules)"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(citepipe.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    done = fresh("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [repr(CLI_MODULES), "False"]
+
+
+# the layers each command adds to CLI_MODULES
+COMMAND_LAYERS = {
+    "build": ["corpus", "dataset"],
+    "split": ["dataset"],
+    "kg-merge": ["dataset", "kg"],
+    "prompts": ["dataset", "kg", "prompts"],
+    "generate": ["client"],
+    "evaluate": ["dataset", "metrics", "stemmer"],
+}
+
+
+@pytest.fixture
+def chain(hand_corpus, triplets_file, tmp_path, capsys, mock_endpoint):
+    """The arguments of each command of the chain, with its inputs made in-process."""
+    dataset = tmp_path / "dataset.jsonl"
+    enriched = tmp_path / "enriched.jsonl"
+    prompts = tmp_path / "prompts.jsonl"
+    generated = tmp_path / "generated.jsonl"
+    steps = {
+        "build": ["build", "--corpus", str(hand_corpus), "--out", str(dataset)],
+        "split": ["split", "--dataset", str(dataset), "--out-dir", str(tmp_path / "splits")],
+        "kg-merge": ["kg-merge", "--dataset", str(dataset), "--triplets", str(triplets_file),
+                     "--out", str(enriched)],
+        "prompts": ["prompts", "--mode", "kg", "--enriched", str(enriched), "--out", str(prompts)],
+        "generate": ["generate", "--prompts", str(prompts), "--out", str(generated),
+                     "--endpoint", mock_endpoint.url, "--backoff-seconds", "0"],
+        "evaluate": ["evaluate", "--generated", str(generated), "--dataset", str(dataset),
+                     "--out", str(tmp_path / "report.json")],
+    }
+    for name in ("build", "kg-merge", "prompts"):
+        code, out, err = run(capsys, *steps[name])
+        assert code == 0, (name, out, err)
+    rows = [{"sample_id": s.sample_id, "text": s.citation_text} for s in read_dataset(dataset)]
+    generated.write_text("".join(dump_row(row) + "\n" for row in rows), encoding="utf-8")
+    return steps
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
+def test_each_command_imports_only_its_layers(chain, command):
+    probe = (
+        "import sys, citepipe.cli; code = citepipe.cli.main(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'citepipe')); sys.exit(code)"
+    )
+    done = fresh("-c", probe, *chain[command])
+    assert done.returncode == 0, done.stderr
+    want = sorted(CLI_MODULES + [f"citepipe.{layer}" for layer in COMMAND_LAYERS[command]])
+    assert done.stdout.splitlines()[-1] == repr(want)
+
+
+# every name perfbench/tracer.py reads and replaces on citepipe.cli before a command runs
+TRACED_NAMES = [
+    "corpus_files", "stream_corpus", "build_lookup", "extract_samples", "write_dataset",
+    "read_dataset", "split_dataset", "load_triplets", "attach_triplets", "write_enriched",
+    "read_enriched", "render_baseline", "render_kg", "emit_finetune_file", "read_prompt_file",
+    "generate_batch", "evaluate_corpus", "report_to_dict", "render_report_table",
+    "write_run_manifest",
+]
+
+
+def test_a_wrapper_set_before_the_command_is_the_one_it_calls(dataset, tmp_path):
+    # in a fresh interpreter, so the other dataset names are still unbound when
+    # the wrapper is set and the command has to bind them around it
+    probe = (
+        "import sys, citepipe.cli as cli\n"
+        "from citepipe.dataset import read_dataset\n"
+        "calls = []\n"
+        "def counting(*args, **kwargs):\n"
+        "    calls.append(args)\n"
+        "    return read_dataset(*args, **kwargs)\n"
+        "cli.read_dataset = counting\n"
+        "code = cli.main(sys.argv[2:])\n"
+        "names = sys.argv[1].split(',')\n"
+        "print(code, len(calls), [n for n in names if not callable(getattr(cli, n))], cli.read_dataset is counting)\n"
+    )
+    argv = ["split", "--dataset", str(dataset), "--out-dir", str(tmp_path / "splits")]
+    done = fresh("-c", probe, ",".join(TRACED_NAMES), *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 1 [] True"
+
+
+def test_the_chain_runs_as_python_m(chain, tmp_path):
+    # under -m the module is __main__, which no in-process test reaches
+    for name in ("build", "split", "kg-merge", "prompts", "generate", "evaluate"):
+        done = fresh("-m", "citepipe.cli", *chain[name], cwd=tmp_path)
+        assert done.returncode == 0, (name, done.stdout, done.stderr)
+    assert json.loads((tmp_path / "report.json").read_text())["n"] == 3
+
+    # an error class of a layer loaded on first use still maps to its exit code
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{oops\n", encoding="utf-8")
+    done = fresh("-m", "citepipe.cli", "split", "--dataset", str(bad), "--out-dir", str(tmp_path / "x"))
+    assert (done.returncode, done.stderr.startswith("error: ")) == (2, True), done.stderr
+    done = fresh(
+        "-m", "citepipe.cli", "prompts", "--dataset", chain["build"][-1], "--out", str(tmp_path / "p.jsonl"),
+        "--max-tokens", "20", "--reserve", "0",
+    )
+    assert done.returncode == 1, done.stderr
+    assert "cannot fit a 20-token budget" in done.stderr
 
 
 class TestNumericsCommands:

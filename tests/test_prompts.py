@@ -2,25 +2,36 @@
 
 The ladder tests walk budgets downward empirically: each render's token
 estimate minus one becomes the next budget, which must trigger exactly the
-next rung. Golden prompt texts are frozen as full literals.
+next rung. Golden prompt texts are frozen as full literals. The ladder's
+running-total arithmetic is checked against a reference copy that composes
+the prompt at every step and binary-searches each trim.
 """
 
+import copy
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from citepipe import prompts
 from citepipe.dataset import CitationSample, TargetPaper
 from citepipe.kg import EnrichedSample, KGTriplet, TargetTriplets, TripletSet
 from citepipe.prompts import (
     BASELINE_TEMPLATE,
     KG_TEMPLATE,
+    PREAMBLE,
+    RESPONSE_MARKER,
+    SOURCE_ABSTRACT_FLOOR_TOKENS,
     BudgetExhausted,
     TokenBudget,
+    Truncation,
     default_estimator,
     emit_finetune_file,
     read_prompt_file,
     render_baseline,
     render_kg,
+    triplet_renderer,
 )
 
 BIG = TokenBudget(max_tokens=100_000, reserve_for_response=0)
@@ -347,6 +358,190 @@ class TestLongestFirstTrim:
         slots = [t.slot for t in instance.truncations]
         assert slots == ["target_abstract[1]", "target_abstract[2]"]
         assert instance.truncations[0].kept_len == 0
+
+
+def reference_compose(instruction, blocks):
+    parts = []
+    for b in blocks:
+        if b.dropped:
+            continue
+        if b.content:
+            parts.append(f"{b.label} {b.content}")
+        elif b.header_when_empty:
+            parts.append(b.label)
+    body = "\n\n".join(parts)
+    return (
+        f"{PREAMBLE}\n\n### Instruction:\n{instruction}\n\n### Input:\n{body}"
+        f"\n\n{RESPONSE_MARKER}\n"
+    )
+
+
+def reference_chars_for_tokens(text, tokens):
+    lo, hi, best = 0, len(text), 0
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if default_estimator(text[:mid]) <= tokens:
+            best = mid
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return best
+
+
+def reference_fit(instruction, blocks, budget, sample_id):
+    """The ladder as first written: recompose after every step, binary-search every trim."""
+    truncations = []
+
+    def fits():
+        return default_estimator(reference_compose(instruction, blocks)) <= budget.usable
+
+    def shrink_to_fit(block, floor_chars):
+        original = block.content
+        lo, hi, best = floor_chars, len(original), None
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            block.content = original[:mid]
+            if fits():
+                best = mid
+                lo = mid + 1
+            else:
+                hi = mid - 1
+        kept = best if best is not None else floor_chars
+        block.content = original[:kept]
+        if kept < len(original):
+            truncations.append(Truncation(block.slot, len(original), kept))
+        return best is not None
+
+    if fits():
+        return reference_compose(instruction, blocks), truncations
+    for rung in (1, 2, 3, 4):
+        for block in blocks:
+            if block.rung != rung or block.dropped:
+                continue
+            block.dropped = True
+            if block.content:
+                truncations.append(Truncation(block.slot, len(block.content), 0))
+            if fits():
+                return reference_compose(instruction, blocks), truncations
+    while True:
+        candidates = [b for b in blocks if b.rung == 5 and not b.dropped and b.content]
+        if not candidates:
+            break
+        longest = max(candidates, key=lambda b: len(b.content))
+        if shrink_to_fit(longest, 0):
+            return reference_compose(instruction, blocks), truncations
+    for block in blocks:
+        if block.rung == 6 and not block.dropped and block.content:
+            floor_chars = min(
+                len(block.content),
+                reference_chars_for_tokens(block.content, SOURCE_ABSTRACT_FLOOR_TOKENS),
+            )
+            if shrink_to_fit(block, floor_chars):
+                return reference_compose(instruction, blocks), truncations
+    raise BudgetExhausted(sample_id, budget.max_tokens)
+
+
+def outcome(call):
+    """The result of `call()`, or the BudgetExhausted message it raised."""
+    try:
+        return call()
+    except BudgetExhausted as exc:
+        return str(exc)
+
+
+WORDS = "lorem ipsum dolor sit amet consectetur adipiscing elit " * 40
+texts = st.integers(min_value=0, max_value=1400).map(lambda n: WORDS[:n])
+triplet_sets = st.none() | st.integers(min_value=0, max_value=4).map(
+    lambda n: TripletSet("p", "abstract", [KGTriplet(f"head {i}", "used-for", f"tail {i}") for i in range(n)])
+)
+
+
+@st.composite
+def enriched_samples(draw):
+    targets, per_target = [], []
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        targets.append(
+            TargetPaper(
+                f"t{k}",
+                abstract=draw(texts),
+                introduction=draw(st.none() | texts),
+                conclusion=draw(st.none() | texts),
+            )
+        )
+        per_target.append(TargetTriplets(f"t{k}", draw(triplet_sets), draw(triplet_sets), draw(triplet_sets)))
+    # often longer than the floor, so the source-abstract trim is reached
+    source = draw(texts | st.integers(min_value=700, max_value=1400).map(lambda n: WORDS[:n]))
+    sample = CitationSample("s:0:0", "s", source, targets, "gold")
+    return EnrichedSample(sample, draw(triplet_sets) or TripletSet("s", "abstract"), per_target)
+
+
+blocks_lists = st.lists(
+    st.builds(
+        prompts._Block,
+        slot=st.sampled_from(["a", "b", "c"]),
+        label=st.text(alphabet="Lab:", max_size=12),
+        content=texts,
+        rung=st.integers(min_value=0, max_value=6),
+        header_when_empty=st.booleans(),
+    ),
+    max_size=8,
+)
+
+
+class TestFitMatchesReference:
+    @given(
+        enriched=enriched_samples(),
+        percent=st.integers(min_value=25, max_value=100),
+        triplet_budget=st.none() | st.integers(min_value=0, max_value=3),
+        headers=st.booleans(),
+        pooled=st.booleans(),
+        introductions=st.booleans(),
+        conclusions=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_render_kg(
+        self, enriched, percent, triplet_budget, headers, pooled, introductions, conclusions
+    ):
+        options = (triplet_budget, headers, pooled, introductions, conclusions)
+        # a share of what the uncut prompt needs, so every rung is within reach
+        budget = TokenBudget(render_kg(enriched, BIG, *options).token_estimate * percent // 100 + 1, 0)
+
+        def render():
+            return render_kg(enriched, budget, *options)
+
+        got = outcome(render)
+        with mock.patch.object(prompts, "_fit", reference_fit):
+            assert got == outcome(render)
+
+    @given(
+        instruction=texts,
+        blocks=blocks_lists,
+        max_tokens=st.integers(min_value=1, max_value=1400),
+    )
+    @example(  # room for the frame alone: a block fits only as no part at all
+        instruction="x" * (-len(reference_compose("", [])) % 4),
+        blocks=[prompts._Block("a", "L:", "abc", rung=5, header_when_empty=False)],
+        max_tokens=(len(reference_compose("", [])) + 3) // 4,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_blocks(self, instruction, blocks, max_tokens):
+        budget = TokenBudget(max_tokens, 0)
+        twin = copy.deepcopy(blocks)
+        assert outcome(lambda: prompts._fit(instruction, blocks, budget, "x")) == outcome(
+            lambda: reference_fit(instruction, twin, budget, "x")
+        )
+
+
+class TestTripletRenderer:
+    def test_each_shared_block_renders_once(self):
+        shared = tiny_enriched()
+        samples = [shared, copy.copy(shared), tiny_enriched()]
+        with mock.patch.object(prompts, "render_triplets", wraps=prompts.render_triplets) as spy:
+            blocks = triplet_renderer(1)
+            got = [render_kg(es, BIG, 1, render_block=blocks) for es in samples]
+        # three blocks and None, then the second distinct sample's three blocks
+        assert spy.call_count == 7
+        assert got == [render_kg(es, BIG, 1) for es in samples]
 
 
 class TestBudgetSafety:
