@@ -1,10 +1,11 @@
 """Command-line interface for the pipeline.
 
 Every stage is a subcommand reading and writing plain files, so stages can
-be re-run, inspected, and chained by hand. Options resolve as flag, then
-config file (--config), then built-in default. Exit codes: 0 success, 1 bad
-usage or bad input data, 2 environment failures (unreadable files, endpoint
-errors).
+be re-run, inspected, and chained by hand. The configuration (`--config`
+over `config.DEFAULTS`) supplies each command's option defaults, so a flag
+wins over the file and the file over the built-in value. Exit codes: 0
+success, 1 bad usage or bad input data, 2 environment failures (unreadable
+files, endpoint errors).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import TYPE_CHECKING
 
 import click
 
-from .config import ConfigError, PipelineConfig, write_run_manifest
-from .jsonl import read_prompt_file, write_json
+from .config import config_from_dict, load_config, write_run_manifest
+from .jsonl import read_generations, read_prompt_file, write_json
 
 if TYPE_CHECKING:
     from .dataset import DatasetStats
@@ -86,10 +87,6 @@ def _loaded(layer: str, error: str) -> tuple[type, ...]:
 AUTH_TOKEN_ENV = "CITEPIPE_API_TOKEN"
 
 
-def _pick(flag_value, config_value):
-    return config_value if flag_value is None else flag_value
-
-
 @click.group()
 @click.option(
     "--config",
@@ -101,14 +98,20 @@ def _pick(flag_value, config_value):
 @click.pass_context
 def cli(ctx: click.Context, config_path: str | None):
     """Citation-text pipeline: build, split, enrich, prompt, generate, evaluate."""
-    ctx.ensure_object(dict)
-    ctx.obj["config"] = (
-        PipelineConfig.from_file(config_path) if config_path else PipelineConfig()
-    )
+    config = load_config(config_path) if config_path else config_from_dict({})
+    ctx.ensure_object(dict)["config"] = config
+    # each command's option defaults, keyed by parameter name; a flag still wins
+    ctx.default_map = {
+        "build": {"corpus_path": config["paths"]["corpus"], "fields": config["filter"]["fields_of_study"]},
+        "split": config["split"],
+        "kg-merge": {"triplets_path": config["paths"]["triplets"]},
+        "prompts": config["budget"],
+        "generate": config["endpoint"],
+    }
 
 
 @cli.command()
-@click.option("--corpus", "corpus_path", default=None, help="Corpus JSONL file or shard directory.")
+@click.option("--corpus", "corpus_path", help="Corpus JSONL file or shard directory.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option(
     "--field",
@@ -121,17 +124,14 @@ def cli(ctx: click.Context, config_path: str | None):
 def build(ctx, corpus_path, out_path, fields, max_samples_per_source):
     """Extract citation samples from a corpus into a dataset file."""
     _bind("corpus", "dataset")
-    cfg: PipelineConfig = ctx.obj["config"]
-    corpus = _pick(corpus_path, cfg.paths.corpus)
-    keep = frozenset(fields) if fields else frozenset(cfg.filter.fields_of_study)
-    corpus_filter = CorpusFilter(fields_of_study=keep)
+    corpus_filter = CorpusFilter(fields_of_study=frozenset(fields))
 
     ingest = IngestStats()
-    lookup = build_lookup(stream_corpus(corpus, corpus_filter, ingest))
+    lookup = build_lookup(stream_corpus(corpus_path, corpus_filter, ingest))
     extract = ExtractStats()
     samples = list(
         extract_samples(
-            stream_corpus(corpus, corpus_filter),
+            stream_corpus(corpus_path, corpus_filter),
             lookup,
             max_per_source=max_samples_per_source,
             stats=extract,
@@ -141,8 +141,8 @@ def build(ctx, corpus_path, out_path, fields, max_samples_per_source):
     write_run_manifest(
         out_path,
         "build",
-        list(corpus_files(corpus)),
-        cfg,
+        list(corpus_files(corpus_path)),
+        ctx.obj["config"],
         counts={**written, "ingest": asdict(ingest), "extract": asdict(extract)},
     )
     click.echo(
@@ -194,21 +194,15 @@ def stats(ctx, dataset_path, as_json):
 @cli.command()
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-@click.option("--seed", type=int, default=None)
-@click.option("--train", type=float, default=None)
-@click.option("--validation", type=float, default=None)
-@click.option("--test", type=float, default=None)
+@click.option("--seed", type=int)
+@click.option("--train", type=float)
+@click.option("--validation", type=float)
+@click.option("--test", type=float)
 @click.pass_context
 def split(ctx, dataset_path, out_dir, seed, train, validation, test):
     """Partition a dataset into train/validation/test files."""
     _bind("dataset")
-    cfg: PipelineConfig = ctx.obj["config"]
-    spec = SplitSpec(
-        train_fraction=_pick(train, cfg.split.train),
-        val_fraction=_pick(validation, cfg.split.validation),
-        test_fraction=_pick(test, cfg.split.test),
-        seed=_pick(seed, cfg.split.seed),
-    )
+    spec = SplitSpec(train_fraction=train, val_fraction=validation, test_fraction=test, seed=seed)
     samples = read_dataset(dataset_path)
     parts = split_dataset(samples, spec)
     os.makedirs(out_dir, exist_ok=True)
@@ -221,7 +215,7 @@ def split(ctx, dataset_path, out_dir, seed, train, validation, test):
             part_path,
             f"split:{name}",
             [dataset_path],
-            cfg,
+            ctx.obj["config"],
             counts={**written, "seed": spec.seed},
             digests=digests,
         )
@@ -234,7 +228,7 @@ def split(ctx, dataset_path, out_dir, seed, train, validation, test):
 
 @cli.command("kg-merge")
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--triplets", "triplets_path", default=None, help="Triplet JSONL file.")
+@click.option("--triplets", "triplets_path", help="Triplet JSONL file.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option(
     "--scierc-vocabulary",
@@ -245,20 +239,18 @@ def split(ctx, dataset_path, out_dir, seed, train, validation, test):
 def kg_merge(ctx, dataset_path, triplets_path, out_path, scierc_vocabulary):
     """Join knowledge-graph triplets onto dataset samples."""
     _bind("dataset", "kg")
-    cfg: PipelineConfig = ctx.obj["config"]
-    triplets = _pick(triplets_path, cfg.paths.triplets)
-    if not triplets:
+    if not triplets_path:
         raise click.UsageError("no triplet file given (--triplets or paths.triplets)")
     samples = read_dataset(dataset_path)
-    store = load_triplets(triplets, vocabulary=SCIERC_RELATIONS if scierc_vocabulary else None)
+    store = load_triplets(triplets_path, vocabulary=SCIERC_RELATIONS if scierc_vocabulary else None)
     attach = AttachStats()
     enriched = attach_triplets(samples, store, attach)
     write_enriched(enriched, out_path)
     write_run_manifest(
         out_path,
         "kg-merge",
-        [dataset_path, triplets],
-        cfg,
+        [dataset_path, triplets_path],
+        ctx.obj["config"],
         counts={"ingest": asdict(store.stats), "attach": asdict(attach)},
     )
     click.echo(
@@ -273,9 +265,9 @@ def kg_merge(ctx, dataset_path, triplets_path, out_path, scierc_vocabulary):
 @click.option("--enriched", "enriched_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["baseline", "kg"]), default="baseline")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--max-tokens", type=int, default=None)
-@click.option("--reserve", type=int, default=None, help="Tokens held back for the response.")
-@click.option("--triplet-budget", type=int, default=None, help="Keep first k triplets per block.")
+@click.option("--max-tokens", type=int)
+@click.option("--reserve", "reserve_for_response", type=int, help="Tokens held back for the response.")
+@click.option("--triplet-budget", type=int, help="Keep first k triplets per block.")
 @click.option("--empty-kg-headers/--no-empty-kg-headers", default=True)
 @click.option("--pooled", is_flag=True, help="One pooled relation block per target.")
 @click.option("--include-introductions", is_flag=True)
@@ -289,7 +281,7 @@ def prompts(
     mode,
     out_path,
     max_tokens,
-    reserve,
+    reserve_for_response,
     triplet_budget,
     empty_kg_headers,
     pooled,
@@ -299,11 +291,7 @@ def prompts(
 ):
     """Compose budgeted prompts from a dataset or an enriched dataset."""
     _bind("dataset", "kg", "prompts")
-    cfg: PipelineConfig = ctx.obj["config"]
-    budget = TokenBudget(
-        max_tokens=_pick(max_tokens, cfg.budget.max_tokens),
-        reserve_for_response=_pick(reserve, cfg.budget.reserve_for_response),
-    )
+    budget = TokenBudget(max_tokens=max_tokens, reserve_for_response=reserve_for_response)
     if mode == "baseline":
         if dataset_path is None:
             raise click.UsageError("--mode baseline needs --dataset")
@@ -317,13 +305,12 @@ def prompts(
     else:
         if enriched_path is None:
             raise click.UsageError("--mode kg needs --enriched")
-        k = _pick(triplet_budget, cfg.budget.triplet_budget)
-        blocks = triplet_renderer(k)  # each shared triplet block rendered once
+        blocks = triplet_renderer(triplet_budget)  # each shared triplet block rendered once
         instances = (
             render_kg(
                 es,
                 budget,
-                triplet_budget=k,
+                triplet_budget=triplet_budget,
                 render_block=blocks,
                 include_empty_kg_headers=empty_kg_headers,
                 pooled=pooled,
@@ -338,7 +325,7 @@ def prompts(
         out_path,
         "prompts",
         [input_path],
-        cfg,
+        ctx.obj["config"],
         counts={**written, "mode": mode},
     )
     click.echo(
@@ -350,19 +337,19 @@ def prompts(
 @cli.command()
 @click.option("--prompts", "prompts_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--endpoint", "endpoint_url", default=None)
-@click.option("--max-parallel", type=int, default=None)
-@click.option("--max-attempts", type=int, default=None)
-@click.option("--backoff-seconds", type=float, default=None)
-@click.option("--timeout-seconds", type=float, default=None)
-@click.option("--max-new-tokens", type=int, default=None)
-@click.option("--temperature", type=float, default=None)
+@click.option("--endpoint", "url")
+@click.option("--max-parallel", type=int)
+@click.option("--max-attempts", type=int)
+@click.option("--backoff-seconds", type=float)
+@click.option("--timeout-seconds", type=float)
+@click.option("--max-new-tokens", type=int)
+@click.option("--temperature", type=float)
 @click.pass_context
 def generate(
     ctx,
     prompts_path,
     out_path,
-    endpoint_url,
+    url,
     max_parallel,
     max_attempts,
     backoff_seconds,
@@ -375,14 +362,13 @@ def generate(
     Bearer auth comes from the CITEPIPE_API_TOKEN environment variable.
     """
     _bind("client")
-    cfg: PipelineConfig = ctx.obj["config"]
-    ep = cfg.endpoint
+    cfg = ctx.obj["config"]
     policy = ClientPolicy(
-        max_parallel=_pick(max_parallel, ep.max_parallel),
-        max_attempts=_pick(max_attempts, ep.max_attempts),
-        backoff_seconds=_pick(backoff_seconds, ep.backoff_seconds),
-        backoff_multiplier=ep.backoff_multiplier,
-        timeout_seconds=_pick(timeout_seconds, ep.timeout_seconds),
+        max_parallel=max_parallel,
+        max_attempts=max_attempts,
+        backoff_seconds=backoff_seconds,
+        backoff_multiplier=cfg["endpoint"]["backoff_multiplier"],  # config-only, no flag
+        timeout_seconds=timeout_seconds,
     )
     rows = read_prompt_file(prompts_path)
     batch = []
@@ -393,13 +379,13 @@ def generate(
             GenerationRequest(
                 sample_id=row["sample_id"],
                 prompt=row["prompt"],
-                max_new_tokens=_pick(max_new_tokens, ep.max_new_tokens),
-                temperature=_pick(temperature, ep.temperature),
+                max_new_tokens=max_new_tokens,
+                temperature=temperature,
             )
         )
     results = generate_batch(
         batch,
-        _pick(endpoint_url, ep.url),
+        url,
         policy,
         out_path=out_path,
         auth_token=os.environ.get(AUTH_TOKEN_ENV),
@@ -428,13 +414,8 @@ def generate(
 def evaluate(ctx, generated_path, dataset_path, report_path, label):
     """Score generated texts against gold citation passages."""
     _bind("dataset", "metrics")
-    cfg: PipelineConfig = ctx.obj["config"]
     gold = {s.sample_id: s.citation_text for s in read_dataset(dataset_path)}
-    generated: dict[str, str] = {}
-    for row in read_prompt_file(generated_path):
-        if "sample_id" not in row or "text" not in row:
-            raise ValueError(f"{generated_path}: generation rows need sample_id and text fields")
-        generated[row["sample_id"]] = row["text"]
+    generated = read_generations(generated_path)
     unknown = sorted(set(generated) - set(gold))
     if unknown:
         raise ValueError(f"generated sample(s) missing from the dataset: {', '.join(unknown[:3])}")
@@ -445,7 +426,7 @@ def evaluate(ctx, generated_path, dataset_path, report_path, label):
         report_path,
         "evaluate",
         [generated_path, dataset_path],
-        cfg,
+        ctx.obj["config"],
         counts={"scored": report.n},
     )
     click.echo(render_report_table(report, label), nl=False)
@@ -531,12 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         exc.show()
         return 1
     except Exception as exc:
-        bad_input = (
-            *_loaded("prompts", "BudgetExhausted"),
-            ConfigError,
-            *_loaded("corpus", "ValidationError"),
-            ValueError,
-        )
+        bad_input = (*_loaded("prompts", "BudgetExhausted"), ValueError)
         environment = (*_loaded("dataset", "DatasetReadError"), *_loaded("client", "EndpointError"), OSError)
         if isinstance(exc, bad_input):
             code = 1

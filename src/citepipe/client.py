@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .jsonl import dump_row, read_jsonl, write_text
+from .jsonl import dump_row, read_generations, write_text
 
 DEFAULT_STOP: tuple[str, ...] = ("### Response:",)
 
@@ -202,21 +202,6 @@ def _call_with_retries(
     raise _Transient(last_reason)
 
 
-def _generation_row(row) -> tuple[str, str]:
-    if not isinstance(row, dict) or "sample_id" not in row or "text" not in row:
-        raise ValueError("not a generation row")
-    return row["sample_id"], row["text"]
-
-
-def _load_existing(path: Path) -> dict[str, str]:
-    if not path.exists():
-        return {}
-    texts: dict[str, str] = {}
-    for sample_id, text in read_jsonl(path, _generation_row):
-        texts.setdefault(sample_id, text)
-    return texts
-
-
 def _write_canonical(path: Path, texts: dict[str, str]) -> None:
     canonical = "".join(
         dump_row({"sample_id": sid, "text": texts[sid]}) + "\n" for sid in sorted(texts)
@@ -249,7 +234,7 @@ def generate_batch(
 
     headers = {"Authorization": f"Bearer {auth_token}"} if auth_token else {}
     out_file = Path(out_path) if out_path is not None else None
-    existing = _load_existing(out_file) if out_file is not None else {}
+    existing = read_generations(out_file) if out_file is not None and out_file.exists() else {}
 
     results: list[GenerationResult] = [
         GenerationResult(request.sample_id, existing[request.sample_id])
@@ -274,10 +259,7 @@ def generate_batch(
                     request = futures[future]
                     try:
                         result = future.result()
-                    except _Transient as exc:
-                        failures.append((request.sample_id, str(exc)))
-                        continue
-                    except _Fatal as exc:
+                    except (_Transient, _Fatal) as exc:
                         failures.append((request.sample_id, str(exc)))
                         continue
                     results.append(result)

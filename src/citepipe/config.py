@@ -1,30 +1,50 @@
 """Pipeline configuration and run provenance.
 
-Configuration lives in one YAML file with fixed sections; unknown keys are
+`DEFAULTS` is the one table of settings, in fixed sections, with their
+built-in values. A YAML file overrides any of its keys; unknown keys are
 rejected at every level so typos fail loudly instead of silently falling
-back to defaults. Every CLI stage writes a run manifest next to its output
-(`<output>.run.json`) recording input digests, the digest of each input's
-own run manifest when present, the configuration digest and the stage's
-counts (for datasets also the stats digest and builder/schema versions),
-so a finished artifact can be traced back through the stages that produced
-it. Manifests carry no timestamps: re-running a stage on identical inputs
-yields an identical manifest.
+back to defaults. The CLI gives each command its settings as option
+defaults, so a flag still wins. Every CLI stage writes a run manifest next
+to its output (`<output>.run.json`) recording input digests, the digest of
+each input's own run manifest when present, the configuration digest and
+the stage's counts (for datasets also the stats digest and builder/schema
+versions), so a finished artifact can be traced back through the stages
+that produced it. Manifests carry no timestamps: re-running a stage on
+identical inputs yields an identical manifest.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .jsonl import file_digest, json_digest, write_json
+
+# every setting and its built-in value; the README's Configuration block
+# shows this table, and a test keeps the two equal
+DEFAULTS: dict[str, dict] = {
+    "paths": {"corpus": "corpus", "triplets": ""},
+    "filter": {"fields_of_study": ["Computer Science"]},
+    "split": {"train": 0.8006, "validation": 0.0997, "test": 0.0997, "seed": 0},
+    "budget": {"max_tokens": 2048, "reserve_for_response": 256, "triplet_budget": None},
+    "endpoint": {
+        "url": "http://localhost:8080/generate",
+        "max_parallel": 4,
+        "max_attempts": 3,
+        "backoff_seconds": 0.5,
+        "backoff_multiplier": 2.0,
+        "timeout_seconds": 60.0,
+        "max_new_tokens": 512,
+        "temperature": 0.0,
+    },
+}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_keys(section: str, data: dict, allowed: tuple[str, ...]) -> None:
+def _check_keys(section: str, data: dict, allowed: dict) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be a mapping")
     unknown = sorted(set(data) - set(allowed))
@@ -32,132 +52,36 @@ def _check_keys(section: str, data: dict, allowed: tuple[str, ...]) -> None:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(unknown)}")
 
 
-@dataclass(frozen=True)
-class PathsConfig:
-    corpus: str = "corpus"
-    triplets: str = ""
-
-    _KEYS = ("corpus", "triplets")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PathsConfig":
-        _check_keys("paths", data, cls._KEYS)
-        return cls(**data)
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    fields_of_study: tuple[str, ...] = ("Computer Science",)
-
-    _KEYS = ("fields_of_study",)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FilterConfig":
-        _check_keys("filter", data, cls._KEYS)
-        fields = data.get("fields_of_study", cls().fields_of_study)
-        if not isinstance(fields, (list, tuple)):
-            raise ConfigError("filter.fields_of_study must be a list")
-        return cls(fields_of_study=tuple(fields))
+def config_from_dict(data: dict) -> dict:
+    """`DEFAULTS` with the values `data` gives, as fresh dicts per section."""
+    _check_keys("config", data, DEFAULTS)
+    config = {}
+    for section, defaults in DEFAULTS.items():
+        given = data.get(section, {})
+        _check_keys(section, given, defaults)
+        config[section] = {**defaults, **given}
+    fields = config["filter"]["fields_of_study"]
+    if not isinstance(fields, (list, tuple)):
+        raise ConfigError("filter.fields_of_study must be a list")
+    config["filter"]["fields_of_study"] = list(fields)
+    return config
 
 
-@dataclass(frozen=True)
-class SplitConfig:
-    train: float = 0.8006
-    validation: float = 0.0997
-    test: float = 0.0997
-    seed: int = 0
+def load_config(path: str | Path) -> dict:
+    """The configuration a YAML file gives (see `config_from_dict`)."""
+    import yaml  # only a --config run needs it
 
-    _KEYS = ("train", "validation", "test", "seed")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SplitConfig":
-        _check_keys("split", data, cls._KEYS)
-        return cls(**data)
+    with open(path, encoding="utf-8") as fh:
+        data = yaml.safe_load(fh)
+    if data is None:
+        data = {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top level must be a mapping")
+    return config_from_dict(data)
 
 
-@dataclass(frozen=True)
-class BudgetConfig:
-    max_tokens: int = 2048
-    reserve_for_response: int = 256
-    triplet_budget: int | None = None
-
-    _KEYS = ("max_tokens", "reserve_for_response", "triplet_budget")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BudgetConfig":
-        _check_keys("budget", data, cls._KEYS)
-        return cls(**data)
-
-
-@dataclass(frozen=True)
-class EndpointConfig:
-    url: str = "http://localhost:8080/generate"
-    max_parallel: int = 4
-    max_attempts: int = 3
-    backoff_seconds: float = 0.5
-    backoff_multiplier: float = 2.0
-    timeout_seconds: float = 60.0
-    max_new_tokens: int = 512
-    temperature: float = 0.0
-
-    _KEYS = (
-        "url",
-        "max_parallel",
-        "max_attempts",
-        "backoff_seconds",
-        "backoff_multiplier",
-        "timeout_seconds",
-        "max_new_tokens",
-        "temperature",
-    )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EndpointConfig":
-        _check_keys("endpoint", data, cls._KEYS)
-        return cls(**data)
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    paths: PathsConfig = field(default_factory=PathsConfig)
-    filter: FilterConfig = field(default_factory=FilterConfig)
-    split: SplitConfig = field(default_factory=SplitConfig)
-    budget: BudgetConfig = field(default_factory=BudgetConfig)
-    endpoint: EndpointConfig = field(default_factory=EndpointConfig)
-
-    _SECTIONS = ("paths", "filter", "split", "budget", "endpoint")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        _check_keys("config", data, cls._SECTIONS)
-        return cls(
-            paths=PathsConfig.from_dict(data.get("paths", {})),
-            filter=FilterConfig.from_dict(data.get("filter", {})),
-            split=SplitConfig.from_dict(data.get("split", {})),
-            budget=BudgetConfig.from_dict(data.get("budget", {})),
-            endpoint=EndpointConfig.from_dict(data.get("endpoint", {})),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        import yaml  # only a --config run needs it
-
-        with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-        if data is None:
-            data = {}
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: top level must be a mapping")
-        return cls.from_dict(data)
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["filter"]["fields_of_study"] = list(self.filter.fields_of_study)
-        return data
-
-
-def config_digest(config: PipelineConfig) -> str:
-    return json_digest(config.to_dict())
+def config_digest(config: dict) -> str:
+    return json_digest(config)
 
 
 def run_manifest_path(out_path: str | Path) -> Path:
@@ -168,7 +92,7 @@ def write_run_manifest(
     out_path: str | Path,
     stage: str,
     inputs: list[str | Path],
-    config: PipelineConfig | None = None,
+    config: dict | None = None,
     counts: dict | None = None,
     *,
     digests: dict[Path, str] | None = None,

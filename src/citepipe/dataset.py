@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
@@ -76,18 +76,7 @@ class DatasetStats:
     empty: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n_unique_source_papers": self.n_unique_source_papers,
-            "citation_chars_avg": self.citation_chars_avg,
-            "citation_chars_max": self.citation_chars_max,
-            "source_abstract_chars_avg": self.source_abstract_chars_avg,
-            "source_abstract_chars_max": self.source_abstract_chars_max,
-            "target_abstract_chars_avg": self.target_abstract_chars_avg,
-            "target_abstract_chars_max": self.target_abstract_chars_max,
-            "avg_targets_per_sample": self.avg_targets_per_sample,
-            "empty": self.empty,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

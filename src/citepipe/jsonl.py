@@ -35,9 +35,22 @@ def read_jsonl(
 
 
 def read_prompt_file(path: str | Path) -> list[dict]:
-    """The rows of a prompts or generations file, which `generate` and
-    `evaluate` check for their own fields."""
+    """The rows of a prompts file, which `generate` checks for its fields."""
     return read_jsonl(path)
+
+
+def _generation_row(row) -> tuple[str, str]:
+    if not isinstance(row, dict) or "sample_id" not in row or "text" not in row:
+        raise ValueError("not a generation row")
+    return row["sample_id"], row["text"]
+
+
+def read_generations(path: str | Path) -> dict[str, str]:
+    """Text by sample id from a generations file; the first row of an id wins."""
+    texts: dict[str, str] = {}
+    for sample_id, text in read_jsonl(path, _generation_row):
+        texts.setdefault(sample_id, text)
+    return texts
 
 
 def dump_row(obj: Any) -> str:

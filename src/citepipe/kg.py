@@ -64,17 +64,14 @@ class KgIngestStats:
 
 @dataclass
 class TripletStore:
-    by_paper: dict[str, list[TripletSet]] = field(default_factory=dict)
+    blocks: dict[tuple[str, str], TripletSet] = field(default_factory=dict)  # by (paper_id, section)
     stats: KgIngestStats = field(default_factory=KgIngestStats)
 
     def get(self, paper_id: str, section: str) -> TripletSet | None:
-        for tset in self.by_paper.get(paper_id, []):
-            if tset.section == section:
-                return tset
-        return None
+        return self.blocks.get((paper_id, section))
 
     def __contains__(self, paper_id: str) -> bool:
-        return paper_id in self.by_paper
+        return any(pid == paper_id for pid, _ in self.blocks)
 
 
 def _parse_triplet(raw: dict, vocabulary: frozenset[str] | None, stats: KgIngestStats) -> KGTriplet | None:
@@ -124,14 +121,9 @@ def load_triplets(path: str | Path, vocabulary: frozenset[str] | None = None) ->
             stats.malformed_lines += 1
             continue
 
-        existing = None
-        for tset in store.by_paper.setdefault(paper_id, []):
-            if tset.section == section:
-                existing = tset
-                break
+        existing = store.blocks.get((paper_id, section))
         if existing is None:
-            existing = TripletSet(paper_id, section)
-            store.by_paper[paper_id].append(existing)
+            existing = store.blocks[paper_id, section] = TripletSet(paper_id, section)
             stats.blocks_loaded += 1
         else:
             stats.blocks_merged += 1
@@ -222,7 +214,7 @@ def attach_triplets(
         enriched.append(EnrichedSample(sample, source_set, per_target, missing))
         stats.samples_enriched += 1
 
-    stats.orphan_papers = sum(1 for pid in store.by_paper if pid not in referenced)
+    stats.orphan_papers = len({pid for pid, _ in store.blocks} - referenced)
     return enriched
 
 

@@ -8,7 +8,8 @@ match count and, among maximum alignments, minimizing the number of
 contiguous chunks. Every pair is first aligned by one deterministic greedy
 that repeatedly commits the longest remaining diagonal run; pairs of at
 most 16 tokens a side then get an exact branch-and-bound search for the
-chunk minimum, seeded with the greedy's alignment.
+chunk minimum, seeded with the greedy's alignment; if it runs out of nodes,
+the best alignment it found so far stands.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 
 from .stemmer import stem
 
-# exact chunk search limits; beyond these the longest-run greedy's alignment stands
+# exact chunk search limits: above the token limit the longest-run greedy's
+# alignment stands, past the node budget the best one the search found
 _EXACT_MAX_TOKENS = 16
 _EXACT_NODE_BUDGET = 300_000
 
@@ -154,7 +156,7 @@ def _chunk_count(pairs: list[tuple[int, int]]) -> int:
 
 
 def _greedy_longest_run(
-    cand: list[str], ref: list[str], stems_c, stems_r, exact_ref, stem_ref
+    cand: list[str], ref: list[str], stems_c, exact_ref, stem_ref
 ) -> list[tuple[int, int]]:
     """Commit the longest available diagonal run per stage, ties to the earliest.
 
@@ -208,8 +210,10 @@ def _exact_min_chunks(
     m1: int,
     m2: int,
     seed_pairs: list[tuple[int, int]],
-) -> list[tuple[int, int]] | None:
-    """Branch-and-bound over position assignments; None when the node budget runs out."""
+) -> list[tuple[int, int]]:
+    """Branch-and-bound over position assignments. The incumbent starts as
+    `seed_pairs` and only improves, so when the node budget runs out the best
+    alignment found so far is returned."""
     n, m = len(cand), len(ref)
     total_needed = m1 + m2
     best_chunks = _chunk_count(seed_pairs)
@@ -271,8 +275,6 @@ def _exact_min_chunks(
             dfs(i + 1, n_exact, n_total, chunks, last)
 
     dfs(0, 0, 0, 0, None)
-    if budget_hit:
-        return None
     return best_pairs
 
 
@@ -288,11 +290,9 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int]:
     stems_r = [stem_of[tok] for tok in ref]
     exact_ref, stem_ref = _ref_index(ref, stems_r)
 
-    pairs = _greedy_longest_run(cand, ref, stems_c, stems_r, exact_ref, stem_ref)
+    pairs = _greedy_longest_run(cand, ref, stems_c, exact_ref, stem_ref)
     if len(cand) <= _EXACT_MAX_TOKENS and len(ref) <= _EXACT_MAX_TOKENS:
-        exact = _exact_min_chunks(cand, ref, stems_c, exact_ref, stem_ref, m1, m2, pairs)
-        if exact is not None:
-            pairs = exact
+        pairs = _exact_min_chunks(cand, ref, stems_c, exact_ref, stem_ref, m1, m2, pairs)
     return len(pairs), _chunk_count(pairs)
 
 

@@ -11,8 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import citepipe
+import citepipe.cli
 import citepipe.config
 
 from citepipe import __version__
@@ -27,6 +29,9 @@ from citepipe.dataset import (
     write_dataset,
 )
 from citepipe.jsonl import dump_row, file_digest, json_digest
+
+# `config_sha256` of the built-in configuration; a run with no --config records it
+DEFAULT_CONFIG_SHA256 = "160b0eef91c417bb320d836155333ffbea61d7e33260c8f8a3e7923f8315764a"
 
 STATS_ROWS = [
     "# citations",
@@ -212,6 +217,95 @@ class TestConfig:
         code, _, err = run(capsys, "build", "--nope")
         assert code == 1
         assert "No such option" in err
+
+    def test_default_config_digest_is_pinned(self, dataset):
+        assert read_run_manifest(dataset)["config_sha256"] == DEFAULT_CONFIG_SHA256
+
+    def test_readme_configuration_block_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert yaml.safe_load(block) == citepipe.config.DEFAULTS
+
+    def test_config_value_is_converted_like_its_flag(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text('split:\n  seed: "9"\n', encoding="utf-8")
+        code, _, _ = run(
+            capsys, "--config", str(cfg), "split",
+            "--dataset", str(dataset), "--out-dir", str(tmp_path / "a"),
+        )
+        assert code == 0
+        code, _, _ = run(
+            capsys, "split", "--dataset", str(dataset), "--out-dir", str(tmp_path / "b"), "--seed", "9",
+        )
+        assert code == 0
+        for name in ("train", "validation", "test"):
+            part = f"{name}.jsonl"
+            assert (tmp_path / "a" / part).read_bytes() == (tmp_path / "b" / part).read_bytes()
+        assert read_run_manifest(tmp_path / "a" / "train.jsonl")["counts"]["seed"] == 9
+
+    def test_config_value_its_flag_rejects_is_a_usage_error(self, tmp_path, capsys):
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(dump_row({"sample_id": "a", "prompt": "p"}) + "\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("endpoint:\n  max_parallel: four\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "--config", str(cfg), "generate",
+            "--prompts", str(prompts), "--out", str(tmp_path / "g.jsonl"),
+        )
+        assert code == 1
+        assert "--max-parallel" in err and "Traceback" not in err
+
+    def test_flags_beat_the_config_for_paths_and_filter(self, hand_corpus, triplets_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            f"paths:\n  corpus: {tmp_path / 'no-corpus'}\n  triplets: {tmp_path / 'no-triplets.jsonl'}\n"
+            "filter:\n  fields_of_study: [Biology]\n",
+            encoding="utf-8",
+        )
+        dataset = tmp_path / "ds.jsonl"
+        code, _, _ = run(capsys, "--config", str(cfg), "build", "--out", str(dataset))
+        assert code == 2  # the configured corpus is missing
+        code, out, _ = run(
+            capsys, "--config", str(cfg), "build", "--out", str(dataset), "--corpus", str(hand_corpus),
+        )
+        assert code == 0 and "wrote 0 sample(s)" in out  # the configured field filters all out
+        code, out, _ = run(
+            capsys, "--config", str(cfg), "build", "--out", str(dataset),
+            "--corpus", str(hand_corpus), "--field", "Computer Science",
+        )
+        assert code == 0 and "wrote 3 sample(s)" in out
+        enriched = tmp_path / "enriched.jsonl"
+        argv = ["--config", str(cfg), "kg-merge", "--dataset", str(dataset), "--out", str(enriched)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "no-triplets.jsonl" in err
+        code, _, _ = run(capsys, *argv, "--triplets", str(triplets_file))
+        assert code == 0
+        assert read_run_manifest(enriched)["inputs"][1]["path"] == "triplets.jsonl"
+
+    def test_endpoint_settings_reach_the_client(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def fake_generate_batch(batch, endpoint, policy, **kwargs):
+            calls.append((batch, endpoint, policy))
+            return []
+
+        monkeypatch.setattr(citepipe.cli, "generate_batch", fake_generate_batch)
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(dump_row({"sample_id": "a", "prompt": "p"}) + "\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "endpoint:\n  url: http://config.invalid/generate\n  backoff_multiplier: 3.5\n"
+            "  temperature: 0\n",
+            encoding="utf-8",
+        )
+        argv = ["--config", str(cfg), "generate", "--prompts", str(prompts), "--out", str(tmp_path / "g.jsonl")]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, "--endpoint", "http://flag.invalid/generate")[0] == 0
+        (batch, from_config, policy), (_, from_flag, _) = calls
+        assert policy.backoff_multiplier == 3.5
+        assert (from_config, from_flag) == ("http://config.invalid/generate", "http://flag.invalid/generate")
+        assert type(batch[0].temperature) is float
 
 
 class TestKgMerge:

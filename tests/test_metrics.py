@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citepipe.metrics
 from citepipe.metrics import (
     EvalReport,
     _align,
@@ -335,6 +336,19 @@ class TestMeteorAgainstOracle:
         assert got_matches == want_matches
         assert got_chunks == want_chunks
 
+    def test_search_out_of_nodes_keeps_the_best_alignment_found(self, monkeypatch):
+        cand = "b d c d b b c b c".split()
+        ref = "a b a d c c b d b".split()
+        exact_ref, stem_ref = _ref_index(ref, ref)  # one-letter tokens are their own stems
+        greedy_chunks = _chunk_count(_greedy_longest_run(cand, ref, cand, exact_ref, stem_ref))
+        matches, min_chunks = oracle_align(cand, ref)
+        assert (greedy_chunks, min_chunks) == (6, 4)
+        # 10 nodes find a 5-chunk alignment but not the 4-chunk minimum
+        monkeypatch.setattr(citepipe.metrics, "_EXACT_NODE_BUDGET", 10)
+        got_matches, got_chunks = _align(cand, ref)
+        assert got_matches == matches
+        assert min_chunks < got_chunks < greedy_chunks
+
     @given(token_lists, token_lists)
     def test_score_range(self, cand, ref):
         score = meteor(" ".join(cand), " ".join(ref))
@@ -367,7 +381,7 @@ class TestGreedyAlignments:
     @settings(max_examples=40, deadline=None)
     def test_longest_run_equals_scan(self, cand, ref):
         stems_c, stems_r, exact_ref, stem_ref = self._inputs(cand, ref)
-        got = _greedy_longest_run(cand, ref, stems_c, stems_r, exact_ref, stem_ref)
+        got = _greedy_longest_run(cand, ref, stems_c, exact_ref, stem_ref)
         assert got == reference_longest_run(cand, ref, stems_c, stems_r)
 
     @given(switch_bands)
