@@ -2,14 +2,15 @@
 
 Every stage is a subcommand reading and writing plain files, so stages can
 be re-run, inspected, and chained by hand. The configuration (`--config`
-over `config.DEFAULTS`) supplies each command's option defaults, so a flag
-wins over the file and the file over the built-in value. Exit codes: 0
-success, 1 bad usage or bad input data, 2 environment failures (unreadable
-files, endpoint errors).
+over `config.DEFAULTS`) supplies the value of each flag it feeds when the
+flag is not given, so a flag wins over the file and the file over the
+built-in value. Exit codes: 0 success, 1 bad usage or bad input data, 2
+environment failures (unreadable files, endpoint errors).
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import os
@@ -17,8 +18,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
 
 from .config import config_from_dict, load_config, write_run_manifest
 from .jsonl import read_generations, read_prompt_file, write_json
@@ -87,69 +86,85 @@ def _loaded(layer: str, error: str) -> tuple[type, ...]:
 AUTH_TOKEN_ENV = "CITEPIPE_API_TOKEN"
 
 
-@click.group()
-@click.option(
-    "--config",
-    "config_path",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    help="YAML config file; flags override its values.",
-)
-@click.pass_context
-def cli(ctx: click.Context, config_path: str | None):
-    """Citation-text pipeline: build, split, enrich, prompt, generate, evaluate."""
-    config = load_config(config_path) if config_path else config_from_dict({})
-    ctx.ensure_object(dict)["config"] = config
-    # each command's option defaults, keyed by parameter name; a flag still wins
-    ctx.default_map = {
-        "build": {"corpus_path": config["paths"]["corpus"], "fields": config["filter"]["fields_of_study"]},
-        "split": config["split"],
-        "kg-merge": {"triplets_path": config["paths"]["triplets"]},
-        "prompts": config["budget"],
-        "generate": config["endpoint"],
-    }
+class UsageError(Exception):
+    """Bad command-line usage, found by the parser or by a command through
+    its `args.parser.error`; `main` prints the message and exits 1."""
 
 
-@cli.command()
-@click.option("--corpus", "corpus_path", help="Corpus JSONL file or shard directory.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option(
-    "--field",
-    "fields",
-    multiple=True,
-    help="Field of study to keep (repeatable); default from config.",
-)
-@click.option("--max-samples-per-source", type=int, default=None, help="Cap per source paper.")
-@click.pass_context
-def build(ctx, corpus_path, out_path, fields, max_samples_per_source):
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes no abbreviated flags and raises
+    `UsageError` where argparse would print its usage and exit 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: error: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except UsageError:
+            # a command's parser reports a flag it does not know before a
+            # missing one, which argparse would name first
+            if self.get_default("run") is None:
+                raise
+            known = self._option_string_actions
+            unknown = [a for a in args if a.startswith("-") and a.partition("=")[0] not in known]
+            if unknown:
+                self.error(f"unrecognized arguments: {' '.join(unknown)}")
+            raise
+
+
+def _input_file(value: str) -> str:
+    if os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is a directory")
+    if not os.path.exists(value):
+        raise argparse.ArgumentTypeError(f"{value!r} does not exist")
+    return value
+
+
+def _output_file(value: str) -> str:
+    if os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is a directory")
+    return value
+
+
+def _output_dir(value: str) -> str:
+    if os.path.exists(value) and not os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is not a directory")
+    return value
+
+
+def build(args: argparse.Namespace) -> None:
     """Extract citation samples from a corpus into a dataset file."""
     _bind("corpus", "dataset")
-    corpus_filter = CorpusFilter(fields_of_study=frozenset(fields))
+    corpus_filter = CorpusFilter(fields_of_study=frozenset(args.fields))
 
     ingest = IngestStats()
-    lookup = build_lookup(stream_corpus(corpus_path, corpus_filter, ingest))
+    lookup = build_lookup(stream_corpus(args.corpus, corpus_filter, ingest))
     extract = ExtractStats()
     samples = list(
         extract_samples(
-            stream_corpus(corpus_path, corpus_filter),
+            stream_corpus(args.corpus, corpus_filter),
             lookup,
-            max_per_source=max_samples_per_source,
+            max_per_source=args.max_samples_per_source,
             stats=extract,
         )
     )
-    written = write_dataset(samples, out_path)
+    written = write_dataset(samples, args.out)
     write_run_manifest(
-        out_path,
+        args.out,
         "build",
-        list(corpus_files(corpus_path)),
-        ctx.obj["config"],
+        list(corpus_files(args.corpus)),
+        args.config,
         counts={**written, "ingest": asdict(ingest), "extract": asdict(extract)},
     )
-    click.echo(
+    print(
         f"read {ingest.records_yielded} record(s) from {ingest.files_read} file(s); "
         f"skipped {ingest.skipped}, filtered out {ingest.filtered_out}"
     )
-    click.echo(f"wrote {len(samples)} sample(s) to {out_path}")
+    print(f"wrote {len(samples)} sample(s) to {args.out}")
 
 
 def _stats_table(stats: DatasetStats) -> str:
@@ -177,339 +192,379 @@ def _stats_table(stats: DatasetStats) -> str:
     )
 
 
-@cli.command()
-@click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--json", "as_json", is_flag=True, help="Print the statistics as JSON instead.")
-@click.pass_context
-def stats(ctx, dataset_path, as_json):
+def stats(args: argparse.Namespace) -> None:
     """Print dataset statistics."""
     _bind("dataset")
-    dataset_stats = compute_stats(read_dataset(dataset_path))
-    if as_json:
-        click.echo(json.dumps(dataset_stats.to_dict(), indent=2, sort_keys=True))
+    dataset_stats = compute_stats(read_dataset(args.dataset))
+    if args.json:
+        print(json.dumps(dataset_stats.to_dict(), indent=2, sort_keys=True))
     else:
-        click.echo(_stats_table(dataset_stats))
+        print(_stats_table(dataset_stats))
 
 
-@cli.command()
-@click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-@click.option("--seed", type=int)
-@click.option("--train", type=float)
-@click.option("--validation", type=float)
-@click.option("--test", type=float)
-@click.pass_context
-def split(ctx, dataset_path, out_dir, seed, train, validation, test):
+def split(args: argparse.Namespace) -> None:
     """Partition a dataset into train/validation/test files."""
     _bind("dataset")
-    spec = SplitSpec(train_fraction=train, val_fraction=validation, test_fraction=test, seed=seed)
-    samples = read_dataset(dataset_path)
+    spec = SplitSpec(
+        train_fraction=args.train, val_fraction=args.validation, test_fraction=args.test, seed=args.seed
+    )
+    samples = read_dataset(args.dataset)
     parts = split_dataset(samples, spec)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     sizes = []
     digests: dict = {}  # the three manifests hash the dataset once
     for name, part in zip(("train", "validation", "test"), parts):
-        part_path = Path(out_dir) / f"{name}.jsonl"
+        part_path = Path(args.out_dir) / f"{name}.jsonl"
         written = write_dataset(part, part_path)
         write_run_manifest(
             part_path,
             f"split:{name}",
-            [dataset_path],
-            ctx.obj["config"],
+            [args.dataset],
+            args.config,
             counts={**written, "seed": spec.seed},
             digests=digests,
         )
         sizes.append(len(part))
-    click.echo(
+    print(
         f"split {len(samples)} sample(s) into {sizes[0]}/{sizes[1]}/{sizes[2]} "
-        f"under {out_dir} (seed {spec.seed})"
+        f"under {args.out_dir} (seed {spec.seed})"
     )
 
 
-@cli.command("kg-merge")
-@click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--triplets", "triplets_path", help="Triplet JSONL file.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option(
-    "--scierc-vocabulary",
-    is_flag=True,
-    help="Count relations outside the SciERC vocabulary as unknown.",
-)
-@click.pass_context
-def kg_merge(ctx, dataset_path, triplets_path, out_path, scierc_vocabulary):
+def kg_merge(args: argparse.Namespace) -> None:
     """Join knowledge-graph triplets onto dataset samples."""
     _bind("dataset", "kg")
-    if not triplets_path:
-        raise click.UsageError("no triplet file given (--triplets or paths.triplets)")
-    samples = read_dataset(dataset_path)
-    store = load_triplets(triplets_path, vocabulary=SCIERC_RELATIONS if scierc_vocabulary else None)
+    if not args.triplets:
+        args.parser.error("no triplet file given (--triplets or paths.triplets)")
+    samples = read_dataset(args.dataset)
+    store = load_triplets(args.triplets, vocabulary=SCIERC_RELATIONS if args.scierc_vocabulary else None)
     attach = AttachStats()
     enriched = attach_triplets(samples, store, attach)
-    write_enriched(enriched, out_path)
+    write_enriched(enriched, args.out)
     write_run_manifest(
-        out_path,
+        args.out,
         "kg-merge",
-        [dataset_path, triplets_path],
-        ctx.obj["config"],
+        [args.dataset, args.triplets],
+        args.config,
         counts={"ingest": asdict(store.stats), "attach": asdict(attach)},
     )
-    click.echo(
+    print(
         f"enriched {attach.samples_enriched} sample(s); "
         f"{attach.samples_without_target_triplets} without target relations; "
         f"{attach.orphan_papers} orphan paper(s) in the triplet store"
     )
 
 
-@cli.command()
-@click.option("--dataset", "dataset_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--enriched", "enriched_path", default=None, type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", type=click.Choice(["baseline", "kg"]), default="baseline")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--max-tokens", type=int)
-@click.option("--reserve", "reserve_for_response", type=int, help="Tokens held back for the response.")
-@click.option("--triplet-budget", type=int, help="Keep first k triplets per block.")
-@click.option("--empty-kg-headers/--no-empty-kg-headers", default=True)
-@click.option("--pooled", is_flag=True, help="One pooled relation block per target.")
-@click.option("--include-introductions", is_flag=True)
-@click.option("--include-conclusions", is_flag=True)
-@click.option("--responses/--no-responses", default=True, help="Include gold responses.")
-@click.pass_context
-def prompts(
-    ctx,
-    dataset_path,
-    enriched_path,
-    mode,
-    out_path,
-    max_tokens,
-    reserve_for_response,
-    triplet_budget,
-    empty_kg_headers,
-    pooled,
-    include_introductions,
-    include_conclusions,
-    responses,
-):
+def prompts(args: argparse.Namespace) -> None:
     """Compose budgeted prompts from a dataset or an enriched dataset."""
     _bind("dataset", "kg", "prompts")
-    budget = TokenBudget(max_tokens=max_tokens, reserve_for_response=reserve_for_response)
-    if mode == "baseline":
-        if dataset_path is None:
-            raise click.UsageError("--mode baseline needs --dataset")
-        samples = read_dataset(dataset_path)
+    budget = TokenBudget(max_tokens=args.max_tokens, reserve_for_response=args.reserve_for_response)
+    if args.mode == "baseline":
+        if args.dataset is None:
+            args.parser.error("--mode baseline needs --dataset")
+        samples = read_dataset(args.dataset)
         # rendered one row at a time as the file is written, never all held
         instances = (
-            render_baseline(s, budget, include_introductions, include_conclusions)
+            render_baseline(s, budget, args.include_introductions, args.include_conclusions)
             for s in samples
         )
-        input_path = dataset_path
+        input_path = args.dataset
     else:
-        if enriched_path is None:
-            raise click.UsageError("--mode kg needs --enriched")
-        blocks = triplet_renderer(triplet_budget)  # each shared triplet block rendered once
+        if args.enriched is None:
+            args.parser.error("--mode kg needs --enriched")
+        blocks = triplet_renderer(args.triplet_budget)  # each shared triplet block rendered once
         instances = (
             render_kg(
                 es,
                 budget,
-                triplet_budget=triplet_budget,
+                triplet_budget=args.triplet_budget,
                 render_block=blocks,
-                include_empty_kg_headers=empty_kg_headers,
-                pooled=pooled,
-                include_introductions=include_introductions,
-                include_conclusions=include_conclusions,
+                include_empty_kg_headers=args.empty_kg_headers,
+                pooled=args.pooled,
+                include_introductions=args.include_introductions,
+                include_conclusions=args.include_conclusions,
             )
-            for es in read_enriched(enriched_path)
+            for es in read_enriched(args.enriched)
         )
-        input_path = enriched_path
-    written = emit_finetune_file(instances, out_path, include_response=responses)
+        input_path = args.enriched
+    written = emit_finetune_file(instances, args.out, include_response=args.responses)
     write_run_manifest(
-        out_path,
+        args.out,
         "prompts",
         [input_path],
-        ctx.obj["config"],
-        counts={**written, "mode": mode},
+        args.config,
+        counts={**written, "mode": args.mode},
     )
-    click.echo(
-        f"wrote {written['prompts']} prompt(s) to {out_path}; "
+    print(
+        f"wrote {written['prompts']} prompt(s) to {args.out}; "
         f"{written['truncated']} truncated to fit {budget.max_tokens} tokens"
     )
 
 
-@cli.command()
-@click.option("--prompts", "prompts_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--endpoint", "url")
-@click.option("--max-parallel", type=int)
-@click.option("--max-attempts", type=int)
-@click.option("--backoff-seconds", type=float)
-@click.option("--timeout-seconds", type=float)
-@click.option("--max-new-tokens", type=int)
-@click.option("--temperature", type=float)
-@click.pass_context
-def generate(
-    ctx,
-    prompts_path,
-    out_path,
-    url,
-    max_parallel,
-    max_attempts,
-    backoff_seconds,
-    timeout_seconds,
-    max_new_tokens,
-    temperature,
-):
+def generate(args: argparse.Namespace) -> None:
     """Send prompts to the generation endpoint, resuming any partial output.
 
     Bearer auth comes from the CITEPIPE_API_TOKEN environment variable.
     """
     _bind("client")
-    cfg = ctx.obj["config"]
     policy = ClientPolicy(
-        max_parallel=max_parallel,
-        max_attempts=max_attempts,
-        backoff_seconds=backoff_seconds,
-        backoff_multiplier=cfg["endpoint"]["backoff_multiplier"],  # config-only, no flag
-        timeout_seconds=timeout_seconds,
+        max_parallel=args.max_parallel,
+        max_attempts=args.max_attempts,
+        backoff_seconds=args.backoff_seconds,
+        backoff_multiplier=args.config["endpoint"]["backoff_multiplier"],  # config-only, no flag
+        timeout_seconds=args.timeout_seconds,
     )
-    rows = read_prompt_file(prompts_path)
+    rows = read_prompt_file(args.prompts)
     batch = []
     for row in rows:
         if "sample_id" not in row or "prompt" not in row:
-            raise ValueError(f"{prompts_path}: prompt rows need sample_id and prompt fields")
+            raise ValueError(f"{args.prompts}: prompt rows need sample_id and prompt fields")
         batch.append(
             GenerationRequest(
                 sample_id=row["sample_id"],
                 prompt=row["prompt"],
-                max_new_tokens=max_new_tokens,
-                temperature=temperature,
+                max_new_tokens=args.max_new_tokens,
+                temperature=args.temperature,
             )
         )
     results = generate_batch(
         batch,
-        url,
+        args.url,
         policy,
-        out_path=out_path,
+        out_path=args.out,
         auth_token=os.environ.get(AUTH_TOKEN_ENV),
     )
     reused = sum(1 for r in results if r.attempt == 0)
     write_run_manifest(
-        out_path,
+        args.out,
         "generate",
-        [prompts_path],
-        cfg,
+        [args.prompts],
+        args.config,
         counts={"generated": len(results), "reused": reused},
     )
-    click.echo(
-        f"generated {len(results)} completion(s) to {out_path} "
-        f"({reused} reused from a previous run)"
+    print(
+        f"generated {len(results)} completion(s) to {args.out} "
+        f"({reused} reused from a previous run)",
+        flush=True,  # ahead of the summary on stderr when both go to one file
     )
-    click.echo(request_summary(results), err=True)
+    print(request_summary(results), file=sys.stderr)
 
 
-@cli.command()
-@click.option("--generated", "generated_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "report_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--label", default="model", help="Row label in the printed table.")
-@click.pass_context
-def evaluate(ctx, generated_path, dataset_path, report_path, label):
+def evaluate(args: argparse.Namespace) -> None:
     """Score generated texts against gold citation passages."""
     _bind("dataset", "metrics")
-    gold = {s.sample_id: s.citation_text for s in read_dataset(dataset_path)}
-    generated = read_generations(generated_path)
+    gold = {s.sample_id: s.citation_text for s in read_dataset(args.dataset)}
+    generated = read_generations(args.generated)
     unknown = sorted(set(generated) - set(gold))
     if unknown:
         raise ValueError(f"generated sample(s) missing from the dataset: {', '.join(unknown[:3])}")
     ids = sorted(generated)
     report = evaluate_corpus([(generated[i], gold[i]) for i in ids], sample_ids=ids)
-    write_json(report_path, {"label": label, **report_to_dict(report)})
+    write_json(args.out, {"label": args.label, **report_to_dict(report)})
     write_run_manifest(
-        report_path,
+        args.out,
         "evaluate",
-        [generated_path, dataset_path],
-        ctx.obj["config"],
+        [args.generated, args.dataset],
+        args.config,
         counts={"scored": report.n},
     )
-    click.echo(render_report_table(report, label), nl=False)
+    print(render_report_table(report, args.label), end="")
 
 
-@cli.command("report")
-@click.option("--report", "report_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--label", default=None, help="Override the stored row label.")
-def report_cmd(report_path, label):
+def report(args: argparse.Namespace) -> None:
     """Re-render a stored evaluation report."""
     _bind("metrics")
-    with open(report_path, encoding="utf-8") as fh:
+    with open(args.report, encoding="utf-8") as fh:
         payload = json.load(fh)
-    report = report_from_dict(payload)
-    click.echo(render_report_table(report, label or payload.get("label", "corpus")), nl=False)
+    stored = report_from_dict(payload)
+    print(render_report_table(stored, args.label or payload.get("label", "corpus")), end="")
 
 
-@cli.group()
-def numerics():
-    """Quantization and optimizer demonstrations."""
-
-
-@numerics.command("quantile-map")
-@click.option("--bits", type=int, default=4)
-@click.option("--symmetric/--asymmetric", "symmetric", default=True)
-def quantile_map_cmd(bits, symmetric):
+def quantile_map(args: argparse.Namespace) -> None:
     """Print the quantile bin values for an n-bit code."""
     from .numerics import build_quantile_map  # only the numerics commands need it
 
-    qmap = build_quantile_map(bits, symmetric=symmetric)
-    click.echo(f"n_bits={qmap.n_bits} symmetric={qmap.symmetric} normalization={qmap.normalization}")
+    qmap = build_quantile_map(args.bits, symmetric=args.symmetric)
+    print(f"n_bits={qmap.n_bits} symmetric={qmap.symmetric} normalization={qmap.normalization}")
     for index, value in enumerate(qmap.bins):
-        click.echo(f"{index:4d}  {value!r}")
+        print(f"{index:4d}  {value!r}")
 
 
-@numerics.command("optimize")
-@click.option("--curvatures", default="1.0", help="Comma-separated quadratic curvatures.")
-@click.option("--x0", default=None, help="Comma-separated start point; default all ones.")
-@click.option("--steps", type=int, default=500)
-@click.option("--lr", type=float, default=0.1)
-@click.option("--mode", type=click.Choice(["paper", "standard"]), default="paper")
-@click.option("--warmup", type=int, default=None, help="Warmup steps (needs --total).")
-@click.option("--total", type=int, default=None, help="Total schedule steps; enables the schedule.")
-@click.option("--weight-decay", type=float, default=0.0)
-def optimize_cmd(curvatures, x0, steps, lr, mode, warmup, total, weight_decay):
+def optimize(args: argparse.Namespace) -> None:
     """Minimize a quadratic and print the trajectory as CSV."""
     from .numerics import LrSchedule, minimize, quadratic  # only the numerics commands need it
 
-    curves = [float(c) for c in curvatures.split(",") if c.strip()]
+    curves = [float(c) for c in args.curvatures.split(",") if c.strip()]
     if not curves:
-        raise click.UsageError("--curvatures needs at least one value")
-    start = [float(v) for v in x0.split(",")] if x0 else [1.0] * len(curves)
+        args.parser.error("--curvatures needs at least one value")
+    start = [float(v) for v in args.x0.split(",")] if args.x0 else [1.0] * len(curves)
     if len(start) != len(curves):
-        raise click.UsageError("--x0 dimension must match --curvatures")
+        args.parser.error("--x0 dimension must match --curvatures")
     schedule = None
-    if total is not None:
-        schedule = LrSchedule(base_lr=lr, warmup_steps=warmup or 0, total_steps=total)
-    elif warmup is not None:
-        raise click.UsageError("--warmup needs --total")
+    if args.total is not None:
+        schedule = LrSchedule(base_lr=args.lr, warmup_steps=args.warmup or 0, total_steps=args.total)
+    elif args.warmup is not None:
+        args.parser.error("--warmup needs --total")
     trajectory = minimize(
         quadratic(curves),
         start,
-        steps=steps,
-        lr=lr,
+        steps=args.steps,
+        lr=args.lr,
         schedule=schedule,
-        mode=mode,
-        weight_decay=weight_decay,
+        mode=args.mode,
+        weight_decay=args.weight_decay,
     )
-    click.echo("step,value," + ",".join(f"w{i}" for i in range(len(curves))))
+    print("step,value," + ",".join(f"w{i}" for i in range(len(curves))))
     for point in trajectory:
         coords = ",".join(f"{w:.12g}" for w in point.w)
-        click.echo(f"{point.step},{point.value:.12g},{coords}")
+        print(f"{point.step},{point.value:.12g},{coords}")
+
+
+def _command(commands, run, name: str | None = None) -> argparse.ArgumentParser:
+    """The subcommand `name` (by default `run`'s name), which calls `run` and
+    takes its help from `run`'s docstring."""
+    doc = run.__doc__
+    parser = commands.add_parser(name or run.__name__, help=doc.splitlines()[0], description=doc)
+    parser.set_defaults(run=run, parser=parser)
+    return parser
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="citepipe",
+        description="Citation-text pipeline: build, split, enrich, prompt, generate, evaluate.",
+    )
+    parser.add_argument("--config", dest="config_path", metavar="FILE", type=_input_file,
+                        help="YAML config file; flags override its values.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    p = _command(commands, build)
+    p.add_argument("--corpus", type=str, help="Corpus JSONL file or shard directory.")
+    p.add_argument("--out", required=True, type=_output_file)
+    p.add_argument("--field", dest="fields", metavar="FIELD", action="append", type=str,
+                   help="Field of study to keep (repeatable); default from config.")
+    p.add_argument("--max-samples-per-source", type=int, help="Cap per source paper.")
+
+    p = _command(commands, stats)
+    p.add_argument("--dataset", required=True, type=_input_file)
+    p.add_argument("--json", action="store_true", help="Print the statistics as JSON instead.")
+
+    p = _command(commands, split)
+    p.add_argument("--dataset", required=True, type=_input_file)
+    p.add_argument("--out-dir", required=True, type=_output_dir)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--train", type=float)
+    p.add_argument("--validation", type=float)
+    p.add_argument("--test", type=float)
+
+    p = _command(commands, kg_merge, "kg-merge")
+    p.add_argument("--dataset", required=True, type=_input_file)
+    p.add_argument("--triplets", type=str, help="Triplet JSONL file.")
+    p.add_argument("--out", required=True, type=_output_file)
+    p.add_argument("--scierc-vocabulary", action="store_true",
+                   help="Count relations outside the SciERC vocabulary as unknown.")
+
+    p = _command(commands, prompts)
+    p.add_argument("--dataset", type=_input_file)
+    p.add_argument("--enriched", type=_input_file)
+    p.add_argument("--mode", choices=["baseline", "kg"], default="baseline")
+    p.add_argument("--out", required=True, type=_output_file)
+    p.add_argument("--max-tokens", type=int)
+    p.add_argument("--reserve", dest="reserve_for_response", type=int,
+                   help="Tokens held back for the response.")
+    p.add_argument("--triplet-budget", type=int, help="Keep first k triplets per block.")
+    p.add_argument("--empty-kg-headers", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--pooled", action="store_true", help="One pooled relation block per target.")
+    p.add_argument("--include-introductions", action="store_true")
+    p.add_argument("--include-conclusions", action="store_true")
+    p.add_argument("--responses", action=argparse.BooleanOptionalAction, default=True,
+                   help="Include gold responses.")
+
+    p = _command(commands, generate)
+    p.add_argument("--prompts", required=True, type=_input_file)
+    p.add_argument("--out", required=True, type=_output_file)
+    p.add_argument("--endpoint", dest="url", type=str)
+    p.add_argument("--max-parallel", type=int)
+    p.add_argument("--max-attempts", type=int)
+    p.add_argument("--backoff-seconds", type=float)
+    p.add_argument("--timeout-seconds", type=float)
+    p.add_argument("--max-new-tokens", type=int)
+    p.add_argument("--temperature", type=float)
+
+    p = _command(commands, evaluate)
+    p.add_argument("--generated", required=True, type=_input_file)
+    p.add_argument("--dataset", required=True, type=_input_file)
+    p.add_argument("--out", required=True, type=_output_file)
+    p.add_argument("--label", default="model", help="Row label in the printed table.")
+
+    p = _command(commands, report)
+    p.add_argument("--report", required=True, type=_input_file)
+    p.add_argument("--label", help="Override the stored row label.")
+
+    doc = "Quantization and optimizer demonstrations."
+    numerics = commands.add_parser("numerics", help=doc, description=doc)
+    numerics_commands = numerics.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    p = _command(numerics_commands, quantile_map, "quantile-map")
+    p.add_argument("--bits", type=int, default=4)
+    p.add_argument("--symmetric", action="store_true", default=True)
+    p.add_argument("--asymmetric", dest="symmetric", action="store_false")
+
+    p = _command(numerics_commands, optimize)
+    p.add_argument("--curvatures", default="1.0", help="Comma-separated quadratic curvatures.")
+    p.add_argument("--x0", help="Comma-separated start point; default all ones.")
+    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--mode", choices=["paper", "standard"], default="paper")
+    p.add_argument("--warmup", type=int, help="Warmup steps (needs --total).")
+    p.add_argument("--total", type=int, help="Total schedule steps; enables the schedule.")
+    p.add_argument("--weight-decay", type=float, default=0.0)
+    return parser
+
+
+def _configured(config: dict) -> dict:
+    """The values the configuration gives each command's flags, by command
+    and parameter name; each flag named here has a type to convert them."""
+    return {
+        build: {"corpus": config["paths"]["corpus"], "fields": config["filter"]["fields_of_study"]},
+        split: config["split"],
+        kg_merge: {"triplets": config["paths"]["triplets"]},
+        prompts: config["budget"],
+        generate: config["endpoint"],  # backoff_multiplier has no flag
+    }
+
+
+def _apply_config(args: argparse.Namespace) -> None:
+    """Give each flag left off the command line its configured value,
+    converted by the flag's type as if it had been given there."""
+    values = _configured(args.config).get(args.run, {})
+    for action in args.parser._actions:
+        value = values.get(action.dest)
+        if value is None or getattr(args, action.dest) is not None:
+            continue
+        convert = action.type
+        try:
+            if isinstance(action, argparse._AppendAction):  # a repeatable flag takes a list
+                value = [convert(v) for v in value]
+            else:
+                value = convert(value)
+        except (TypeError, ValueError):
+            flag = "/".join(action.option_strings)
+            args.parser.error(f"argument {flag}: invalid {convert.__name__} value in the config: {value!r}")
+        setattr(args, action.dest, value)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point with stable exit codes: 0 ok, 1 bad usage/data, 2 environment."""
     try:
-        cli.main(args=argv, standalone_mode=False, obj={})
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
+        args = _parser().parse_args(argv)
+        args.config = load_config(args.config_path) if args.config_path else config_from_dict({})
+        _apply_config(args)
+        args.run(args)
+    except SystemExit as done:  # argparse exits only after printing --help
+        return done.code
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
         return 1
     except Exception as exc:
         bad_input = (*_loaded("prompts", "BudgetExhausted"), ValueError)
@@ -520,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
             code = 2
         else:
             raise
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return code
     return 0
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
 
+from .config import DEFAULTS
 from .jsonl import dump_row, read_generations, write_text
 
 DEFAULT_STOP: tuple[str, ...] = ("### Response:",)
@@ -32,8 +33,8 @@ DEFAULT_STOP: tuple[str, ...] = ("### Response:",)
 class GenerationRequest:
     sample_id: str
     prompt: str
-    max_new_tokens: int = 512
-    temperature: float = 0.0
+    max_new_tokens: int = DEFAULTS["endpoint"]["max_new_tokens"]
+    temperature: float = DEFAULTS["endpoint"]["temperature"]
 
 
 @dataclass
@@ -46,11 +47,11 @@ class GenerationResult:
 
 @dataclass(frozen=True)
 class ClientPolicy:
-    max_parallel: int = 4
-    max_attempts: int = 3
-    backoff_seconds: float = 0.5
-    backoff_multiplier: float = 2.0
-    timeout_seconds: float = 60.0
+    max_parallel: int = DEFAULTS["endpoint"]["max_parallel"]
+    max_attempts: int = DEFAULTS["endpoint"]["max_attempts"]
+    backoff_seconds: float = DEFAULTS["endpoint"]["backoff_seconds"]
+    backoff_multiplier: float = DEFAULTS["endpoint"]["backoff_multiplier"]
+    timeout_seconds: float = DEFAULTS["endpoint"]["timeout_seconds"]
 
     def __post_init__(self):
         if self.max_parallel < 1:

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from . import __version__
+from .config import DEFAULTS
 from .jsonl import all_text, dump_row, encoded_by_identity, json_digest, read_jsonl, write_text
 
 if TYPE_CHECKING:
@@ -88,10 +89,10 @@ class SplitSpec:
     at a time in train, val, test order.
     """
 
-    train_fraction: float = 0.8006
-    val_fraction: float = 0.0997
-    test_fraction: float = 0.0997
-    seed: int = 0
+    train_fraction: float = DEFAULTS["split"]["train"]
+    val_fraction: float = DEFAULTS["split"]["validation"]
+    test_fraction: float = DEFAULTS["split"]["test"]
+    seed: int = DEFAULTS["split"]["seed"]
 
     def __post_init__(self):
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)

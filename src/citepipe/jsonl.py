@@ -6,6 +6,7 @@ rows), one strict line reader, and file and JSON digests.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from pathlib import Path
@@ -102,8 +103,12 @@ def write_jsonl(path: str | Path, rows: Iterable[Any]) -> int:
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    """Write one indented, key-sorted JSON document with a trailing newline."""
-    write_text(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n",))
+    """Write one indented, key-sorted JSON document with a trailing newline,
+    as the encoder yields it, so no encoded copy of the whole document is held.
+    The bytes are `json.dumps(obj, indent=2, sort_keys=True)`'s, since an
+    indented dump runs this same encoder."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    write_text(path, itertools.chain(chunks, ("\n",)))
 
 
 def file_digest(path: str | Path) -> str:

@@ -291,9 +291,13 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int]:
     exact_ref, stem_ref = _ref_index(ref, stems_r)
 
     pairs = _greedy_longest_run(cand, ref, stems_c, exact_ref, stem_ref)
-    if len(cand) <= _EXACT_MAX_TOKENS and len(ref) <= _EXACT_MAX_TOKENS:
+    chunks = _chunk_count(pairs)
+    # the greedy always reaches the maximum match count, and an alignment with
+    # a match has at least one chunk, so a one-chunk greedy needs no search
+    if chunks > 1 and len(cand) <= _EXACT_MAX_TOKENS and len(ref) <= _EXACT_MAX_TOKENS:
         pairs = _exact_min_chunks(cand, ref, stems_c, exact_ref, stem_ref, m1, m2, pairs)
-    return len(pairs), _chunk_count(pairs)
+        chunks = _chunk_count(pairs)
+    return len(pairs), chunks
 
 
 def meteor(candidate: str | TokenizedText, reference: str | TokenizedText) -> MetricScore:

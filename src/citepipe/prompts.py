@@ -23,13 +23,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
+from .config import DEFAULTS
 from .dataset import CitationSample
 from .jsonl import encoded_by_identity, write_jsonl
 from .jsonl import read_prompt_file  # noqa: F401  (still importable from here)
 from .kg import EnrichedSample, TripletSet, pooled_triplets, render_triplets
 
-DEFAULT_MAX_TOKENS = 2048
-DEFAULT_RESERVE = 256
+DEFAULT_MAX_TOKENS = DEFAULTS["budget"]["max_tokens"]
+DEFAULT_RESERVE = DEFAULTS["budget"]["reserve_for_response"]
 SOURCE_ABSTRACT_FLOOR_TOKENS = 200
 RESPONSE_MARKER = "### Response:"
 

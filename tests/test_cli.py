@@ -19,16 +19,19 @@ import citepipe.config
 
 from citepipe import __version__
 from citepipe.cli import AUTH_TOKEN_ENV, main
-from citepipe.config import read_run_manifest, run_manifest_path
+from citepipe.client import ClientPolicy, GenerationRequest
+from citepipe.config import DEFAULTS, read_run_manifest, run_manifest_path
 from citepipe.dataset import (
     SCHEMA_VERSION,
     CitationSample,
+    SplitSpec,
     TargetPaper,
     compute_stats,
     read_dataset,
     write_dataset,
 )
 from citepipe.jsonl import dump_row, file_digest, json_digest
+from citepipe.prompts import TokenBudget
 
 # `config_sha256` of the built-in configuration; a run with no --config records it
 DEFAULT_CONFIG_SHA256 = "160b0eef91c417bb320d836155333ffbea61d7e33260c8f8a3e7923f8315764a"
@@ -216,7 +219,7 @@ class TestConfig:
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "build", "--nope")
         assert code == 1
-        assert "No such option" in err
+        assert "unrecognized arguments" in err
 
     def test_default_config_digest_is_pinned(self, dataset):
         assert read_run_manifest(dataset)["config_sha256"] == DEFAULT_CONFIG_SHA256
@@ -226,6 +229,16 @@ class TestConfig:
         section = readme.split("## Configuration", 1)[1]
         block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
         assert yaml.safe_load(block) == citepipe.config.DEFAULTS
+
+    def test_layer_defaults_are_the_config_defaults(self):
+        split, budget, endpoint = DEFAULTS["split"], DEFAULTS["budget"], DEFAULTS["endpoint"]
+        assert SplitSpec() == SplitSpec(split["train"], split["validation"], split["test"], split["seed"])
+        assert TokenBudget() == TokenBudget(budget["max_tokens"], budget["reserve_for_response"])
+        policy_keys = ("max_parallel", "max_attempts", "backoff_seconds", "backoff_multiplier", "timeout_seconds")
+        assert ClientPolicy() == ClientPolicy(*(endpoint[k] for k in policy_keys))
+        assert GenerationRequest("a", "p") == GenerationRequest(
+            "a", "p", endpoint["max_new_tokens"], endpoint["temperature"]
+        )
 
     def test_config_value_is_converted_like_its_flag(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
@@ -626,6 +639,68 @@ def test_each_command_imports_only_its_layers(chain, command):
     assert done.returncode == 0, done.stderr
     want = sorted(CLI_MODULES + [f"citepipe.{layer}" for layer in COMMAND_LAYERS[command]])
     assert done.stdout.splitlines()[-1] == repr(want)
+
+
+# prints the loaded modules that are neither the standard library's nor citepipe's
+THIRD_PARTY = (
+    "import sys; own = sys.stdlib_module_names | {'citepipe'}; "
+    "print(sorted(m for m in sys.modules if m.partition('.')[0] not in own))"
+)
+
+
+@pytest.mark.parametrize("command", [None, *sorted(COMMAND_LAYERS)])
+def test_the_cli_runs_on_the_standard_library_alone(chain, command):
+    bare = fresh("-c", THIRD_PARTY)  # what site loads before any code of ours
+    assert bare.returncode == 0, bare.stderr
+    if command is None:
+        done = fresh("-c", "import citepipe.cli; " + THIRD_PARTY)
+    else:
+        run_it = "import sys, citepipe.cli; code = citepipe.cli.main(sys.argv[1:]); "
+        done = fresh("-c", run_it + THIRD_PARTY + "; sys.exit(code)", *chain[command])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == bare.stdout.strip()
+
+
+# one argv per usage error, with the text the message must name; {dataset} is
+# an existing file, {dir} an existing directory, {missing} a path to nothing
+USAGE_ERRORS = [
+    pytest.param([], "COMMAND", id="no-command"),
+    pytest.param(["nope"], "'nope'", id="unknown-command"),
+    pytest.param(["numerics"], "COMMAND", id="no-numerics-command"),
+    pytest.param(["build", "--nope"], "unrecognized arguments: --nope", id="unknown-flag"),
+    pytest.param(["split", "--datas", "{dataset}", "--out-dir", "{dir}"], "--datas", id="abbreviated-flag"),
+    pytest.param(["build", "--corpus", "{dataset}"], "--out", id="missing-option"),
+    pytest.param(["build", "--out"], "--out", id="missing-value"),
+    pytest.param(["split", "--dataset", "{dataset}", "--out-dir", "{dir}", "--seed", "x"], "--seed",
+                 id="value-its-type-rejects"),
+    pytest.param(["prompts", "--mode", "neither", "--out", "{missing}"], "--mode", id="unknown-choice"),
+    pytest.param(["stats", "--dataset", "{missing}"], "does not exist", id="missing-input-file"),
+    pytest.param(["stats", "--dataset", "{dir}"], "is a directory", id="input-directory"),
+    pytest.param(["--config", "{missing}", "stats", "--dataset", "{dataset}"], "--config", id="missing-config"),
+    pytest.param(["build", "--out", "{dir}"], "--out", id="out-directory"),
+    pytest.param(["split", "--dataset", "{dataset}", "--out-dir", "{dataset}"], "--out-dir", id="out-dir-file"),
+]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS)
+def test_usage_errors_exit_1_with_one_line(argv, named, dataset, tmp_path, capsys):
+    paths = {"dataset": dataset, "dir": tmp_path, "missing": tmp_path / "gone.jsonl"}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "error:" in err and named in err, err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [[], *([name] for name in ("build", "stats", "split", "kg-merge", "prompts", "generate", "evaluate",
+                               "report", "numerics")),
+     ["numerics", "quantile-map"], ["numerics", "optimize"]],
+    ids=lambda command: " ".join(command) or "citepipe",
+)
+def test_help_exits_0(command, capsys):
+    code, out, err = run(capsys, *command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: citepipe", *command]))
 
 
 # every name perfbench/tracer.py reads and replaces on citepipe.cli before a command runs

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citepipe.jsonl import (
     dump_row,
@@ -69,6 +71,21 @@ def test_write_json_is_indented_sorted_and_newline_terminated(tmp_path):
     path = tmp_path / "out.json"
     write_json(path, {"b": [1], "a": "é"})
     assert path.read_text(encoding="utf-8") == '{\n  "a": "\\u00e9",\n  "b": [\n    1\n  ]\n}\n'
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+@settings(deadline=None)
+def test_write_json_streams_the_bytes_of_an_indented_dump(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "streamed.json"
+    write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 class _RowError(RuntimeError):

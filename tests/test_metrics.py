@@ -349,6 +349,18 @@ class TestMeteorAgainstOracle:
         assert got_matches == matches
         assert min_chunks < got_chunks < greedy_chunks
 
+    def test_one_chunk_greedy_alignment_skips_the_exact_search(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("exact chunk search ran")
+
+        monkeypatch.setattr(citepipe.metrics, "_exact_min_chunks", search)
+        verbatim = "the cat sat on the mat".split()
+        assert _align(verbatim, verbatim) == (6, 1)
+        # running/runs and jumped/jumping match only by stem, on one diagonal
+        assert _align(["running", "jumped"], ["runs", "jumping"]) == (2, 1)
+        with pytest.raises(AssertionError, match="exact chunk search ran"):
+            _align(["sat", "the", "cat"], ["the", "cat", "sat"])
+
     @given(token_lists, token_lists)
     def test_score_range(self, cand, ref):
         score = meteor(" ".join(cand), " ".join(ref))
