@@ -20,7 +20,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import config_from_dict, load_config, write_run_manifest
-from .jsonl import read_generations, read_prompt_file, write_json
+from .jsonl import read_generations, read_jsonl, write_json
+# no command calls it now, but code that wraps this module's names before a
+# command runs, like the benchmark's tracer, still expects to find it here
+from .jsonl import read_prompt_file  # noqa: F401
 
 if TYPE_CHECKING:
     from .dataset import DatasetStats
@@ -38,6 +41,7 @@ _LAYERS = {
         "build_lookup",
         "compute_stats",
         "extract_samples",
+        "iter_dataset",
         "read_dataset",
         "split_dataset",
         "write_dataset",
@@ -46,6 +50,7 @@ _LAYERS = {
         "SCIERC_RELATIONS",
         "AttachStats",
         "attach_triplets",
+        "iter_enriched",
         "load_triplets",
         "read_enriched",
         "write_enriched",
@@ -236,11 +241,10 @@ def kg_merge(args: argparse.Namespace) -> None:
     _bind("dataset", "kg")
     if not args.triplets:
         args.parser.error("no triplet file given (--triplets or paths.triplets)")
-    samples = read_dataset(args.dataset)
     store = load_triplets(args.triplets, vocabulary=SCIERC_RELATIONS if args.scierc_vocabulary else None)
     attach = AttachStats()
-    enriched = attach_triplets(samples, store, attach)
-    write_enriched(enriched, args.out)
+    # each sample is read, enriched and written in turn, never all held
+    write_enriched(attach_triplets(iter_dataset(args.dataset), store, attach), args.out)
     write_run_manifest(
         args.out,
         "kg-merge",
@@ -262,11 +266,10 @@ def prompts(args: argparse.Namespace) -> None:
     if args.mode == "baseline":
         if args.dataset is None:
             args.parser.error("--mode baseline needs --dataset")
-        samples = read_dataset(args.dataset)
-        # rendered one row at a time as the file is written, never all held
+        # read and rendered one row at a time as the file is written, never all held
         instances = (
             render_baseline(s, budget, args.include_introductions, args.include_conclusions)
-            for s in samples
+            for s in iter_dataset(args.dataset)
         )
         input_path = args.dataset
     else:
@@ -284,7 +287,7 @@ def prompts(args: argparse.Namespace) -> None:
                 include_introductions=args.include_introductions,
                 include_conclusions=args.include_conclusions,
             )
-            for es in read_enriched(args.enriched)
+            for es in iter_enriched(args.enriched)
         )
         input_path = args.enriched
     written = emit_finetune_file(instances, args.out, include_response=args.responses)
@@ -314,19 +317,18 @@ def generate(args: argparse.Namespace) -> None:
         backoff_multiplier=args.config["endpoint"]["backoff_multiplier"],  # config-only, no flag
         timeout_seconds=args.timeout_seconds,
     )
-    rows = read_prompt_file(args.prompts)
-    batch = []
-    for row in rows:
-        if "sample_id" not in row or "prompt" not in row:
-            raise ValueError(f"{args.prompts}: prompt rows need sample_id and prompt fields")
-        batch.append(
-            GenerationRequest(
-                sample_id=row["sample_id"],
-                prompt=row["prompt"],
-                max_new_tokens=args.max_new_tokens,
-                temperature=args.temperature,
-            )
+
+    def request(row) -> GenerationRequest:
+        if not isinstance(row, dict) or "sample_id" not in row or "prompt" not in row:
+            raise ValueError("prompt rows need sample_id and prompt fields")
+        return GenerationRequest(
+            sample_id=row["sample_id"],
+            prompt=row["prompt"],
+            max_new_tokens=args.max_new_tokens,
+            temperature=args.temperature,
         )
+
+    batch = read_jsonl(args.prompts, request)  # each request built as its line is read
     results = generate_batch(
         batch,
         args.url,
@@ -353,8 +355,17 @@ def generate(args: argparse.Namespace) -> None:
 def evaluate(args: argparse.Namespace) -> None:
     """Score generated texts against gold citation passages."""
     _bind("dataset", "metrics")
-    gold = {s.sample_id: s.citation_text for s in read_dataset(args.dataset)}
     generated = read_generations(args.generated)
+    # the dataset streams past: only the gold texts of generated samples are kept
+    gold: dict[str, str] = {}
+    missing: list[str] = []
+    n_gold = 0
+    for sample in iter_dataset(args.dataset):
+        n_gold += 1
+        if sample.sample_id in generated:
+            gold[sample.sample_id] = sample.citation_text
+        else:
+            missing.append(sample.sample_id)
     unknown = sorted(set(generated) - set(gold))
     if unknown:
         raise ValueError(f"generated sample(s) missing from the dataset: {', '.join(unknown[:3])}")
@@ -366,7 +377,7 @@ def evaluate(args: argparse.Namespace) -> None:
         "evaluate",
         [args.generated, args.dataset],
         args.config,
-        counts={"scored": report.n},
+        counts={"scored": report.n, "gold": n_gold, "missing": len(missing), "missing_ids": sorted(missing)},
     )
     print(render_report_table(report, args.label), end="")
 

@@ -1,11 +1,15 @@
 """Client for a remote text-generation HTTP endpoint.
 
 The endpoint contract: POST a JSON object {"prompt", "max_new_tokens",
-"temperature", "stop"} and receive {"text": "..."} back. The client runs a
-bounded worker pool, each worker holding one keep-alive connection for every
-request and retry it handles, retries transient failures with exponential
-backoff, and appends each completed row to the output file as it lands so an
-interrupted run can resume without re-requesting finished samples.
+"temperature", "stop"} and receive {"text": "..."} back. The client runs up
+to `max_parallel` worker threads, which take the pending requests one at a
+time from a shared queue. Each worker holds one keep-alive connection for
+every request and retry it handles, retries transient failures with
+exponential backoff, and appends each completed row to the output file as it
+lands, so an interrupted run can resume without re-requesting finished
+samples. An interrupt (Ctrl-C) stops the workers from taking another request
+or starting another retry; the requests in flight finish and keep their rows
+before it propagates.
 
 Completed output files are canonical: rows sorted by sample_id, stable JSON
 encoding. Re-running against a complete file performs no requests and leaves
@@ -184,19 +188,22 @@ def _call_with_retries(
     transport: _Transport,
     request: GenerationRequest,
     policy: ClientPolicy,
-) -> GenerationResult:
+    stop: threading.Event,
+) -> GenerationResult | None:
+    """The request's result, or None when `stop` is set before a retry."""
     body = _encode(request)
     delay = policy.backoff_seconds
     last_reason = "unknown"
     for attempt in range(1, policy.max_attempts + 1):
+        if attempt > 1:
+            if stop.wait(max(delay, 0.0)):
+                return None
+            delay *= policy.backoff_multiplier
         started = time.monotonic()
         try:
             text = _call_once(transport, body)
         except _Transient as exc:
             last_reason = str(exc)
-            if attempt < policy.max_attempts and delay > 0:
-                time.sleep(delay)
-                delay *= policy.backoff_multiplier
             continue
         latency_ms = (time.monotonic() - started) * 1000.0
         return GenerationResult(request.sample_id, text, latency_ms, attempt)
@@ -246,33 +253,70 @@ def generate_batch(
 
     failures: list[tuple[str, str]] = []
     if pending:
-        from concurrent.futures import ThreadPoolExecutor, as_completed  # only a batch with work needs it
-
+        # Each worker takes the next request and records its outcome under one
+        # lock. If this thread is interrupted, no worker takes another request
+        # or starts another retry; the requests in flight finish and keep their
+        # rows before the interrupt propagates.
         append_handle = open(out_file, "a", encoding="utf-8") if out_file is not None else None
         transport = _Transport(endpoint, policy.timeout_seconds, headers)
-        try:
-            with ThreadPoolExecutor(max_workers=policy.max_parallel) as pool:
-                futures = {
-                    pool.submit(_call_with_retries, transport, request, policy): request
-                    for request in pending
-                }
-                for future in as_completed(futures):
-                    request = futures[future]
+        lock = threading.Lock()
+        queue = iter(pending)
+        stop = threading.Event()
+        errors: list[Exception] = []  # unexpected ones, raised here once the workers stop
+
+        def work(done: threading.Event) -> None:
+            try:
+                while True:
+                    with lock:
+                        request = None if stop.is_set() else next(queue, None)
+                    if request is None:
+                        return
                     try:
-                        result = future.result()
+                        result = _call_with_retries(transport, request, policy, stop)
                     except (_Transient, _Fatal) as exc:
-                        failures.append((request.sample_id, str(exc)))
+                        with lock:
+                            failures.append((request.sample_id, str(exc)))
                         continue
-                    results.append(result)
-                    if append_handle is not None:
-                        append_handle.write(
-                            dump_row({"sample_id": result.sample_id, "text": result.text}) + "\n"
-                        )
-                        append_handle.flush()
+                    if result is None:
+                        return
+                    with lock:
+                        results.append(result)
+                        # closed only once a second interrupt cut the wait for this worker
+                        if append_handle is not None and not append_handle.closed:
+                            append_handle.write(
+                                dump_row({"sample_id": result.sample_id, "text": result.text}) + "\n"
+                            )
+                            append_handle.flush()
+            except Exception as exc:
+                errors.append(exc)
+                stop.set()
+            finally:
+                done.set()
+
+        # Each worker sets its own event when it ends, since a Thread.join cut
+        # short by Ctrl-C can mark a thread that is still running as stopped
+        # (CPython 3.11's does). Daemon threads, so a second interrupt need not
+        # wait for a slow server.
+        ended: list[threading.Event] = []
+        try:
+            for _ in range(min(policy.max_parallel, len(pending))):
+                done = threading.Event()
+                threading.Thread(target=work, args=(done,), daemon=True).start()
+                ended.append(done)
+            for done in ended:
+                done.wait()
+        except BaseException:
+            stop.set()
+            for done in ended:
+                done.wait()
+            raise
         finally:
+            with lock:
+                if append_handle is not None:
+                    append_handle.close()
             transport.close()
-            if append_handle is not None:
-                append_handle.close()
+        if errors:
+            raise errors[0]
 
     results.sort(key=lambda r: r.sample_id)
     if failures:

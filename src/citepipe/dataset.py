@@ -14,11 +14,11 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from . import __version__
 from .config import DEFAULTS
-from .jsonl import all_text, dump_row, encoded_by_identity, json_digest, read_jsonl, write_text
+from .jsonl import all_text, dump_row, encoded_by_identity, iter_rows, json_digest, write_text
 
 if TYPE_CHECKING:
     from .corpus import BodySection, PaperRecord
@@ -392,8 +392,14 @@ def write_dataset(samples: list[CitationSample], path: str | Path) -> dict:
     }
 
 
-def read_dataset(path: str | Path) -> list[CitationSample]:
-    """Read a dataset file back; a corrupt line fails with its line number.
-    Samples share one TargetPaper per distinct target, so treat them as read-only."""
+def iter_dataset(path: str | Path) -> Iterator[CitationSample]:
+    """The samples of a dataset file, one at a time as it is read; a corrupt
+    line fails with its line number when it is reached. Samples share one
+    TargetPaper per distinct target, so treat them as read-only."""
     papers: dict = {}
-    return read_jsonl(path, lambda row: sample_from_dict(row, papers), DatasetReadError)
+    return iter_rows(path, lambda row: sample_from_dict(row, papers), DatasetReadError)
+
+
+def read_dataset(path: str | Path) -> list[CitationSample]:
+    """Every sample of `iter_dataset`, for callers that need them all at once."""
+    return list(iter_dataset(path))

@@ -1,6 +1,7 @@
 """How every artifact goes on disk and comes back: one atomic writer, one
 canonical row encoding (with a per-write cache for objects shared between
-rows), one strict line reader, and file and JSON digests.
+rows), one strict line reader (lazy, or listed whole), and file and JSON
+digests.
 """
 
 from __future__ import annotations
@@ -21,18 +22,25 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
+def iter_rows(
+    path: str | Path, parse: Callable[[Any], Any] = lambda row: row, error=ValueError
+) -> Iterator:
+    """Each row of a JSONL file through `parse`, one at a time as the file is
+    read. Bad JSON, or a ValueError, KeyError or TypeError from `parse`,
+    raises `error` naming the line once the reader gets there."""
+    for lineno, line in iter_jsonl(path):
+        try:
+            row = parse(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise error(f"{path}: line {lineno}: {exc}") from exc
+        yield row
+
+
 def read_jsonl(
     path: str | Path, parse: Callable[[Any], Any] = lambda row: row, error=ValueError
 ) -> list:
-    """Each row of a JSONL file through `parse`. Bad JSON, or a ValueError,
-    KeyError or TypeError from `parse`, raises `error` naming the line."""
-    out = []
-    for lineno, line in iter_jsonl(path):
-        try:
-            out.append(parse(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise error(f"{path}: line {lineno}: {exc}") from exc
-    return out
+    """Every row of `iter_rows`, so a bad line fails before any row is used."""
+    return list(iter_rows(path, parse, error))
 
 
 def read_prompt_file(path: str | Path) -> list[dict]:

@@ -14,10 +14,10 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .dataset import CitationSample, sample_encoder, sample_from_dict, sample_to_dict
-from .jsonl import all_text, dump_row, encoded_by_identity, iter_jsonl, read_jsonl, write_text
+from .jsonl import all_text, dump_row, encoded_by_identity, iter_jsonl, iter_rows, write_text
 
 SECTIONS = ("abstract", "introduction", "conclusion")
 
@@ -174,27 +174,32 @@ class AttachStats:
 
 
 def attach_triplets(
-    samples: list[CitationSample],
+    samples: Iterable[CitationSample],
     store: TripletStore,
     stats: AttachStats | None = None,
-) -> list[EnrichedSample]:
-    """Join triplets onto samples without changing sample count or order.
+) -> Iterator[EnrichedSample]:
+    """Join triplets onto samples without changing sample count or order,
+    yielding each enriched sample as its sample arrives.
 
     The source paper contributes its abstract-section triplets; each target
     contributes abstract, introduction, and conclusion sections. Samples
     whose targets have no triplets at all are flagged, not dropped. Papers
-    in the store never referenced by any sample count as orphans.
+    in the store never referenced by any sample count as orphans, which
+    `stats` holds once the samples are exhausted.
     """
     if stats is None:
         stats = AttachStats()
 
     referenced: set[str] = set()
-    enriched: list[EnrichedSample] = []
+    # a source paper without a block gets one empty set, shared by its samples,
+    # since a writer keeps each block it encodes and one per row would pile up
+    no_block: dict[str, TripletSet] = {}
     for sample in samples:
-        referenced.add(sample.source_paper_id)
-        source_set = store.get(sample.source_paper_id, "abstract")
+        source_id = sample.source_paper_id
+        referenced.add(source_id)
+        source_set = store.get(source_id, "abstract")
         if source_set is None:
-            source_set = TripletSet(sample.source_paper_id, "abstract")
+            source_set = no_block.setdefault(source_id, TripletSet(source_id, "abstract"))
 
         per_target: list[TargetTriplets] = []
         for target in sample.targets:
@@ -211,11 +216,10 @@ def attach_triplets(
         missing = not any(t.has_any() for t in per_target)
         if missing:
             stats.samples_without_target_triplets += 1
-        enriched.append(EnrichedSample(sample, source_set, per_target, missing))
         stats.samples_enriched += 1
+        yield EnrichedSample(sample, source_set, per_target, missing)
 
     stats.orphan_papers = len({pid for pid, _ in store.blocks} - referenced)
-    return enriched
 
 
 def render_triplets(tset: TripletSet | None, budget: int | None = None) -> str:
@@ -326,7 +330,7 @@ def enriched_from_dict(row: dict, papers: dict | None = None, blocks: dict | Non
     )
 
 
-def write_enriched(samples: list[EnrichedSample], path: str | Path) -> int:
+def write_enriched(samples: Iterable[EnrichedSample], path: str | Path) -> int:
     """Write `dump_row(enriched_to_dict(es))` per sample, encoding each
     distinct sample, target and triplet block object once."""
     encode_sample = sample_encoder()
@@ -353,9 +357,16 @@ def write_enriched(samples: list[EnrichedSample], path: str | Path) -> int:
     return write_text(path, (row(es) for es in samples))
 
 
-def read_enriched(path: str | Path) -> list[EnrichedSample]:
-    """Read an enriched file back. Samples share one TargetPaper per distinct
-    target and one TripletSet per distinct block, so treat them as read-only."""
+def iter_enriched(path: str | Path) -> Iterator[EnrichedSample]:
+    """The samples of an enriched file, one at a time as it is read; a corrupt
+    line fails with its line number when it is reached. Samples share one
+    TargetPaper per distinct target and one TripletSet per distinct block, so
+    treat them as read-only."""
     papers: dict = {}
     blocks: dict = {}
-    return read_jsonl(path, lambda row: enriched_from_dict(row, papers, blocks))
+    return iter_rows(path, lambda row: enriched_from_dict(row, papers, blocks))
+
+
+def read_enriched(path: str | Path) -> list[EnrichedSample]:
+    """Every sample of `iter_enriched`, for callers that need them all at once."""
+    return list(iter_enriched(path))

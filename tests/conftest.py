@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -145,19 +146,18 @@ class _MockHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         state: MockEndpoint = self.server.state
+        arrived = time.monotonic()
         with state.lock:
             state.active += 1
             state.max_active = max(state.max_active, state.active)
         try:
             if state.delay_seconds:
-                import time
-
                 time.sleep(state.delay_seconds)
             length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length))
             with state.lock:
                 state.requests.append(
-                    {"payload": payload, "auth": self.headers.get("Authorization")}
+                    {"payload": payload, "auth": self.headers.get("Authorization"), "arrived": arrived}
                 )
                 if state.status_override is not None:
                     mode = ("status", state.status_override)

@@ -6,8 +6,11 @@ streams can be asserted directly.
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -341,6 +344,20 @@ class TestKgMerge:
         assert code == 1
         assert "no triplet file given" in err
 
+    def test_corrupt_last_line_keeps_the_previous_file(self, dataset, triplets_file, tmp_path, capsys):
+        # the dataset streams into the write, so the bad line is met mid-write
+        out_path = tmp_path / "out" / "enriched.jsonl"
+        out_path.parent.mkdir()
+        argv = ["kg-merge", "--dataset", str(dataset), "--triplets", str(triplets_file), "--out", str(out_path)]
+        assert run(capsys, *argv)[0] == 0
+        before = {p.name: p.read_bytes() for p in out_path.parent.iterdir()}
+        with open(dataset, "a", encoding="utf-8") as fh:
+            fh.write('{"sample_id": "torn"\n')
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"{dataset}: line 4: " in err
+        assert {p.name: p.read_bytes() for p in out_path.parent.iterdir()} == before
+
 
 class TestPrompts:
     def test_baseline_prompts(self, dataset, tmp_path, capsys):
@@ -511,6 +528,24 @@ class TestGenerateEvaluate:
         )
         assert code == 1
         assert "need sample_id and prompt" in err
+        assert f"{bad}: line 1: " in err
+
+    def test_evaluate_scores_a_partial_generation_and_counts_the_rest(self, dataset, tmp_path, capsys):
+        samples = read_dataset(dataset)
+        generated = tmp_path / "generated.jsonl"
+        generated.write_text(dump_row({"sample_id": samples[1].sample_id, "text": "a guess"}) + "\n")
+        report_file = tmp_path / "report.json"
+        code, _, err = run(
+            capsys, "evaluate", "--generated", str(generated), "--dataset", str(dataset),
+            "--out", str(report_file),
+        )
+        assert (code, err) == (0, "")
+        per_sample = json.loads(report_file.read_text())["per_sample"]
+        assert [row["sample_id"] for row in per_sample] == [samples[1].sample_id]
+        missing = sorted(s.sample_id for s in samples if s is not samples[1])
+        assert read_run_manifest(report_file)["counts"] == {
+            "gold": 3, "missing": 2, "missing_ids": missing, "scored": 1,
+        }
 
     def test_evaluate_rejects_unknown_ids(self, dataset, tmp_path, capsys):
         generated = tmp_path / "generated.jsonl"
@@ -633,12 +668,16 @@ def chain(hand_corpus, triplets_file, tmp_path, capsys, mock_endpoint):
 def test_each_command_imports_only_its_layers(chain, command):
     probe = (
         "import sys, citepipe.cli; code = citepipe.cli.main(sys.argv[1:]); "
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'citepipe')); sys.exit(code)"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'citepipe')); "
+        "print('concurrent.futures' in sys.modules); sys.exit(code)"
     )
+    if command == "generate":  # no row to reuse, so the workers start and send every request
+        argv = chain[command]
+        Path(argv[argv.index("--out") + 1]).unlink()
     done = fresh("-c", probe, *chain[command])
     assert done.returncode == 0, done.stderr
     want = sorted(CLI_MODULES + [f"citepipe.{layer}" for layer in COMMAND_LAYERS[command]])
-    assert done.stdout.splitlines()[-1] == repr(want)
+    assert done.stdout.splitlines()[-2:] == [repr(want), "False"]
 
 
 # prints the loaded modules that are neither the standard library's nor citepipe's
@@ -752,6 +791,127 @@ def test_the_chain_runs_as_python_m(chain, tmp_path):
     )
     assert done.returncode == 1, done.stderr
     assert "cannot fit a 20-token budget" in done.stderr
+
+
+def test_an_interrupt_keeps_every_answered_row(tmp_path, mock_endpoint):
+    ids = [f"s{i:02d}" for i in range(40)]
+    prompts = tmp_path / "prompts.jsonl"
+    prompts.write_text("".join(dump_row({"sample_id": i, "prompt": f"prompt for {i}"}) + "\n" for i in ids))
+    generated = tmp_path / "generated.jsonl"
+    max_parallel = 2
+    argv = ["-m", "citepipe.cli", "generate", "--prompts", str(prompts), "--out", str(generated),
+            "--endpoint", mock_endpoint.url, "--max-parallel", str(max_parallel), "--backoff-seconds", "0"]
+    env = {**os.environ, "PYTHONPATH": str(Path(citepipe.__file__).parents[1])}
+    env.pop(AUTH_TOKEN_ENV, None)
+
+    def sent() -> list[tuple[str, float]]:
+        with mock_endpoint.lock:
+            return [(e["payload"]["prompt"].removeprefix("prompt for "), e["arrived"]) for e in mock_endpoint.requests]
+
+    def kept() -> set[str]:
+        return {json.loads(line)["sample_id"] for line in generated.read_text(encoding="utf-8").splitlines()}
+
+    mock_endpoint.delay_seconds = 0.05
+    proc = subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not (generated.exists() and len(kept()) >= 4):
+            assert proc.poll() is None and time.monotonic() < deadline, proc.communicate()
+            time.sleep(0.005)
+        signalled = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == -signal.SIGINT, (out, err)
+    # one traceback, the main thread's; none from a worker
+    assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt"), err
+    answered = sent()
+    assert {sample_id for sample_id, _ in answered} == kept()
+    assert len(kept()) < len(ids)
+    assert sum(arrived > signalled for _, arrived in answered) <= max_parallel
+
+    missing = set(ids) - kept()
+    mock_endpoint.delay_seconds = 0.0
+    mock_endpoint.requests.clear()
+    done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert sorted(sample_id for sample_id, _ in sent()) == sorted(missing)
+    assert kept() == set(ids)
+
+
+class TestMemoryFollowsPapersNotRows:
+    """The streaming commands hold the triplet store and one object per
+    distinct paper and triplet block, so four times the samples over the same
+    papers must not cost four times the memory."""
+
+    N = 150
+    SOURCES = [f"src{k}" for k in range(3)]
+    TARGETS = [TargetPaper(f"tgt{k}", f"Title {k}", f"target {k} abstract " * 60, f"intro {k} " * 40)
+               for k in range(4)]
+
+    def write_inputs(self, base: Path, n: int) -> dict[str, Path]:
+        base.mkdir()
+        samples = [
+            CitationSample(
+                sample_id=f"{self.SOURCES[i % 3]}:0:{i:05d}",
+                source_paper_id=self.SOURCES[i % 3],
+                source_abstract=f"source abstract of {self.SOURCES[i % 3]} " * 30,
+                targets=[self.TARGETS[i % 4], self.TARGETS[(i + 1) % 4]],
+                citation_text=f"passage {i} cites both papers and compares them at length. " * 5,
+                section_name="Introduction",
+            )
+            for i in range(n)
+        ]
+        write_dataset(samples, base / "dataset.jsonl")
+        # blocks for the targets only, so each source paper gets the empty set
+        blocks = [{"paper_id": t.paper_id, "section": "abstract",
+                   "triplets": [{"head": f"method {t.paper_id}", "relation": "Used-For", "tail": "task"}]}
+                  for t in self.TARGETS]
+        (base / "triplets.jsonl").write_text("".join(dump_row(b) + "\n" for b in blocks))
+        # the same generations at every size: the dataset grows, the scored set does not
+        (base / "generated.jsonl").write_text(
+            "".join(dump_row({"sample_id": s.sample_id, "text": f"generated text {k}"}) + "\n"
+                    for k, s in enumerate(samples[: self.N]))
+        )
+        paths = {name: base / f"{name}.jsonl" for name in ("dataset", "triplets", "generated", "enriched", "prompts")}
+        return {**paths, "report": base / "report.json"}
+
+    def argv(self, command: str, paths: dict[str, Path]) -> list[str]:
+        return {
+            "kg-merge": ["kg-merge", "--dataset", str(paths["dataset"]), "--triplets", str(paths["triplets"]),
+                         "--out", str(paths["enriched"])],
+            "prompts": ["prompts", "--mode", "kg", "--enriched", str(paths["enriched"]),
+                        "--out", str(paths["prompts"])],
+            "evaluate": ["evaluate", "--generated", str(paths["generated"]), "--dataset", str(paths["dataset"]),
+                         "--out", str(paths["report"])],
+        }[command]
+
+    def peak(self, capsys, argv: list[str]) -> int:
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr()
+        capsys.readouterr()
+        return peak
+
+    @pytest.mark.parametrize("command", ["kg-merge", "prompts", "evaluate"])
+    def test_peak_memory_follows_papers_not_rows(self, command, tmp_path, capsys):
+        small = self.write_inputs(tmp_path / "small", self.N)
+        large = self.write_inputs(tmp_path / "large", 4 * self.N)
+        for paths in (small, large):  # each command's input, and a warm-up run of each
+            for step in ("kg-merge", "prompts", "evaluate"):
+                assert main(self.argv(step, paths)) == 0
+        capsys.readouterr()
+        small_peak = self.peak(capsys, self.argv(command, small))
+        large_peak = self.peak(capsys, self.argv(command, large))
+        assert large_peak < 1.5 * small_peak, (small_peak, large_peak)
 
 
 class TestNumericsCommands:

@@ -12,11 +12,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import citepipe.client
 from citepipe.client import (
     ClientPolicy,
     EndpointError,
     GenerationRequest,
     GenerationResult,
+    _call_with_retries,
+    _Transport,
     generate_batch,
     request_summary,
 )
@@ -353,6 +356,58 @@ class TestKeepAlive:
             opened.clear()
             gc.collect()
         assert [u.exc_value for u in unraisable] == []
+
+
+class TestWorkers:
+    def test_many_workers_take_each_request_once(self, keepalive_endpoint, tmp_path):
+        # more workers than cores and a short switch interval, so a lost update
+        # on the shared queue or the result list would show
+        out = tmp_path / "gen.jsonl"
+        batch = [req(f"s{i:03d}") for i in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = generate_batch(batch, keepalive_endpoint.url, ClientPolicy(max_parallel=8), out_path=out)
+        finally:
+            sys.setswitchinterval(interval)
+        assert keepalive_endpoint.requests == 200
+        assert [(r.sample_id, r.attempt) for r in results] == [(r.sample_id, 1) for r in batch]
+        assert [row_id(line) for line in out.read_text().splitlines()] == [r.sample_id for r in batch]
+
+    def test_an_unexpected_worker_error_stops_the_batch_and_is_raised(
+        self, keepalive_endpoint, tmp_path, monkeypatch
+    ):
+        real_dump_row = citepipe.client.dump_row
+
+        def dump_row(obj):
+            if obj.get("sample_id") == "s05":
+                raise OSError("disk full")
+            return real_dump_row(obj)
+
+        monkeypatch.setattr(citepipe.client, "dump_row", dump_row)
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        batch = [req(f"s{i:02d}") for i in range(20)]
+        with pytest.raises(OSError, match="disk full"):
+            generate_batch(batch, keepalive_endpoint.url, ClientPolicy(max_parallel=2), out_path=tmp_path / "g.jsonl")
+        assert uncaught == []
+        assert keepalive_endpoint.requests < 20
+
+    def test_stop_cuts_a_backoff_short_and_starts_no_retry(self, mock_endpoint):
+        mock_endpoint.fail_remaining = 99
+        stop = threading.Event()
+        timer = threading.Timer(0.1, stop.set)
+        transport = _Transport(mock_endpoint.url, 5.0, {})
+        started = time.monotonic()
+        timer.start()
+        try:
+            result = _call_with_retries(transport, req("a"), ClientPolicy(max_attempts=3, backoff_seconds=30.0), stop)
+        finally:
+            timer.join(timeout=5)
+            transport.close()
+        assert result is None
+        assert time.monotonic() - started < 5
+        assert len(mock_endpoint.requests) == 1
 
 
 class TestRequestSummary:

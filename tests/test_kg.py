@@ -171,7 +171,7 @@ class TestAttach:
         store = load_triplets(path)
         samples = [sample("s1:0:0"), sample("s1:0:5", target_ids=("t3", "t4"))]
         stats = AttachStats()
-        enriched = attach_triplets(samples, store, stats)
+        enriched = list(attach_triplets(samples, store, stats))
 
         assert [e.sample.sample_id for e in enriched] == ["s1:0:0", "s1:0:5"]
         first = enriched[0]
@@ -191,7 +191,7 @@ class TestAttach:
         assert stats.orphan_papers == 1
 
     def test_source_without_block_gets_empty_set(self):
-        enriched = attach_triplets([sample()], TripletStore())
+        enriched = list(attach_triplets([sample()], TripletStore()))
         assert len(enriched[0].source_triplets) == 0
         assert enriched[0].source_triplets.paper_id == "s1"
 
@@ -241,7 +241,7 @@ class TestEnrichedFiles:
             ],
         )
         store = load_triplets(store_path)
-        enriched = attach_triplets([sample()], store)
+        enriched = list(attach_triplets([sample()], store))
         out = tmp_path / "enriched.jsonl"
         assert write_enriched(enriched, out) == 1
         back = read_enriched(out)
@@ -252,7 +252,7 @@ class TestEnrichedFiles:
         assert back[0].missing_target_triplets == enriched[0].missing_target_triplets
 
     def test_dict_round_trip_exact(self):
-        es = attach_triplets([sample()], TripletStore())[0]
+        es = list(attach_triplets([sample()], TripletStore()))[0]
         again = enriched_from_dict(enriched_to_dict(es))
         assert enriched_to_dict(again) == enriched_to_dict(es)
 
