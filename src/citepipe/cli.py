@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import config_from_dict, load_config, write_run_manifest
-from .jsonl import read_generations, read_jsonl, write_json
+from .jsonl import iter_rows, read_generations, write_json
 # no command calls it now, but code that wraps this module's names before a
 # command runs, like the benchmark's tracer, still expects to find it here
 from .jsonl import read_prompt_file  # noqa: F401
@@ -328,7 +328,7 @@ def generate(args: argparse.Namespace) -> None:
             temperature=args.temperature,
         )
 
-    batch = read_jsonl(args.prompts, request)  # each request built as its line is read
+    batch = iter_rows(args.prompts, request)  # each request built as its line is read
     results = generate_batch(
         batch,
         args.url,

@@ -25,6 +25,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 from urllib.parse import urlsplit
 
 from .config import DEFAULTS
@@ -220,7 +221,7 @@ def _write_canonical(path: Path, texts: dict[str, str]) -> None:
 
 
 def generate_batch(
-    batch: list[GenerationRequest],
+    batch: Iterable[GenerationRequest],
     endpoint: str,
     policy: ClientPolicy | None = None,
     out_path: str | Path | None = None,
@@ -228,28 +229,28 @@ def generate_batch(
 ) -> list[GenerationResult]:
     """Run the batch against `endpoint`, returning results sorted by sample_id.
 
+    `batch` may be a generator; it is read once, before any request is sent.
     With out_path set, rows already present in the file are returned without
     any request and new rows are appended as they complete, so killing and
     re-running converges. If any request exhausts its attempts the completed
     rows are still persisted and EndpointError carries the failures.
     """
     policy = policy or ClientPolicy()
+    headers = {"Authorization": f"Bearer {auth_token}"} if auth_token else {}
+    out_file = Path(out_path) if out_path is not None else None
+    texts = read_generations(out_file) if out_file is not None and out_file.exists() else {}
+
     seen_ids: set[str] = set()
+    results: list[GenerationResult] = []  # reused rows keep their text, not their prompt
+    pending: list[GenerationRequest] = []
     for request in batch:
         if request.sample_id in seen_ids:
             raise ValueError(f"duplicate sample_id in batch: {request.sample_id}")
         seen_ids.add(request.sample_id)
-
-    headers = {"Authorization": f"Bearer {auth_token}"} if auth_token else {}
-    out_file = Path(out_path) if out_path is not None else None
-    existing = read_generations(out_file) if out_file is not None and out_file.exists() else {}
-
-    results: list[GenerationResult] = [
-        GenerationResult(request.sample_id, existing[request.sample_id])
-        for request in batch
-        if request.sample_id in existing
-    ]
-    pending = [request for request in batch if request.sample_id not in existing]
+        if request.sample_id in texts:
+            results.append(GenerationResult(request.sample_id, texts[request.sample_id]))
+        else:
+            pending.append(request)
 
     failures: list[tuple[str, str]] = []
     if pending:
@@ -323,9 +324,8 @@ def generate_batch(
         failures.sort(key=lambda f: f[0])
         raise EndpointError(failures, results)
     if out_file is not None:
-        merged = dict(existing)
-        merged.update({r.sample_id: r.text for r in results})
-        _write_canonical(out_file, merged)
+        texts.update((r.sample_id, r.text) for r in results)
+        _write_canonical(out_file, texts)
     return results
 
 

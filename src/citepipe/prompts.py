@@ -15,13 +15,15 @@ least important content first:
   6. the source abstract, tail-trimmed but never below 200 estimated tokens
 
 If the ladder runs out the sample does not fit and BudgetExhausted names it.
+The block order and each target section's two rungs are stated once, in
+`_SECTIONS`; the README's "Prompt files" table shows the same layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .config import DEFAULTS
 from .dataset import CitationSample
@@ -29,8 +31,6 @@ from .jsonl import encoded_by_identity, write_jsonl
 from .jsonl import read_prompt_file  # noqa: F401  (still importable from here)
 from .kg import EnrichedSample, TripletSet, pooled_triplets, render_triplets
 
-DEFAULT_MAX_TOKENS = DEFAULTS["budget"]["max_tokens"]
-DEFAULT_RESERVE = DEFAULTS["budget"]["reserve_for_response"]
 SOURCE_ABSTRACT_FLOOR_TOKENS = 200
 RESPONSE_MARKER = "### Response:"
 
@@ -53,8 +53,8 @@ def default_estimator(text: str) -> int:
 
 @dataclass(frozen=True)
 class TokenBudget:
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    reserve_for_response: int = DEFAULT_RESERVE
+    max_tokens: int = DEFAULTS["budget"]["max_tokens"]
+    reserve_for_response: int = DEFAULTS["budget"]["reserve_for_response"]
 
     def __post_init__(self):
         if self.max_tokens < 1:
@@ -217,37 +217,62 @@ def _fit(
     raise BudgetExhausted(sample_id, budget.max_tokens)
 
 
-def _abstract_blocks(
+# One row per target section: (section, rung of its text, rung of its relation
+# block), in block order. README "Prompt files" shows the same table.
+_SECTIONS = (("abstract", 5, 0), ("introduction", 4, 2), ("conclusion", 3, 1))
+
+
+def _blocks(
     sample: CitationSample,
     include_introductions: bool,
     include_conclusions: bool,
-) -> tuple[_Block, list[list[_Block]]]:
-    source = _Block("source_abstract", "Source abstract:", sample.source_abstract, rung=6)
-    per_target: list[list[_Block]] = []
+    enriched: EnrichedSample | None = None,
+    render_block: Callable[[TripletSet | None], str] | None = None,
+    headers: bool = True,
+    pooled: bool = False,
+    triplet_budget: int | None = None,
+) -> Iterator[_Block]:
+    """The prompt's blocks in order: the source abstract, then per target its
+    section texts. Given `enriched`, the source's relations follow its
+    abstract and each target's relation blocks follow its texts, one per
+    section or, when `pooled`, one for all its sections."""
+    shown = {"introduction": include_introductions, "conclusion": include_conclusions}
+    yield _Block("source_abstract", "Source abstract:", sample.source_abstract, rung=6)
+    if enriched is not None:
+        relations = render_block(enriched.source_triplets)
+        yield _Block("source_kg_abstract", "Source abstract relations:", relations, 0, headers)
     for k, target in enumerate(sample.targets, start=1):
-        group = [
-            _Block(f"target_abstract[{k}]", f"Target paper {k} abstract:", target.abstract, rung=5)
-        ]
-        if include_introductions and target.introduction:
-            group.append(
-                _Block(
-                    f"target_introduction[{k}]",
-                    f"Target paper {k} introduction:",
-                    target.introduction,
-                    rung=4,
-                )
-            )
-        if include_conclusions and target.conclusion:
-            group.append(
-                _Block(
-                    f"target_conclusion[{k}]",
-                    f"Target paper {k} conclusion:",
-                    target.conclusion,
-                    rung=3,
-                )
-            )
-        per_target.append(group)
-    return source, per_target
+        for section, rung, _ in _SECTIONS:
+            text = getattr(target, section)
+            # an abstract always has its block; a body section only when shown and present
+            if section == "abstract" or (shown[section] and text):
+                yield _Block(f"target_{section}[{k}]", f"Target paper {k} {section}:", text, rung)
+        if enriched is None:
+            continue
+        triplets = enriched.target_triplets[k - 1]
+        if pooled:  # the pooled set is new per sample, so its rendering is not cached
+            relations = render_triplets(pooled_triplets(triplets), triplet_budget)
+            yield _Block(f"target_kg[{k}]", f"Target paper {k} relations:", relations, 2, headers)
+            continue
+        for section, _, rung in _SECTIONS:
+            relations = render_block(getattr(triplets, section))
+            label = f"Target paper {k} {section} relations:"
+            yield _Block(f"target_kg_{section}[{k}]", label, relations, rung, headers)
+
+
+def _instance(
+    template: PromptTemplate, sample: CitationSample, blocks: Iterable[_Block], budget: TokenBudget | None
+) -> PromptInstance:
+    """Fit `blocks` to `budget` (the default budget when None) under `template`."""
+    text, truncations = _fit(template.instruction, list(blocks), budget or TokenBudget(), sample.sample_id)
+    return PromptInstance(
+        sample_id=sample.sample_id,
+        template_name=template.name,
+        text=text,
+        token_estimate=default_estimator(text),
+        truncations=truncations,
+        gold_response=sample.citation_text,
+    )
 
 
 def render_baseline(
@@ -257,20 +282,8 @@ def render_baseline(
     include_conclusions: bool = False,
 ) -> PromptInstance:
     """Compose the plain prompt: source abstract plus target abstracts."""
-    budget = budget or TokenBudget()
-    source, per_target = _abstract_blocks(sample, include_introductions, include_conclusions)
-    blocks = [source]
-    for group in per_target:
-        blocks.extend(group)
-    text, truncations = _fit(BASELINE_TEMPLATE.instruction, blocks, budget, sample.sample_id)
-    return PromptInstance(
-        sample_id=sample.sample_id,
-        template_name=BASELINE_TEMPLATE.name,
-        text=text,
-        token_estimate=default_estimator(text),
-        truncations=truncations,
-        gold_response=sample.citation_text,
-    )
+    blocks = _blocks(sample, include_introductions, include_conclusions)
+    return _instance(BASELINE_TEMPLATE, sample, blocks, budget)
 
 
 def triplet_renderer(triplet_budget: int | None = None) -> Callable[[TripletSet | None], str]:
@@ -291,80 +304,27 @@ def render_kg(
 ) -> PromptInstance:
     """Compose the relation-augmented prompt.
 
-    Per-section relation blocks follow each abstract; pooled=True collapses a
-    target's sections into one block. triplet_budget keeps only the first k
-    triplets of each set. With triplet_budget=0 and headers off the output
-    text equals render_baseline's. Samples that share triplet blocks can
-    share one `render_block = triplet_renderer(triplet_budget)`, which then
-    renders each block once.
+    Per-section relation blocks follow each target's texts; pooled=True
+    collapses a target's sections into one block. triplet_budget keeps only
+    the first k triplets of each set. With triplet_budget=0 and headers off
+    the output text equals render_baseline's. Samples that share triplet
+    blocks can share one `render_block = triplet_renderer(triplet_budget)`,
+    which then renders each block once.
     """
-    budget = budget or TokenBudget()
     if render_block is None:
         render_block = triplet_renderer(triplet_budget)
     sample = enriched.sample
-    source, per_target = _abstract_blocks(sample, include_introductions, include_conclusions)
-
-    blocks: list[_Block] = [
-        source,
-        _Block(
-            "source_kg_abstract",
-            "Source abstract relations:",
-            render_block(enriched.source_triplets),
-            rung=0,
-            header_when_empty=include_empty_kg_headers,
-        ),
-    ]
-    for k, group in enumerate(per_target, start=1):
-        blocks.extend(group)
-        tt = enriched.target_triplets[k - 1]
-        if pooled:
-            blocks.append(
-                _Block(
-                    f"target_kg[{k}]",
-                    f"Target paper {k} relations:",
-                    render_triplets(pooled_triplets(tt), triplet_budget),
-                    rung=2,
-                    header_when_empty=include_empty_kg_headers,
-                )
-            )
-        else:
-            blocks.append(
-                _Block(
-                    f"target_kg_abstract[{k}]",
-                    f"Target paper {k} abstract relations:",
-                    render_block(tt.abstract),
-                    rung=0,
-                    header_when_empty=include_empty_kg_headers,
-                )
-            )
-            blocks.append(
-                _Block(
-                    f"target_kg_introduction[{k}]",
-                    f"Target paper {k} introduction relations:",
-                    render_block(tt.introduction),
-                    rung=2,
-                    header_when_empty=include_empty_kg_headers,
-                )
-            )
-            blocks.append(
-                _Block(
-                    f"target_kg_conclusion[{k}]",
-                    f"Target paper {k} conclusion relations:",
-                    render_block(tt.conclusion),
-                    rung=1,
-                    header_when_empty=include_empty_kg_headers,
-                )
-            )
-
-    text, truncations = _fit(KG_TEMPLATE.instruction, blocks, budget, sample.sample_id)
-    return PromptInstance(
-        sample_id=sample.sample_id,
-        template_name=KG_TEMPLATE.name,
-        text=text,
-        token_estimate=default_estimator(text),
-        truncations=truncations,
-        gold_response=sample.citation_text,
+    blocks = _blocks(
+        sample,
+        include_introductions,
+        include_conclusions,
+        enriched,
+        render_block,
+        headers=include_empty_kg_headers,
+        pooled=pooled,
+        triplet_budget=triplet_budget,
     )
+    return _instance(KG_TEMPLATE, sample, blocks, budget)
 
 
 def emit_finetune_file(

@@ -303,7 +303,7 @@ class TestConfig:
         calls = []
 
         def fake_generate_batch(batch, endpoint, policy, **kwargs):
-            calls.append((batch, endpoint, policy))
+            calls.append((list(batch), endpoint, policy))
             return []
 
         monkeypatch.setattr(citepipe.cli, "generate_batch", fake_generate_batch)

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -215,6 +216,41 @@ class TestResumableOutput:
         assert mock_endpoint.requests == []
         assert [r.attempt for r in results] == [0, 0, 0]
         assert [row_id(line) for line in out.read_text().splitlines()] == ["s1", "s2", "s3"]
+
+    def test_a_generator_batch_requests_each_missing_row_once(self, mock_endpoint, tmp_path):
+        out = tmp_path / "gen.jsonl"
+        written = {"s1", "s3", "s4"}
+        out.write_text("".join(dump_row({"sample_id": sid, "text": f"old {sid}"}) + "\n" for sid in sorted(written)))
+        reused = []
+
+        def batch():
+            for i in range(6):
+                request = req(f"s{i}")
+                if request.sample_id in written:
+                    reused.append(weakref.ref(request))
+                yield request
+
+        # while requests are in flight, the requests of reused rows are gone
+        held = []
+        mock_endpoint.responder = lambda payload: held.append(sum(r() is not None for r in reused)) or "new"
+        results = generate_batch(batch(), mock_endpoint.url, FAST, out_path=out)
+        assert sorted(mock_endpoint.prompts_seen()) == ["prompt for s0", "prompt for s2", "prompt for s5"]
+        assert held == [0, 0, 0]
+        assert [(r.sample_id, r.text, r.attempt) for r in results] == [
+            ("s0", "new", 1), ("s1", "old s1", 0), ("s2", "new", 1),
+            ("s3", "old s3", 0), ("s4", "old s4", 0), ("s5", "new", 1),
+        ]
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(row["sample_id"], row["text"]) for row in rows] == [(r.sample_id, r.text) for r in results]
+
+    def test_a_generator_with_a_duplicate_id_sends_nothing(self, mock_endpoint, tmp_path):
+        out = tmp_path / "gen.jsonl"
+        out.write_text(dump_row({"sample_id": "s1", "text": "old"}) + "\n")
+        batch = (req(sid) for sid in ["s0", "s1", "s2", "s0"])
+        with pytest.raises(ValueError, match="duplicate sample_id in batch: s0"):
+            generate_batch(batch, mock_endpoint.url, FAST, out_path=out)
+        assert mock_endpoint.requests == []
+        assert out.read_text() == dump_row({"sample_id": "s1", "text": "old"}) + "\n"
 
     def test_no_output_path_keeps_everything_in_memory(self, mock_endpoint, tmp_path):
         results = generate_batch([req("a")], mock_endpoint.url, FAST)

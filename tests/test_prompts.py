@@ -8,6 +8,7 @@ the prompt at every step and binary-searches each trim.
 """
 
 import copy
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -103,6 +104,46 @@ GOLDEN_KG = GOLDEN_BASELINE.replace(
 )
 
 
+def sectioned_enriched() -> EnrichedSample:
+    """tiny_enriched with body texts: target 1 has both, target 2 a conclusion only."""
+    enriched = tiny_enriched()
+    first, second = enriched.sample.targets
+    first.introduction, first.conclusion = "Intro one.", "Concl one."
+    second.conclusion = "Concl two."
+    return enriched
+
+
+GOLDEN_KG_WITH_BODY_TEXTS = GOLDEN_BASELINE.split("Source abstract: ")[0] + (
+    "Source abstract: Source abstract."
+    "\n\nSource abstract relations: (model | used-for | task)"
+    "\n\nTarget paper 1 abstract: First target."
+    "\n\nTarget paper 1 introduction: Intro one."
+    "\n\nTarget paper 1 conclusion: Concl one."
+    "\n\nTarget paper 1 abstract relations: (a | part-of | b); (c | feature-of | d)"
+    "\n\nTarget paper 1 introduction relations:"
+    "\n\nTarget paper 1 conclusion relations: (e | hyponym-of | f)"
+    "\n\nTarget paper 2 abstract: Second target."
+    "\n\nTarget paper 2 conclusion: Concl two."
+    "\n\nTarget paper 2 abstract relations:"
+    "\n\nTarget paper 2 introduction relations:"
+    "\n\nTarget paper 2 conclusion relations:"
+    "\n\n### Response:\n"
+)
+
+GOLDEN_POOLED_WITH_BODY_TEXTS = GOLDEN_BASELINE.split("Source abstract: ")[0] + (
+    "Source abstract: Source abstract."
+    "\n\nSource abstract relations: (model | used-for | task)"
+    "\n\nTarget paper 1 abstract: First target."
+    "\n\nTarget paper 1 introduction: Intro one."
+    "\n\nTarget paper 1 conclusion: Concl one."
+    "\n\nTarget paper 1 relations: (a | part-of | b); (c | feature-of | d); (e | hyponym-of | f)"
+    "\n\nTarget paper 2 abstract: Second target."
+    "\n\nTarget paper 2 conclusion: Concl two."
+    "\n\nTarget paper 2 relations:"
+    "\n\n### Response:\n"
+)
+
+
 class TestEstimator:
     @pytest.mark.parametrize(
         ("text", "want"),
@@ -194,6 +235,26 @@ class TestGoldenPrompts:
         ).text
         assert "Target paper 1 introduction: Intro text." in on
         assert "Target paper 1 conclusion: Concl text." in on
+
+    @pytest.mark.parametrize(
+        ("pooled", "want"),
+        [(False, GOLDEN_KG_WITH_BODY_TEXTS), (True, GOLDEN_POOLED_WITH_BODY_TEXTS)],
+        ids=["sectioned", "pooled"],
+    )
+    def test_each_target_has_its_texts_then_its_relations(self, pooled, want):
+        text = render_kg(
+            sectioned_enriched(), BIG, pooled=pooled, include_introductions=True, include_conclusions=True
+        ).text
+        assert text == want
+
+    def test_readme_layout_table_is_the_section_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Prompt files", 1)[1].split("| Section |", 1)[1].split("\n\n", 1)[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()[2:]]
+        assert rows[0] == ["source abstract", "6", "0"]
+        assert [(name.removeprefix("target "), int(text), int(kg)) for name, text, kg in rows[1:]] == list(
+            prompts._SECTIONS
+        )
 
 
 def ladder_enriched() -> EnrichedSample:
