@@ -4,8 +4,9 @@ Every stage is a subcommand reading and writing plain files, so stages can
 be re-run, inspected, and chained by hand. The configuration (`--config`
 over `config.DEFAULTS`) supplies the value of each flag it feeds when the
 flag is not given, so a flag wins over the file and the file over the
-built-in value. Exit codes: 0 success, 1 bad usage or bad input data, 2
-environment failures (unreadable files, endpoint errors).
+built-in value. Exit codes follow the error's type alone: 0 success, 1 bad
+usage or a ValueError (bad data), 2 an OSError (environment failures such as
+unreadable files or endpoint errors); each layer's errors subclass one of them.
 """
 
 from __future__ import annotations
@@ -79,13 +80,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind(layer)
     return globals()[name]
-
-
-def _loaded(layer: str, error: str) -> tuple[type, ...]:
-    """The error class `error` of `layer`, or none when the layer was never
-    imported, since then nothing can have raised it."""
-    module = sys.modules.get(f"{__package__}.{layer}")
-    return (getattr(module, error),) if module else ()
 
 
 AUTH_TOKEN_ENV = "CITEPIPE_API_TOKEN"
@@ -319,8 +313,8 @@ def generate(args: argparse.Namespace) -> None:
     )
 
     def request(row) -> GenerationRequest:
-        if not isinstance(row, dict) or "sample_id" not in row or "prompt" not in row:
-            raise ValueError("prompt rows need sample_id and prompt fields")
+        if not isinstance(row, dict) or not all(isinstance(row.get(k), str) for k in ("sample_id", "prompt")):
+            raise ValueError("prompt rows need sample_id and prompt fields, both strings")
         return GenerationRequest(
             sample_id=row["sample_id"],
             prompt=row["prompt"],
@@ -385,10 +379,12 @@ def evaluate(args: argparse.Namespace) -> None:
 def report(args: argparse.Namespace) -> None:
     """Re-render a stored evaluation report."""
     _bind("metrics")
-    with open(args.report, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    stored = report_from_dict(payload)
-    print(render_report_table(stored, args.label or payload.get("label", "corpus")), end="")
+    try:  # the file may hold any JSON, or none
+        payload = json.loads(Path(args.report).read_text(encoding="utf-8"))
+        table = render_report_table(report_from_dict(payload), args.label or payload.get("label", "corpus"))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{args.report}: not an evaluation report ({type(exc).__name__}: {exc})") from exc
+    print(table, end="")
 
 
 def quantile_map(args: argparse.Namespace) -> None:
@@ -577,17 +573,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except Exception as exc:
-        bad_input = (*_loaded("prompts", "BudgetExhausted"), ValueError)
-        environment = (*_loaded("dataset", "DatasetReadError"), *_loaded("client", "EndpointError"), OSError)
-        if isinstance(exc, bad_input):
-            code = 1
-        elif isinstance(exc, environment):
-            code = 2
-        else:
-            raise
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return 1 if isinstance(exc, ValueError) else 2
     return 0
 
 

@@ -65,7 +65,7 @@ class ClientPolicy:
             raise ValueError("max_attempts must be positive")
 
 
-class EndpointError(RuntimeError):
+class EndpointError(OSError):
     """Raised when any request fails after all attempts; successes are kept."""
 
     def __init__(self, failures: list[tuple[str, str]], results: list[GenerationResult]):
@@ -85,11 +85,7 @@ class _Fatal(Exception):
 
 
 class _Transport:
-    """One keep-alive connection per worker thread, opened on first use.
-
-    `close` shuts every connection the transport opened; call it once the
-    workers are done.
-    """
+    """One worker's keep-alive connection, opened on first use."""
 
     def __init__(self, endpoint: str, timeout: float, headers: dict[str, str]):
         # imported here: only `generate` sends requests, and http.client with
@@ -104,56 +100,42 @@ class _Transport:
         self._timeout = timeout
         self._headers = {"Content-Type": "application/json", **headers}
         self._errors = (OSError, HTTPException)
-        self._local = threading.local()
-        self._opened: list = []
-        self._lock = threading.Lock()
-
-    def _connection(self):
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            if self._factory is None:
-                raise _Transient(f"connection failed: unsupported URL scheme {self._scheme!r}")
-            try:
-                conn = self._factory(self._netloc, timeout=self._timeout)
-            except self._errors as exc:  # a malformed host or port
-                raise _Transient(f"connection failed: {exc}") from exc
-            with self._lock:
-                self._opened.append(conn)
-            self._local.conn = conn
-        return conn
-
-    def _drop(self) -> None:
-        self._local.conn.close()
-        self._local.conn = None
+        self._conn = None
 
     def post(self, body: bytes) -> tuple[int, bytes]:
         """Send one request and read the whole response body."""
         while True:
-            conn = self._connection()
+            if self._conn is None:
+                if self._factory is None:
+                    raise _Transient(f"connection failed: unsupported URL scheme {self._scheme!r}")
+                try:
+                    self._conn = self._factory(self._netloc, timeout=self._timeout)
+                except self._errors as exc:  # a malformed host or port
+                    raise _Transient(f"connection failed: {exc}") from exc
+            conn = self._conn
             idle = conn.sock is not None  # None: this request opens a new socket
             try:
                 conn.request("POST", self._target, body, self._headers)
                 response = conn.getresponse()
             except (ConnectionResetError, BrokenPipeError) as exc:  # incl. RemoteDisconnected
-                self._drop()
+                self.close()
                 if idle:  # the server closed the idle connection: one free reconnect
                     continue
                 raise _Transient(f"connection failed: {exc}") from exc
             except self._errors as exc:
-                self._drop()
+                self.close()
                 raise _Transient(f"connection failed: {exc}") from exc
             try:
                 return response.status, response.read()
             except self._errors as exc:
                 response.close()
-                self._drop()
+                self.close()
                 raise _Transient(f"connection failed: {exc}") from exc
 
     def close(self) -> None:
-        with self._lock:
-            for conn in self._opened:
-                conn.close()
-            self._opened.clear()
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
 
 def _encode(request: GenerationRequest) -> bytes:
@@ -257,15 +239,17 @@ def generate_batch(
         # Each worker takes the next request and records its outcome under one
         # lock. If this thread is interrupted, no worker takes another request
         # or starts another retry; the requests in flight finish and keep their
-        # rows before the interrupt propagates.
+        # rows before the interrupt propagates. Each worker closes the transport
+        # it owns; all are built first, so a malformed endpoint opens nothing.
+        workers = min(policy.max_parallel, len(pending))
+        transports = [_Transport(endpoint, policy.timeout_seconds, headers) for _ in range(workers)]
         append_handle = open(out_file, "a", encoding="utf-8") if out_file is not None else None
-        transport = _Transport(endpoint, policy.timeout_seconds, headers)
         lock = threading.Lock()
         queue = iter(pending)
         stop = threading.Event()
         errors: list[Exception] = []  # unexpected ones, raised here once the workers stop
 
-        def work(done: threading.Event) -> None:
+        def work(transport: _Transport, done: threading.Event) -> None:
             try:
                 while True:
                     with lock:
@@ -292,6 +276,7 @@ def generate_batch(
                 errors.append(exc)
                 stop.set()
             finally:
+                transport.close()
                 done.set()
 
         # Each worker sets its own event when it ends, since a Thread.join cut
@@ -300,9 +285,9 @@ def generate_batch(
         # wait for a slow server.
         ended: list[threading.Event] = []
         try:
-            for _ in range(min(policy.max_parallel, len(pending))):
+            for transport in transports:
                 done = threading.Event()
-                threading.Thread(target=work, args=(done,), daemon=True).start()
+                threading.Thread(target=work, args=(transport, done), daemon=True).start()
                 ended.append(done)
             for done in ended:
                 done.wait()
@@ -315,7 +300,6 @@ def generate_batch(
             with lock:
                 if append_handle is not None:
                     append_handle.close()
-            transport.close()
         if errors:
             raise errors[0]
 

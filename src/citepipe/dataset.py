@@ -28,8 +28,9 @@ SCHEMA_VERSION = 1
 MAX_TARGETS = 3
 
 
-class DatasetReadError(RuntimeError):
-    """A dataset file could not be parsed. Names the offending line."""
+class DatasetReadError(OSError):
+    """A dataset file could not be parsed. Names the offending line. A file
+    the pipeline wrote itself is damaged, so an OSError, not bad data."""
 
 
 @dataclass

@@ -49,8 +49,8 @@ def read_prompt_file(path: str | Path) -> list[dict]:
 
 
 def _generation_row(row) -> tuple[str, str]:
-    if not isinstance(row, dict) or "sample_id" not in row or "text" not in row:
-        raise ValueError("not a generation row")
+    if not isinstance(row, dict) or not all(isinstance(row.get(k), str) for k in ("sample_id", "text")):
+        raise ValueError("not a generation row: sample_id and text must be strings")
     return row["sample_id"], row["text"]
 
 

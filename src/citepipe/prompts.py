@@ -101,7 +101,9 @@ class PromptInstance:
     gold_response: str | None = None
 
 
-class BudgetExhausted(RuntimeError):
+class BudgetExhausted(ValueError):
+    """A sample that cannot fit its budget: bad input, so a ValueError."""
+
     def __init__(self, sample_id: str, budget: int):
         super().__init__(f"sample {sample_id} cannot fit a {budget}-token budget")
         self.sample_id = sample_id

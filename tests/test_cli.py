@@ -19,6 +19,7 @@ import yaml
 import citepipe
 import citepipe.cli
 import citepipe.config
+import citepipe.jsonl
 
 from citepipe import __version__
 from citepipe.cli import AUTH_TOKEN_ENV, main
@@ -557,6 +558,87 @@ class TestGenerateEvaluate:
         assert code == 1
         assert "missing from the dataset: ghost" in err
 
+    NOT_STRINGS = [
+        pytest.param({"sample_id": 7}, id="int-id"),
+        pytest.param({"sample_id": None}, id="null-id"),
+        pytest.param({"text": 5}, id="int-text"),
+        pytest.param({"text": ["a"]}, id="list-text"),
+    ]
+
+    @pytest.mark.parametrize("bad", NOT_STRINGS)
+    def test_evaluate_rejects_a_generation_row_that_is_not_strings(self, bad, dataset, tmp_path, capsys):
+        sample_id = read_dataset(dataset)[0].sample_id
+        generated = tmp_path / "generated.jsonl"
+        rows = [{"sample_id": sample_id, "text": "fine"}, {"sample_id": "zz", "text": "x", **bad}]
+        generated.write_text("".join(dump_row(row) + "\n" for row in rows))
+        code, out, err = run(
+            capsys, "evaluate", "--generated", str(generated), "--dataset", str(dataset),
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {generated}: line 2: not a generation row") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("bad", NOT_STRINGS)
+    def test_generate_resume_rejects_a_generation_row_that_is_not_strings(self, bad, tmp_path, capsys):
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(dump_row({"sample_id": "a", "prompt": "p"}) + "\n")
+        generated = tmp_path / "generated.jsonl"
+        generated.write_text(dump_row({"sample_id": "a", "text": "x", **bad}) + "\n")
+        # no endpoint is reached: the output file is read before any request
+        code, out, err = run(capsys, "generate", "--prompts", str(prompts), "--out", str(generated))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {generated}: line 1: not a generation row") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"sample_id": 7}, id="int-id"),
+        pytest.param({"prompt": 5}, id="int-prompt"),
+        pytest.param({"prompt": None}, id="null-prompt"),
+    ])
+    def test_generate_rejects_a_prompt_row_that_is_not_strings(self, bad, tmp_path, capsys):
+        prompts = tmp_path / "prompts.jsonl"
+        rows = [{"sample_id": "a", "prompt": "p"}, {"sample_id": "b", "prompt": "q", **bad}]
+        prompts.write_text("".join(dump_row(row) + "\n" for row in rows))
+        code, out, err = run(capsys, "generate", "--prompts", str(prompts), "--out", str(tmp_path / "g.jsonl"))
+        assert (code, out) == (1, "")
+        assert f"{prompts}: line 2: " in err and "need sample_id and prompt" in err
+        assert len(err.splitlines()) == 1
+
+    def test_a_malformed_endpoint_exits_1_at_once(self, tmp_path):
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(dump_row({"sample_id": "a", "prompt": "p"}) + "\n")
+        done = fresh("-m", "citepipe.cli", "generate", "--prompts", str(prompts), "--out", str(tmp_path / "g.jsonl"),
+                     "--endpoint", "http://[::1/x", timeout=30)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1, done.stderr
+
+    NOT_REPORTS = [
+        pytest.param("{}", id="empty-object"),
+        pytest.param("[1]", id="list"),
+        pytest.param('{"n": 1, "per_sample": [], "corpus": {"METEOR": 1, "Rouge-1": 2, "Rouge-2": 3}}',
+                     id="missing-column"),
+        pytest.param('{"n": 1, "per_sample": [1], "corpus": {}}', id="bad-per-sample"),
+        pytest.param("{oops", id="not-json"),
+    ]
+
+    @pytest.mark.parametrize("text", NOT_REPORTS)
+    def test_report_rejects_json_that_is_not_a_report(self, text, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "report", "--report", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: not an evaluation report") and len(err.splitlines()) == 1, err
+
+
+def test_each_layer_error_is_the_builtin_of_its_exit_code():
+    # `main` maps an error to its exit code by these bases alone
+    from citepipe.client import EndpointError
+    from citepipe.dataset import DatasetReadError
+    from citepipe.prompts import BudgetExhausted
+
+    assert issubclass(BudgetExhausted, ValueError)  # exit 1: bad data
+    assert issubclass(DatasetReadError, OSError) and issubclass(EndpointError, OSError)  # exit 2: environment
+    assert not any(issubclass(e, ValueError) for e in (DatasetReadError, EndpointError))
+
 
 class TestProvenance:
     def test_each_output_gets_exactly_one_run_manifest(
@@ -604,11 +686,12 @@ class TestProvenance:
         assert counts["with_responses"] is True
 
 
-def fresh(*argv: str, cwd=None) -> subprocess.CompletedProcess:
+def fresh(*argv: str, cwd=None, timeout=None) -> subprocess.CompletedProcess:
     """Run the interpreter on `argv` with the package importable, as a user does."""
     env = {**os.environ, "PYTHONPATH": str(Path(citepipe.__file__).parents[1])}
     env.pop(AUTH_TOKEN_ENV, None)
-    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 CLI_MODULES = ["citepipe", "citepipe.cli", "citepipe.config", "citepipe.jsonl"]
@@ -791,6 +874,87 @@ def test_the_chain_runs_as_python_m(chain, tmp_path):
     )
     assert done.returncode == 1, done.stderr
     assert "cannot fit a 20-token budget" in done.stderr
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    """The bytes of every file under `root`, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def restore(root: Path, files: dict[str, bytes]) -> None:
+    """Put `root` back to `files`, a `tree` of it: other files and the
+    directories they leave empty go."""
+    for p in sorted(root.rglob("*"), reverse=True):  # a directory's files before the directory
+        if p.is_file() and str(p.relative_to(root)) not in files:
+            p.unlink()
+        elif p.is_dir() and not any(p.iterdir()):
+            p.rmdir()
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+
+
+@pytest.mark.parametrize("command", ["build", "split", "kg-merge", "prompts", "generate", "evaluate"])
+def test_a_rerun_after_a_kill_at_any_write_gives_the_clean_run_bytes(command, chain, tmp_path, capsys, monkeypatch):
+    # For every k, an interrupt at the k-th write (a chunk through
+    # jsonl.write_text, or an os.replace) then a plain rerun must leave what
+    # a clean run leaves, and no temp file. `generate` appends the rows it
+    # receives through its own handle, which this leaves out: here every row
+    # is present, out of order, so its one write is the canonical rewrite.
+    argv = chain[command]
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    if command == "generate":
+        rows = sorted(out.read_text(encoding="utf-8").splitlines(), reverse=True)
+        out.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    elif out is not None:  # the chain made the inputs of every command, and so some outputs
+        out.unlink(missing_ok=True)
+        run_manifest_path(out).unlink(missing_ok=True)
+    before = tree(tmp_path)
+    assert main(argv) == 0
+    clean = tree(tmp_path)
+    assert clean != before
+    real_write_text, real_replace = citepipe.jsonl.write_text, os.replace
+    # every module of the package that the clean run loaded and that calls the writer by name
+    writers = [m for name, m in sys.modules.items()
+               if name.startswith("citepipe.") and getattr(m, "write_text", None) is real_write_text]
+    k = 0
+    while True:
+        k += 1
+        restore(tmp_path, before)
+        writes = 0
+
+        def write():
+            nonlocal writes
+            writes += 1
+            if writes == k:
+                raise KeyboardInterrupt
+
+        def write_text(path, chunks):
+            def counted():
+                for chunk in chunks:
+                    write()
+                    yield chunk
+            return real_write_text(path, counted())
+
+        def replace(src, dst):
+            write()
+            return real_replace(src, dst)
+
+        with monkeypatch.context() as patched:
+            for module in writers:
+                patched.setattr(module, "write_text", write_text)
+            patched.setattr(os, "replace", replace)
+            try:
+                code = main(argv)
+            except KeyboardInterrupt:
+                code = None
+        if code is not None:  # k is past the run's last write
+            assert (code, tree(tmp_path)) == (0, clean)
+            break
+        assert list(tmp_path.rglob("*.tmp")) == [], k
+        assert main(argv) == 0, k
+        assert tree(tmp_path) == clean, k
+    capsys.readouterr()
+    assert k > 2  # at least the output's chunk and its replace, and the sidecar's
 
 
 def test_an_interrupt_keeps_every_answered_row(tmp_path, mock_endpoint):
