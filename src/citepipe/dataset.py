@@ -14,11 +14,11 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from . import __version__
 from .config import DEFAULTS
-from .jsonl import all_text, dump_row, encoded_by_identity, iter_rows, json_digest, write_text
+from .jsonl import dump_row, encoded_by_identity, iter_rows, json_digest, write_text
 
 if TYPE_CHECKING:
     from .corpus import BodySection, PaperRecord
@@ -350,12 +350,27 @@ def sample_encoder() -> Callable[[CitationSample], str]:
     return encode
 
 
+_SAMPLE_TEXT = ("sample_id", "source_paper_id", "source_abstract", "citation_text")
+_TARGET_TEXT = ("paper_id", "title", "abstract", "introduction", "conclusion")
+
+
+def _check_text(fields: Iterable[tuple[str, Any]], nullable: tuple[str, ...] = ()) -> None:
+    for name, value in fields:
+        if type(value) is not str and not (value is None and name in nullable):
+            raise ValueError(f"{name} is {'null' if value is None else type(value).__name__}, not a string")
+
+
 def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
     """A sample from its dataset row. Targets come from `papers`, which maps
     every field of a target to its one shared TargetPaper, and are added to it
-    when new; without it each row gets its own."""
+    when new; without it each row gets its own. A text field that is not a
+    string is a ValueError; only a target's introduction and conclusion may
+    be null."""
     if papers is None:
         papers = {}
+    fields = {name: row[name] for name in _SAMPLE_TEXT}
+    fields["section_name"] = row.get("section_name", "")
+    _check_text(fields.items())
     targets = []
     for t in row["targets"]:
         key = (
@@ -367,18 +382,11 @@ def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
         )
         target = papers.get(key)
         if target is None:
-            target = TargetPaper(*key)
-            if all_text(key):
-                papers[key] = target
+            # only checked keys are interned, so a hit needs no check
+            _check_text(zip(_TARGET_TEXT, key), nullable=_TARGET_TEXT[3:])
+            target = papers[key] = TargetPaper(*key)
         targets.append(target)
-    return CitationSample(
-        sample_id=row["sample_id"],
-        source_paper_id=row["source_paper_id"],
-        source_abstract=row["source_abstract"],
-        targets=targets,
-        citation_text=row["citation_text"],
-        section_name=row.get("section_name", ""),
-    )
+    return CitationSample(targets=targets, **fields)
 
 
 def write_dataset(samples: list[CitationSample], path: str | Path) -> dict:

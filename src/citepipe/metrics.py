@@ -1,15 +1,19 @@
 """Reference-based text metrics: ROUGE-1/2, ROUGE-L, and METEOR.
 
 All metrics share one tokenizer (lowercase, split on runs of
-non-alphanumeric characters). ROUGE-N uses clipped n-gram overlap, ROUGE-L
-the bit-parallel LCS length, and METEOR a two-stage unigram alignment:
-exact matches first, then stem matches on the leftovers, maximizing the
-match count and, among maximum alignments, minimizing the number of
-contiguous chunks. Every pair is first aligned by one deterministic greedy
-that repeatedly commits the longest remaining diagonal run; pairs of at
-most 16 tokens a side then get an exact branch-and-bound search for the
-chunk minimum, seeded with the greedy's alignment; if it runs out of nodes,
-the best alignment it found so far stands.
+non-alphanumeric characters) and take text or its token list. ROUGE-N uses
+clipped n-gram overlap, ROUGE-L the bit-parallel LCS length, and METEOR a
+two-stage unigram alignment: exact matches first, then stem matches on the
+leftovers, maximizing the match count and, among maximum alignments,
+minimizing the number of contiguous chunks. Every pair is first aligned by
+one deterministic greedy that repeatedly commits the longest remaining
+diagonal run. Its match count is always the maximum: within a stage the
+compatible pairs fall into classes (one per token, then one per stem) in
+which every pair is compatible, so the greedy, which stops only when no
+free compatible pair is left, cannot be cut short. Pairs of at most 16
+tokens a side then get an exact branch-and-bound search for the chunk
+minimum, seeded with the greedy's alignment; if it runs out of nodes, the
+best alignment it found so far stands.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import heapq
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .stemmer import stem
 
@@ -29,25 +33,17 @@ _EXACT_NODE_BUDGET = 300_000
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-@dataclass
-class TokenizedText:
-    tokens: list[str] = field(default_factory=list)
-
-
-def tokenize(text: str) -> TokenizedText:
+def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs; no empty tokens."""
-    return TokenizedText(tokens=_TOKEN_RE.findall(text.lower()))
+    return _TOKEN_RE.findall(text.lower())
 
 
-def _tokens(text: str | TokenizedText) -> list[str]:
-    if isinstance(text, TokenizedText):
-        return text.tokens
-    return tokenize(text).tokens
+def _tokens(text: str | list[str]) -> list[str]:
+    return tokenize(text) if isinstance(text, str) else text
 
 
 @dataclass
 class MetricScore:
-    metric: str
     precision: float
     recall: float
     f: float
@@ -61,7 +57,7 @@ def _ngrams(tokens: list[str], n: int) -> list[tuple[str, ...]]:
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
-def rouge_n(candidate: str | TokenizedText, reference: str | TokenizedText, n: int) -> MetricScore:
+def rouge_n(candidate: str | list[str], reference: str | list[str], n: int) -> MetricScore:
     """Clipped n-gram overlap; each reference n-gram matches at most its own count."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -72,7 +68,7 @@ def rouge_n(candidate: str | TokenizedText, reference: str | TokenizedText, n: i
     overlap = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
     precision = overlap / max(1, len(cand))
     recall = overlap / max(1, len(ref))
-    return MetricScore(f"rouge-{n}", precision, recall, _harmonic(precision, recall))
+    return MetricScore(precision, recall, _harmonic(precision, recall))
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -95,43 +91,28 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return len(b) - row.bit_count()
 
 
-def rouge_l(candidate: str | TokenizedText, reference: str | TokenizedText) -> MetricScore:
+def rouge_l(candidate: str | list[str], reference: str | list[str]) -> MetricScore:
     cand = _tokens(candidate)
     ref = _tokens(reference)
     lcs = _lcs_length(cand, ref)
     precision = lcs / max(1, len(cand))
     recall = lcs / max(1, len(ref))
-    return MetricScore("rouge-l", precision, recall, _harmonic(precision, recall))
+    return MetricScore(precision, recall, _harmonic(precision, recall))
 
 
 # METEOR alignment.
 #
 # A pair (i, j) is stage-1 compatible when cand[i] == ref[j] and stage-2
 # compatible when the tokens differ but their stems agree. Stage 1 must
-# reach its maximum cardinality before stage 2 fills in; both maxima are
-# fixed by per-class counts, so the search only decides which positions
-# pair up, which is what the chunk count depends on.
+# reach its maximum cardinality before stage 2 fills in. The greedy reaches
+# both maxima (see the module docstring), so the search only decides which
+# positions pair up, which is what the chunk count depends on.
 #
 # Every search reads the reference through one index per pair: ascending
 # reference positions by token (`exact_ref`) and by stem (`stem_ref`). The
 # exact search walks i in order and, for each i, the indexed positions in
 # order, and the greedy breaks ties to the smallest (i, j), so both meet
 # the compatible cells in the same i-then-j order as a scan of every cell.
-
-
-def _stage_maxima(cand: list[str], ref: list[str], stem_of: dict[str, str]) -> tuple[int, int]:
-    cand_counts = Counter(cand)
-    ref_counts = Counter(ref)
-    m1 = sum(min(count, ref_counts[tok]) for tok, count in cand_counts.items())
-    # leftovers per surface class are fixed; aggregate them by stem class
-    left_c: Counter = Counter()
-    left_r: Counter = Counter()
-    for tok, count in cand_counts.items():
-        left_c[stem_of[tok]] += count - min(count, ref_counts[tok])
-    for tok, count in ref_counts.items():
-        left_r[stem_of[tok]] += count - min(count, cand_counts[tok])
-    m2 = sum(min(count, left_r[s]) for s, count in left_c.items())
-    return m1, m2
 
 
 def _ref_index(ref: list[str], stems_r: list[str]) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
@@ -207,22 +188,22 @@ def _exact_min_chunks(
     stems_c,
     exact_ref: dict[str, list[int]],
     stem_ref: dict[str, list[int]],
-    m1: int,
-    m2: int,
     seed_pairs: list[tuple[int, int]],
 ) -> list[tuple[int, int]]:
-    """Branch-and-bound over position assignments. The incumbent starts as
-    `seed_pairs` and only improves, so when the node budget runs out the best
-    alignment found so far is returned."""
+    """Branch-and-bound over position assignments with the exact and total
+    match counts of `seed_pairs`, a maximum alignment. The incumbent starts
+    as `seed_pairs` and only improves, so when the node budget runs out the
+    best alignment found so far is returned."""
     n, m = len(cand), len(ref)
-    total_needed = m1 + m2
+    m1 = sum(cand[i] == ref[j] for i, j in seed_pairs)
+    total_needed = len(seed_pairs)
     best_chunks = _chunk_count(seed_pairs)
     best_pairs = list(seed_pairs)
     nodes = 0
     budget_hit = False
 
     used_r = [False] * m
-    chosen: list[tuple[int, int, bool]] = []  # (i, j, is_exact)
+    chosen: list[tuple[int, int]] = []
 
     def dfs(i: int, n_exact: int, n_total: int, chunks: int, last: tuple[int, int] | None):
         nonlocal best_chunks, best_pairs, nodes, budget_hit
@@ -240,7 +221,7 @@ def _exact_min_chunks(
         if i == n:
             if n_exact == m1 and n_total == total_needed and chunks < best_chunks:
                 best_chunks = chunks
-                best_pairs = [(ci, cj) for ci, cj, _ in chosen]
+                best_pairs = list(chosen)
             return
 
         options: list[tuple[int, bool]] = []
@@ -259,7 +240,7 @@ def _exact_min_chunks(
         for j, is_exact in options:
             extends = last is not None and last == (i - 1, j - 1)
             used_r[j] = True
-            chosen.append((i, j, is_exact))
+            chosen.append((i, j))
             dfs(
                 i + 1,
                 n_exact + (1 if is_exact else 0),
@@ -283,9 +264,6 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int]:
     if not cand or not ref:
         return 0, 0
     stem_of = {tok: stem(tok) for tok in {*cand, *ref}}
-    m1, m2 = _stage_maxima(cand, ref, stem_of)
-    if m1 + m2 == 0:
-        return 0, 0
     stems_c = [stem_of[tok] for tok in cand]
     stems_r = [stem_of[tok] for tok in ref]
     exact_ref, stem_ref = _ref_index(ref, stems_r)
@@ -295,12 +273,12 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int]:
     # the greedy always reaches the maximum match count, and an alignment with
     # a match has at least one chunk, so a one-chunk greedy needs no search
     if chunks > 1 and len(cand) <= _EXACT_MAX_TOKENS and len(ref) <= _EXACT_MAX_TOKENS:
-        pairs = _exact_min_chunks(cand, ref, stems_c, exact_ref, stem_ref, m1, m2, pairs)
+        pairs = _exact_min_chunks(cand, ref, stems_c, exact_ref, stem_ref, pairs)
         chunks = _chunk_count(pairs)
     return len(pairs), chunks
 
 
-def meteor(candidate: str | TokenizedText, reference: str | TokenizedText) -> MetricScore:
+def meteor(candidate: str | list[str], reference: str | list[str]) -> MetricScore:
     """Unigram alignment score with the standard fragmentation penalty.
 
     Fmean weights recall 9:1 over precision; the penalty is
@@ -311,12 +289,12 @@ def meteor(candidate: str | TokenizedText, reference: str | TokenizedText) -> Me
     ref = _tokens(reference)
     matches, chunks = _align(cand, ref)
     if matches == 0:
-        return MetricScore("meteor", 0.0, 0.0, 0.0)
+        return MetricScore(0.0, 0.0, 0.0)
     precision = matches / len(cand)
     recall = matches / len(ref)
     fmean = 10 * precision * recall / (recall + 9 * precision)
     penalty = 0.5 * (chunks / matches) ** 3
-    return MetricScore("meteor", precision, recall, fmean * (1 - penalty))
+    return MetricScore(precision, recall, fmean * (1 - penalty))
 
 
 REPORT_COLUMNS = ("METEOR", "Rouge-1", "Rouge-2", "Rouge-L")
@@ -388,7 +366,7 @@ def report_from_dict(raw: dict) -> EvalReport:
     sample_ids: list[str] | None = [] if raw["per_sample"] and "sample_id" in raw["per_sample"][0] else None
     for row in raw["per_sample"]:
         scores = {
-            metric: MetricScore(metric, v["precision"], v["recall"], v["f"])
+            metric: MetricScore(v["precision"], v["recall"], v["f"])
             for metric, v in row.items()
             if metric != "sample_id"
         }

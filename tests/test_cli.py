@@ -434,6 +434,75 @@ class TestPrompts:
         assert code == 0 and "to fit 950 tokens" in out
 
 
+class TestDatasetTextFields:
+    """A dataset row with a text field that is not a string is a corrupt line
+    for every command that reads it, named by file and line."""
+
+    @staticmethod
+    def corrupt_line_2(path, sample=None, target=None, key=None):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[1])
+        inner = row[key] if key else row
+        inner.update(sample or {})
+        inner["targets"][0].update(target or {})
+        lines[1] = dump_row(row)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+    def argv(self, command, dataset, tmp_path, triplets_file):
+        out = str(tmp_path / "out.jsonl")
+        if command == "evaluate":
+            generated = tmp_path / "generated.jsonl"
+            ids = [json.loads(line)["sample_id"] for line in dataset.read_text().splitlines()]
+            generated.write_text("".join(dump_row({"sample_id": i, "text": "a guess"}) + "\n" for i in ids))
+            return ["evaluate", "--generated", str(generated), "--dataset", str(dataset), "--out", out]
+        return {
+            "stats": ["stats", "--dataset", str(dataset)],
+            "split": ["split", "--dataset", str(dataset), "--out-dir", str(tmp_path / "parts")],
+            "kg-merge": ["kg-merge", "--dataset", str(dataset), "--triplets", str(triplets_file), "--out", out],
+            "prompts": ["prompts", "--mode", "baseline", "--dataset", str(dataset), "--out", out],
+        }[command]
+
+    @pytest.mark.parametrize(("command", "sample", "target"), [
+        pytest.param("stats", {"citation_text": 7}, None, id="stats-int-citation"),
+        pytest.param("stats", None, {"abstract": None}, id="stats-null-target-abstract"),
+        pytest.param("split", {"source_abstract": 2.5}, None, id="split-float-source-abstract"),
+        pytest.param("split", None, {"introduction": 1}, id="split-int-introduction"),
+        pytest.param("prompts", {"source_abstract": None}, None, id="prompts-null-source-abstract"),
+        pytest.param("prompts", {"source_abstract": 3}, None, id="prompts-int-source-abstract"),
+        pytest.param("prompts", None, {"title": 5}, id="prompts-int-title"),
+        pytest.param("evaluate", {"citation_text": 7}, None, id="evaluate-int-citation"),
+        pytest.param("kg-merge", {"section_name": None}, None, id="kg-merge-null-section"),
+        pytest.param("kg-merge", None, {"paper_id": True}, id="kg-merge-bool-paper-id"),
+        pytest.param("kg-merge", None, {"conclusion": 0}, id="kg-merge-int-conclusion"),
+    ])
+    def test_a_field_that_is_not_text_is_a_corrupt_line(
+        self, command, sample, target, dataset, triplets_file, tmp_path, capsys
+    ):
+        self.corrupt_line_2(dataset, sample, target)
+        code, out, err = run(capsys, *self.argv(command, dataset, tmp_path, triplets_file))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {dataset}: line 2: ") and "not a string" in err, err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(("sample", "target"), [
+        pytest.param({"source_abstract": None}, None, id="null-source-abstract"),
+        pytest.param(None, {"abstract": 4}, id="int-target-abstract"),
+    ])
+    def test_kg_prompts_reject_an_enriched_row_that_is_not_text(
+        self, sample, target, dataset, triplets_file, tmp_path, capsys
+    ):
+        enriched = tmp_path / "enriched.jsonl"
+        merge = ["kg-merge", "--dataset", str(dataset), "--triplets", str(triplets_file), "--out", str(enriched)]
+        assert run(capsys, *merge)[0] == 0
+        self.corrupt_line_2(enriched, sample, target, key="sample")
+        code, out, err = run(
+            capsys, "prompts", "--mode", "kg", "--enriched", str(enriched), "--out", str(tmp_path / "p.jsonl")
+        )
+        # unlike a dataset file's, a corrupt line of an enriched file exits 1
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {enriched}: line 2: ") and "not a string" in err, err
+
+
 class TestGenerateEvaluate:
     def make_prompts(self, dataset, tmp_path, capsys):
         path = tmp_path / "prompts.jsonl"

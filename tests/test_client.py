@@ -95,6 +95,14 @@ class TestRetries:
         )
         assert results[0].attempt == 2
 
+    @pytest.mark.parametrize("text", [5, None, ["a"]])
+    def test_a_body_without_string_text_is_retried_then_fails(self, mock_endpoint, text):
+        mock_endpoint.responder = lambda payload: text
+        with pytest.raises(EndpointError) as err:
+            generate_batch([req("a")], mock_endpoint.url, ClientPolicy(max_attempts=2, backoff_seconds=0.0))
+        assert err.value.failures == [("a", "response body missing 'text'")]
+        assert len(mock_endpoint.requests) == 2
+
     def test_backoff_waits_and_grows(self, mock_endpoint):
         mock_endpoint.fail_remaining = 2
         policy = ClientPolicy(max_attempts=3, backoff_seconds=0.05, backoff_multiplier=2.0)

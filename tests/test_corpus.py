@@ -20,6 +20,10 @@ from citepipe.corpus import (
 from conftest import make_record, write_jsonl_file
 
 
+def one_section(**section):
+    return {"paper_id": "x", "body_sections": [{"section_name": "A", **section}]}
+
+
 class TestSentenceSplit:
     def test_citation_marker_starts_a_sentence(self):
         assert sentence_split("See [1]. [2] agrees.") == ["See [1].", "[2] agrees."]
@@ -181,6 +185,39 @@ class TestValidateRecord:
         with pytest.raises(ValidationError) as err:
             validate_record(raw)
         assert err.value.field_name == field_name
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (["not", "an", "object"], "record: expected a JSON object"),
+            ({"paper_id": "x", "body_sections": ["A"]}, "body_sections: each section must be an object"),
+            (one_section(sentences="Short."), "sentences: expected a list of strings"),
+            (one_section(sentences=["Short.", 3]), "sentences: expected a list of strings"),
+            (
+                one_section(
+                    sentences=["Short."], cite_spans=[{"sentence_index": 0, "char_start": "0", "char_end": 2}]
+                ),
+                "cite_spans: span offsets must be integers",
+            ),
+            (
+                one_section(text="Short [1].", cite_spans=[{"start": 6, "end": 9, "ref_paper_id": 12}]),
+                "cite_spans: resolved_paper_id must be a string or null",
+            ),
+            (one_section(text=["Short."]), "text: expected a string"),
+            (
+                one_section(text="Short [1].", cite_spans=[{"char_start": 6, "char_end": 11}]),
+                "cite_spans: span (6, 11) out of range for section text",
+            ),
+            (
+                one_section(text="  Short [1].", cite_spans=[{"char_start": 0, "char_end": 1}]),
+                "cite_spans: span (0, 1) falls before the first sentence",
+            ),
+        ],
+    )
+    def test_each_schema_violation_has_its_own_message(self, raw, message):
+        with pytest.raises(ValidationError) as err:
+            validate_record(raw)
+        assert str(err.value) == message
 
 
 class TestStreamCorpus:

@@ -24,7 +24,7 @@ from citepipe.dataset import (
 )
 from citepipe.jsonl import dump_row
 
-from conftest import INTRO_SENTENCES, RELATED_SENTENCES, hand_corpus_records
+from conftest import INTRO_SENTENCES, RELATED_SENTENCES, hand_corpus_records, make_record, make_section
 
 
 @pytest.fixture
@@ -99,6 +99,40 @@ class TestExtraction:
         samples = extract_samples(hand_records, lookup, max_per_source=1, stats=stats)
         assert [s.sample_id for s in samples] == ["s1:0:1"]
         assert stats.trimmed_by_source_cap == 2
+
+    @staticmethod
+    def extract_section(sentences, citations):
+        """Samples of one section of source `s`, whose citations resolve to `a`, `b` or `c`."""
+        raw = [
+            make_record("s", abstract="Source.", sections=[make_section("Intro", sentences, citations)]),
+            *(make_record(pid, abstract=f"Abstract {pid}.") for pid in "abc"),
+        ]
+        records = [validate_record(r) for r in raw]
+        return extract_samples(records, build_lookup(records))
+
+    def test_passage_extends_to_the_left(self):
+        sentences = ["Early work [1] set the stage.", "Later [1] and [2] went further.", "Filler."]
+        samples = self.extract_section(sentences, [(0, "[1]", "a"), (1, "[1]", "a"), (1, "[2]", "b")])
+        assert [(s.sample_id, s.citation_text) for s in samples] == [("s:0:1", " ".join(sentences[:2]))]
+
+    def test_consumed_sentence_never_joins_a_later_passage(self):
+        sentences = ["First [1] and [2] agree.", "Then [1] again.", "Finally [1] and [3] differ."]
+        citations = [(0, "[1]", "a"), (0, "[2]", "b"), (1, "[1]", "a"), (2, "[1]", "a"), (2, "[3]", "c")]
+        samples = self.extract_section(sentences, citations)
+        # sentence 1 cites only `a`, a target of both passages, but the first took it
+        assert [(s.sample_id, s.citation_text) for s in samples] == [
+            ("s:0:0", " ".join(sentences[:2])),
+            ("s:0:2", sentences[2]),
+        ]
+        assert [t.paper_id for t in samples[1].targets] == ["a", "c"]
+
+    def test_a_paper_cited_twice_is_one_target(self):
+        sentences = ["See [1] and [2]; see also p. 4.", "Filler.", "Only [1], and again p. 9."]
+        citations = [(0, "[1]", "a"), (0, "[2]", "b"), (0, "p. 4", "a"), (2, "[1]", "a"), (2, "p. 9", "a")]
+        samples = self.extract_section(sentences, citations)
+        # sentence 2 has two citation spans but one distinct paper
+        assert [(s.sample_id, s.citation_text) for s in samples] == [("s:0:0", sentences[0])]
+        assert [t.paper_id for t in samples[0].targets] == ["a", "b"]
 
     def test_source_without_abstract_yields_nothing(self, hand_records):
         lookup = build_lookup(hand_records)
@@ -242,16 +276,17 @@ class TestDatasetFiles:
         path = tmp_path / "dataset.jsonl"
         write_dataset(samples, path)
         rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        # hand edits: one field differs in row 2; rows 3 and 4 hold equal non-strings
+        # hand edits: one field differs in row 2, and row 3 has an empty
+        # introduction where the others have none
         rows[2]["targets"][0]["conclusion"] = "Edited."
-        rows[3]["targets"][0]["title"] = 1
-        rows[4]["targets"][0]["title"] = True
+        rows[3]["targets"][0]["introduction"] = ""
         path.write_text("".join(dump_row(r) + "\n" for r in rows), encoding="utf-8")
 
         back = read_dataset(path)
         firsts = [s.targets[0] for s in back]
-        assert firsts[0] is firsts[1]
-        assert len({id(t) for t in firsts}) == 4
+        assert firsts[0] is firsts[1] is firsts[4]
+        assert len({id(t) for t in firsts}) == 3
+        assert firsts[3].introduction == ""
         assert len({id(s.targets[1]) for s in back}) == 1
         assert firsts[2].conclusion == "Edited."
         again = tmp_path / "again.jsonl"
@@ -266,6 +301,19 @@ class TestDatasetFiles:
         rows[1]["targets"][0]["abstract"] = ["not", "text"]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         with pytest.raises(DatasetReadError, match="line 2"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(("field", "value"), [
+        ("title", 1), ("title", True), ("abstract", None), ("paper_id", 2.0), ("conclusion", 0),
+    ])
+    def test_target_field_that_is_not_text_names_its_line(self, field, value, hand_samples, tmp_path):
+        samples, _ = hand_samples
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(samples, path)
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        rows[1]["targets"][0][field] = value
+        path.write_text("".join(dump_row(r) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(DatasetReadError, match=f"line 2: {field} is .*, not a string"):
             read_dataset(path)
 
     def test_corrupt_line_names_line_number(self, hand_samples, tmp_path):

@@ -128,6 +128,13 @@ class TestLoadTriplets:
         assert store.stats.invalid_triplets == 3
         assert len(store.get("t1", "abstract")) == 1
 
+    def test_triplet_entries_that_are_not_objects_are_invalid(self, tmp_path):
+        row = block("t1", "abstract", [("good", "Used-For", "fine")])
+        row["triplets"] += ["head relation tail", ["a", "Used-For", "b"], None]
+        store = load_triplets(write_jsonl_file(tmp_path / "kg.jsonl", [row]))
+        assert (store.stats.invalid_triplets, store.stats.malformed_lines) == (3, 0)
+        assert [(t.head, t.tail) for t in store.get("t1", "abstract").triplets] == [("good", "fine")]
+
     def test_malformed_lines_counted(self, tmp_path):
         path = tmp_path / "kg.jsonl"
         rows = [
