@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 # `__getattr__`. A name already bound is kept: whatever wraps one, like the
 # benchmark's tracer, must set its wrapper before the command runs.
 _LAYERS = {
-    "corpus": ("CorpusFilter", "IngestStats", "corpus_files", "stream_corpus"),
+    "corpus": ("IngestStats", "corpus_files", "stream_corpus"),
     "dataset": (
         "ExtractStats",
         "SplitSpec",
@@ -138,18 +138,14 @@ def _output_dir(value: str) -> str:
 def build(args: argparse.Namespace) -> None:
     """Extract citation samples from a corpus into a dataset file."""
     _bind("corpus", "dataset")
-    corpus_filter = CorpusFilter(fields_of_study=frozenset(args.fields))
-
     ingest = IngestStats()
-    lookup = build_lookup(stream_corpus(args.corpus, corpus_filter, ingest))
+    lookup = build_lookup(stream_corpus(args.corpus, args.fields, ingest))
     extract = ExtractStats()
-    samples = list(
-        extract_samples(
-            stream_corpus(args.corpus, corpus_filter),
-            lookup,
-            max_per_source=args.max_samples_per_source,
-            stats=extract,
-        )
+    samples = extract_samples(
+        stream_corpus(args.corpus, args.fields),
+        lookup,
+        max_per_source=args.max_samples_per_source,
+        stats=extract,
     )
     written = write_dataset(samples, args.out)
     write_run_manifest(

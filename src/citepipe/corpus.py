@@ -5,8 +5,10 @@ title and abstract, field-of-study tags, and sectioned body text whose
 citation spans point at the papers the text cites. Section text may come
 pre-split into sentences (spans carry a sentence index and sentence-local
 offsets) or as raw text (spans carry offsets into the section string and
-are mapped onto sentences here). The exact accepted field names are listed
-in the README mapping table.
+are mapped onto sentences here). Either way each span's offsets are checked
+against its text, and a section keeps, for each sentence, the ids its
+citations resolve to in offset order. The exact accepted field names are
+listed in the README mapping table.
 
 Streaming is line-by-line, so memory tracks the largest single record, not
 the corpus. The one cumulative structure is the set of seen paper ids kept
@@ -19,9 +21,11 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
+from .config import DEFAULTS
 from .jsonl import iter_jsonl
 
 
@@ -34,20 +38,13 @@ class ValidationError(ValueError):
 
 
 @dataclass
-class CiteSpan:
-    """One citation marker inside one sentence, offsets local to the sentence."""
-
-    sentence_index: int
-    char_start: int
-    char_end: int
-    resolved_paper_id: str | None = None
-
-
-@dataclass
 class BodySection:
+    """One body section. `cited[i]` holds the resolved ids of the citations in
+    `sentences[i]`, in offset order; None marks an unresolved citation."""
+
     section_name: str
     sentences: list[str]
-    cite_spans: list[CiteSpan]
+    cited: list[list[str | None]]
 
 
 @dataclass
@@ -57,19 +54,6 @@ class PaperRecord:
     abstract: str = ""
     fields_of_study: list[str] = field(default_factory=list)
     body_sections: list[BodySection] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class CorpusFilter:
-    """Keep records whose fields_of_study intersects `fields_of_study`.
-
-    Membership is exact and case-sensitive; an empty filter set keeps nothing.
-    """
-
-    fields_of_study: frozenset[str] = frozenset({"Computer Science"})
-
-    def matches(self, record: PaperRecord) -> bool:
-        return bool(self.fields_of_study.intersection(record.fields_of_study))
 
 
 @dataclass
@@ -133,6 +117,13 @@ def _require_str(raw: dict, key: str, *aliases: str, default: str | None = "") -
     return default
 
 
+def _raw_spans(raw_section: dict) -> list[dict]:
+    raw_spans = raw_section.get("cite_spans", [])
+    if not isinstance(raw_spans, list) or any(not isinstance(s, dict) for s in raw_spans):
+        raise ValidationError("cite_spans", "expected a list of objects")
+    return raw_spans
+
+
 def _span_fields(raw_span: dict) -> tuple[int, int, str | None]:
     start = raw_span.get("char_start", raw_span.get("start"))
     end = raw_span.get("char_end", raw_span.get("end"))
@@ -144,20 +135,30 @@ def _span_fields(raw_span: dict) -> tuple[int, int, str | None]:
     return start, end, resolved
 
 
+def _cited_ids(n_sentences: int, citations: list[tuple[int, int, str | None]]) -> list[list[str | None]]:
+    """Group (sentence index, offset, resolved id) citations by sentence in
+    offset order; the sort is stable, so citations at one offset keep their
+    input order."""
+    cited: list[list[str | None]] = [[] for _ in range(n_sentences)]
+    for idx, _, resolved in sorted(citations, key=itemgetter(0, 1)):
+        cited[idx].append(resolved)
+    return cited
+
+
 def _section_from_sentences(raw_section: dict, name: str) -> BodySection:
     sentences = raw_section["sentences"]
     if not isinstance(sentences, list) or any(not isinstance(s, str) for s in sentences):
         raise ValidationError("sentences", "expected a list of strings")
-    spans: list[CiteSpan] = []
-    for raw_span in raw_section.get("cite_spans", []):
+    citations = []
+    for raw_span in _raw_spans(raw_section):
         idx = raw_span.get("sentence_index")
         if not isinstance(idx, int) or idx < 0 or idx >= len(sentences):
             raise ValidationError("cite_spans", f"sentence_index {idx!r} out of range")
         start, end, resolved = _span_fields(raw_span)
         if start < 0 or end <= start or end > len(sentences[idx]):
             raise ValidationError("cite_spans", f"span ({start}, {end}) out of range for sentence {idx}")
-        spans.append(CiteSpan(idx, start, end, resolved))
-    return BodySection(name, list(sentences), spans)
+        citations.append((idx, start, resolved))
+    return BodySection(name, list(sentences), _cited_ids(len(sentences), citations))
 
 
 def _section_from_text(raw_section: dict, name: str) -> BodySection:
@@ -167,20 +168,19 @@ def _section_from_text(raw_section: dict, name: str) -> BodySection:
     with_offsets = _split_with_offsets(text)
     sentences = [s for s, _ in with_offsets]
     starts = [off for _, off in with_offsets]
-    spans: list[CiteSpan] = []
-    for raw_span in raw_section.get("cite_spans", []):
+    citations = []
+    for raw_span in _raw_spans(raw_section):
         start, end, resolved = _span_fields(raw_span)
         if start < 0 or end <= start or end > len(text):
             raise ValidationError("cite_spans", f"span ({start}, {end}) out of range for section text")
         idx = bisect_right(starts, start) - 1
         if idx < 0:
             raise ValidationError("cite_spans", f"span ({start}, {end}) falls before the first sentence")
-        local_start = start - starts[idx]
-        local_end = end - starts[idx]
-        if local_end > len(sentences[idx]):
+        if end - starts[idx] > len(sentences[idx]):
             raise ValidationError("cite_spans", f"span ({start}, {end}) crosses a sentence boundary")
-        spans.append(CiteSpan(idx, local_start, local_end, resolved))
-    return BodySection(name, sentences, spans)
+        # within one sentence, section offsets order citations as local ones do
+        citations.append((idx, start, resolved))
+    return BodySection(name, sentences, _cited_ids(len(sentences), citations))
 
 
 def validate_record(raw: dict) -> PaperRecord:
@@ -240,18 +240,19 @@ def corpus_files(path: str | Path) -> list[Path]:
 
 def stream_corpus(
     path: str | Path,
-    corpus_filter: CorpusFilter | None = None,
+    fields_of_study: Iterable[str] = frozenset(DEFAULTS["filter"]["fields_of_study"]),
     stats: IngestStats | None = None,
 ) -> Iterator[PaperRecord]:
     """Stream matching PaperRecords from a JSONL file or a directory of shards.
 
+    A record matches when one of its fields of study is in `fields_of_study`;
+    membership is exact and case-sensitive, and an empty set keeps nothing.
     Shards in a directory are processed in lexicographic filename order.
     Malformed lines (bad JSON, schema violations, duplicate ids) are counted
     on `stats` and skipped; an unreadable path is fatal. Two passes over the
     same input yield identical record sequences.
     """
-    if corpus_filter is None:
-        corpus_filter = CorpusFilter()
+    wanted = frozenset(fields_of_study)
     if stats is None:
         stats = IngestStats()
 
@@ -274,7 +275,7 @@ def stream_corpus(
                 stats.duplicate_ids += 1
                 continue
             seen_ids.add(record.paper_id)
-            if not corpus_filter.matches(record):
+            if wanted.isdisjoint(record.fields_of_study):
                 stats.filtered_out += 1
                 continue
             stats.records_yielded += 1

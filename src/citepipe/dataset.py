@@ -134,13 +134,6 @@ def build_lookup(records: Iterable[PaperRecord]) -> dict[str, TargetPaper]:
     return lookup
 
 
-def _sentence_target_ids(section: BodySection, sentence_index: int) -> list[str | None]:
-    """Resolved ids cited by one sentence, in citation order; None = unresolved."""
-    spans = [s for s in section.cite_spans if s.sentence_index == sentence_index]
-    spans.sort(key=lambda s: s.char_start)
-    return [s.resolved_paper_id for s in spans]
-
-
 def _extends_passage(cited: list[str | None], target_ids: set[str]) -> bool:
     # A neighbor joins the passage only if it cites something, and everything
     # it cites is already a target of the seed sentence.
@@ -175,12 +168,11 @@ def extract_samples(
         for sec_idx, section in enumerate(record.body_sections):
             next_free = 0
             n_sentences = len(section.sentences)
-            cited_by_sentence = [_sentence_target_ids(section, i) for i in range(n_sentences)]
             stats.sentences_scanned += n_sentences
 
             i = 0
             while i < n_sentences:
-                targets = _qualify(record, cited_by_sentence[i], lookup, stats)
+                targets = _qualify(record, section.cited[i], lookup, stats)
                 if targets is None:
                     i += 1
                     continue
@@ -191,10 +183,10 @@ def extract_samples(
 
                 target_ids = {t.paper_id for t in targets}
                 left = i
-                while left - 1 >= next_free and _extends_passage(cited_by_sentence[left - 1], target_ids):
+                while left - 1 >= next_free and _extends_passage(section.cited[left - 1], target_ids):
                     left -= 1
                 right = i
-                while right + 1 < n_sentences and _extends_passage(cited_by_sentence[right + 1], target_ids):
+                while right + 1 < n_sentences and _extends_passage(section.cited[right + 1], target_ids):
                     right += 1
 
                 samples.append(
@@ -380,9 +372,10 @@ def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
             t.get("introduction"),
             t.get("conclusion"),
         )
-        target = papers.get(key)
-        if target is None:
+        try:
             # only checked keys are interned, so a hit needs no check
+            target = papers[key]
+        except (KeyError, TypeError):  # a miss, or an unhashable field the check names
             _check_text(zip(_TARGET_TEXT, key), nullable=_TARGET_TEXT[3:])
             target = papers[key] = TargetPaper(*key)
         targets.append(target)

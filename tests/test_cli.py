@@ -4,6 +4,7 @@ Commands run in-process through main(argv) so exit codes and both output
 streams can be asserted directly.
 """
 
+import inspect
 import json
 import os
 import signal
@@ -25,6 +26,7 @@ from citepipe import __version__
 from citepipe.cli import AUTH_TOKEN_ENV, main
 from citepipe.client import ClientPolicy, GenerationRequest
 from citepipe.config import DEFAULTS, read_run_manifest, run_manifest_path
+from citepipe.corpus import stream_corpus
 from citepipe.dataset import (
     SCHEMA_VERSION,
     CitationSample,
@@ -36,6 +38,8 @@ from citepipe.dataset import (
 )
 from citepipe.jsonl import dump_row, file_digest, json_digest
 from citepipe.prompts import TokenBudget
+
+from conftest import make_record
 
 # `config_sha256` of the built-in configuration; a run with no --config records it
 DEFAULT_CONFIG_SHA256 = "160b0eef91c417bb320d836155333ffbea61d7e33260c8f8a3e7923f8315764a"
@@ -101,6 +105,19 @@ class TestBuild:
         )
         assert code == 0
         assert "wrote 0 sample(s)" in out
+
+    def test_a_malformed_cite_spans_is_counted_and_skipped(self, hand_corpus, tmp_path, capsys):
+        bad = [
+            make_record("bad1", "A.", [{"section_name": "A", "sentences": ["Short."], "cite_spans": 5}]),
+            make_record("bad2", "A.", [{"section_name": "A", "text": "Short [1].", "cite_spans": ["oops", None]}]),
+        ]
+        with open(hand_corpus, "a", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in bad)
+        out_path = tmp_path / "ds.jsonl"
+        code, out, err = run(capsys, "build", "--corpus", str(hand_corpus), "--out", str(out_path))
+        assert (code, err) == (0, "")
+        assert f"wrote 3 sample(s) to {out_path}" in out
+        assert read_run_manifest(out_path)["counts"]["ingest"]["validation_errors"] == 2
 
     def test_missing_corpus_is_an_environment_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -243,6 +260,8 @@ class TestConfig:
         assert GenerationRequest("a", "p") == GenerationRequest(
             "a", "p", endpoint["max_new_tokens"], endpoint["temperature"]
         )
+        fields = inspect.signature(stream_corpus).parameters["fields_of_study"].default
+        assert fields == frozenset(DEFAULTS["filter"]["fields_of_study"])
 
     def test_config_value_is_converted_like_its_flag(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citepipe.corpus import (
-    CorpusFilter,
     IngestStats,
     ValidationError,
     corpus_files,
@@ -123,11 +122,7 @@ class TestValidateRecord:
             ],
         }
         section = validate_record(raw).body_sections[0]
-        first, second = section.cite_spans
-        assert (first.sentence_index, first.char_start, first.char_end) == (0, 11, 14)
-        assert section.sentences[0][first.char_start : first.char_end] == "[1]"
-        assert second.sentence_index == 1
-        assert section.sentences[1][second.char_start : second.char_end] == "[2]"
+        assert section.cited == [["q1"], ["q2"]]
 
     def test_span_crossing_sentence_boundary_rejected(self):
         raw = {
@@ -212,12 +207,62 @@ class TestValidateRecord:
                 one_section(text="  Short [1].", cite_spans=[{"char_start": 0, "char_end": 1}]),
                 "cite_spans: span (0, 1) falls before the first sentence",
             ),
+            (one_section(sentences=["Short."], cite_spans=5), "cite_spans: expected a list of objects"),
+            (one_section(text="Short [1].", cite_spans=None), "cite_spans: expected a list of objects"),
+            (one_section(text="Short [1].", cite_spans=["oops"]), "cite_spans: expected a list of objects"),
+            (one_section(sentences=["Short."], cite_spans=[None]), "cite_spans: expected a list of objects"),
         ],
     )
     def test_each_schema_violation_has_its_own_message(self, raw, message):
         with pytest.raises(ValidationError) as err:
             validate_record(raw)
         assert str(err.value) == message
+
+
+def old_sentence_target_ids(spans, sentence_index):
+    """The regroup extraction did over (sentence_index, char_start, char_end,
+    resolved_paper_id) spans before sections carried `cited`."""
+    matching = [s for s in spans if s[0] == sentence_index]
+    matching.sort(key=lambda s: s[1])
+    return [s[3] for s in matching]
+
+
+# sentences that `sentence_split` keeps apart when joined by one space
+cite_sentences = st.lists(st.integers(1, 5).map(lambda n: "A" + "b" * n + "."), min_size=1, max_size=4)
+
+
+@st.composite
+def sentences_and_spans(draw):
+    sentences = draw(cite_sentences)
+    spans = draw(st.lists(
+        st.integers(0, len(sentences) - 1).flatmap(lambda i: st.tuples(
+            st.just(i),
+            st.integers(0, len(sentences[i]) - 1),
+            st.sampled_from(["p1", "p2", "p3", None]),
+        )),
+        max_size=8,
+    ))
+    return sentences, [(i, start, start + 1, resolved) for i, start, resolved in spans]
+
+
+class TestCitedIds:
+    @given(sentences_and_spans())
+    def test_cited_is_the_old_regroup_in_both_section_forms(self, drawn):
+        sentences, spans = drawn
+        expected = [old_sentence_target_ids(spans, i) for i in range(len(sentences))]
+        split = one_section(sentences=sentences, cite_spans=[
+            {"sentence_index": i, "char_start": start, "char_end": end, "resolved_paper_id": resolved}
+            for i, start, end, resolved in spans
+        ])
+        text = " ".join(sentences)
+        assert sentence_split(text) == sentences
+        offsets = [sum(len(s) + 1 for s in sentences[:i]) for i in range(len(sentences))]
+        raw = one_section(text=text, cite_spans=[
+            {"char_start": offsets[i] + start, "char_end": offsets[i] + end, "resolved_paper_id": resolved}
+            for i, start, end, resolved in spans
+        ])
+        for record in (split, raw):
+            assert validate_record(record).body_sections[0].cited == expected
 
 
 class TestStreamCorpus:
@@ -268,7 +313,7 @@ class TestStreamCorpus:
         )
         ids = [
             r.paper_id
-            for r in stream_corpus(path, CorpusFilter(frozenset({"Biology"})))
+            for r in stream_corpus(path, {"Biology"})
         ]
         assert ids == ["p1"]
 

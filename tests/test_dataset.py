@@ -305,6 +305,7 @@ class TestDatasetFiles:
 
     @pytest.mark.parametrize(("field", "value"), [
         ("title", 1), ("title", True), ("abstract", None), ("paper_id", 2.0), ("conclusion", 0),
+        ("abstract", ["not", "text"]), ("title", {"a": 1}),
     ])
     def test_target_field_that_is_not_text_names_its_line(self, field, value, hand_samples, tmp_path):
         samples, _ = hand_samples
