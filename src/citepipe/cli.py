@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import config_from_dict, load_config, write_run_manifest
-from .jsonl import iter_rows, read_generations, write_json
+from .jsonl import iter_rows, read_generations, row_fields, write_json
 # no command calls it now, but code that wraps this module's names before a
 # command runs, like the benchmark's tracer, still expects to find it here
 from .jsonl import read_prompt_file  # noqa: F401
@@ -309,14 +309,11 @@ def generate(args: argparse.Namespace) -> None:
     )
 
     def request(row) -> GenerationRequest:
-        if not isinstance(row, dict) or not all(isinstance(row.get(k), str) for k in ("sample_id", "prompt")):
-            raise ValueError("prompt rows need sample_id and prompt fields, both strings")
-        return GenerationRequest(
-            sample_id=row["sample_id"],
-            prompt=row["prompt"],
-            max_new_tokens=args.max_new_tokens,
-            temperature=args.temperature,
-        )
+        try:
+            sample_id, prompt = row_fields(row, {"sample_id": str, "prompt": str})
+        except ValueError as exc:
+            raise ValueError(f"prompt rows need sample_id and prompt fields, both strings: {exc}") from exc
+        return GenerationRequest(sample_id, prompt, args.max_new_tokens, args.temperature)
 
     batch = iter_rows(args.prompts, request)  # each request built as its line is read
     results = generate_batch(

@@ -29,7 +29,7 @@ from typing import Iterable
 from urllib.parse import urlsplit
 
 from .config import DEFAULTS
-from .jsonl import dump_row, read_generations, write_text
+from .jsonl import dump_row, is_type, read_generations, write_text
 
 DEFAULT_STOP: tuple[str, ...] = ("### Response:",)
 
@@ -162,7 +162,7 @@ def _call_once(transport: _Transport, body: bytes) -> str:
         body = json.loads(data)
     except ValueError as exc:
         raise _Transient(f"invalid json body: {exc}") from exc
-    if not isinstance(body, dict) or not isinstance(body.get("text"), str):
+    if not is_type(body, dict) or not is_type(body.get("text"), str):
         raise _Transient("response body missing 'text'")
     return body["text"]
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .config import DEFAULTS
-from .jsonl import iter_jsonl
+from .jsonl import is_type, iter_jsonl
 
 
 class ValidationError(ValueError):
@@ -111,7 +111,7 @@ def _require_str(raw: dict, key: str, *aliases: str, default: str | None = "") -
     for k in (key, *aliases):
         if k in raw:
             value = raw[k]
-            if not isinstance(value, str):
+            if not is_type(value, str):
                 raise ValidationError(key, f"expected a string, got {type(value).__name__}")
             return value
     return default
@@ -119,7 +119,7 @@ def _require_str(raw: dict, key: str, *aliases: str, default: str | None = "") -
 
 def _raw_spans(raw_section: dict) -> list[dict]:
     raw_spans = raw_section.get("cite_spans", [])
-    if not isinstance(raw_spans, list) or any(not isinstance(s, dict) for s in raw_spans):
+    if not is_type(raw_spans, list) or not all(is_type(s, dict) for s in raw_spans):
         raise ValidationError("cite_spans", "expected a list of objects")
     return raw_spans
 
@@ -127,10 +127,10 @@ def _raw_spans(raw_section: dict) -> list[dict]:
 def _span_fields(raw_span: dict) -> tuple[int, int, str | None]:
     start = raw_span.get("char_start", raw_span.get("start"))
     end = raw_span.get("char_end", raw_span.get("end"))
-    if not isinstance(start, int) or not isinstance(end, int):
+    if not is_type(start, int) or not is_type(end, int):
         raise ValidationError("cite_spans", "span offsets must be integers")
     resolved = raw_span.get("resolved_paper_id", raw_span.get("ref_paper_id"))
-    if resolved is not None and not isinstance(resolved, str):
+    if not is_type(resolved, (str, None)):
         raise ValidationError("cite_spans", "resolved_paper_id must be a string or null")
     return start, end, resolved
 
@@ -147,12 +147,12 @@ def _cited_ids(n_sentences: int, citations: list[tuple[int, int, str | None]]) -
 
 def _section_from_sentences(raw_section: dict, name: str) -> BodySection:
     sentences = raw_section["sentences"]
-    if not isinstance(sentences, list) or any(not isinstance(s, str) for s in sentences):
+    if not is_type(sentences, list) or not all(is_type(s, str) for s in sentences):
         raise ValidationError("sentences", "expected a list of strings")
     citations = []
     for raw_span in _raw_spans(raw_section):
         idx = raw_span.get("sentence_index")
-        if not isinstance(idx, int) or idx < 0 or idx >= len(sentences):
+        if not is_type(idx, int) or idx < 0 or idx >= len(sentences):
             raise ValidationError("cite_spans", f"sentence_index {idx!r} out of range")
         start, end, resolved = _span_fields(raw_span)
         if start < 0 or end <= start or end > len(sentences[idx]):
@@ -163,7 +163,7 @@ def _section_from_sentences(raw_section: dict, name: str) -> BodySection:
 
 def _section_from_text(raw_section: dict, name: str) -> BodySection:
     text = raw_section["text"]
-    if not isinstance(text, str):
+    if not is_type(text, str):
         raise ValidationError("text", "expected a string")
     with_offsets = _split_with_offsets(text)
     sentences = [s for s, _ in with_offsets]
@@ -192,7 +192,7 @@ def validate_record(raw: dict) -> PaperRecord:
     section_name/section, char_start/start, char_end/end,
     resolved_paper_id/ref_paper_id.
     """
-    if not isinstance(raw, dict):
+    if not is_type(raw, dict):
         raise ValidationError("record", "expected a JSON object")
 
     paper_id = _require_str(raw, "paper_id", "source_paper_id", default=None)
@@ -203,16 +203,16 @@ def validate_record(raw: dict) -> PaperRecord:
     abstract = _require_str(raw, "abstract", "source_abstract")
 
     fos = raw.get("fields_of_study", raw.get("fieldsOfStudy", []))
-    if not isinstance(fos, list) or any(not isinstance(f, str) for f in fos):
+    if not is_type(fos, list) or not all(is_type(f, str) for f in fos):
         raise ValidationError("fields_of_study", "expected a list of strings")
 
     raw_sections = raw.get("body_sections", raw.get("body_text", []))
-    if not isinstance(raw_sections, list):
+    if not is_type(raw_sections, list):
         raise ValidationError("body_sections", "expected a list of sections")
 
     sections: list[BodySection] = []
     for raw_section in raw_sections:
-        if not isinstance(raw_section, dict):
+        if not is_type(raw_section, dict):
             raise ValidationError("body_sections", "each section must be an object")
         name = _require_str(raw_section, "section_name", "section")
         if "sentences" in raw_section:

@@ -14,11 +14,11 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from . import __version__
 from .config import DEFAULTS
-from .jsonl import dump_row, encoded_by_identity, iter_rows, json_digest, write_text
+from .jsonl import dump_row, encoded_by_identity, iter_rows, json_digest, row_fields, write_text
 
 if TYPE_CHECKING:
     from .corpus import BodySection, PaperRecord
@@ -26,11 +26,6 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 
 MAX_TARGETS = 3
-
-
-class DatasetReadError(OSError):
-    """A dataset file could not be parsed. Names the offending line. A file
-    the pipeline wrote itself is damaged, so an OSError, not bad data."""
 
 
 @dataclass
@@ -342,14 +337,12 @@ def sample_encoder() -> Callable[[CitationSample], str]:
     return encode
 
 
-_SAMPLE_TEXT = ("sample_id", "source_paper_id", "source_abstract", "citation_text")
-_TARGET_TEXT = ("paper_id", "title", "abstract", "introduction", "conclusion")
-
-
-def _check_text(fields: Iterable[tuple[str, Any]], nullable: tuple[str, ...] = ()) -> None:
-    for name, value in fields:
-        if type(value) is not str and not (value is None and name in nullable):
-            raise ValueError(f"{name} is {'null' if value is None else type(value).__name__}, not a string")
+_SAMPLE = {
+    "sample_id": str, "source_paper_id": str, "source_abstract": str, "citation_text": str, "section_name": str,
+    "targets": list,
+}
+_TARGET = {"paper_id": str, "title": str, "abstract": str, "introduction": (str, None), "conclusion": (str, None)}
+_TARGET_DEFAULTS = {"title": "", "abstract": "", "introduction": None, "conclusion": None}
 
 
 def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
@@ -360,26 +353,19 @@ def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
     be null."""
     if papers is None:
         papers = {}
-    fields = {name: row[name] for name in _SAMPLE_TEXT}
-    fields["section_name"] = row.get("section_name", "")
-    _check_text(fields.items())
+    sample_id, source_id, abstract, citation, section, raw_targets = row_fields(row, _SAMPLE, {"section_name": ""})
     targets = []
-    for t in row["targets"]:
-        key = (
-            t["paper_id"],
-            t.get("title", ""),
-            t.get("abstract", ""),
-            t.get("introduction"),
-            t.get("conclusion"),
-        )
+    for t in raw_targets:
         try:
             # only checked keys are interned, so a hit needs no check
-            target = papers[key]
-        except (KeyError, TypeError):  # a miss, or an unhashable field the check names
-            _check_text(zip(_TARGET_TEXT, key), nullable=_TARGET_TEXT[3:])
+            target = papers[
+                t["paper_id"], t.get("title", ""), t.get("abstract", ""), t.get("introduction"), t.get("conclusion")
+            ]
+        except (KeyError, TypeError):  # a miss, or a row the check names
+            key = tuple(row_fields(t, _TARGET, _TARGET_DEFAULTS))
             target = papers[key] = TargetPaper(*key)
         targets.append(target)
-    return CitationSample(targets=targets, **fields)
+    return CitationSample(sample_id, source_id, abstract, targets, citation, section)
 
 
 def write_dataset(samples: list[CitationSample], path: str | Path) -> dict:
@@ -399,7 +385,7 @@ def iter_dataset(path: str | Path) -> Iterator[CitationSample]:
     line fails with its line number when it is reached. Samples share one
     TargetPaper per distinct target, so treat them as read-only."""
     papers: dict = {}
-    return iter_rows(path, lambda row: sample_from_dict(row, papers), DatasetReadError)
+    return iter_rows(path, lambda row: sample_from_dict(row, papers))
 
 
 def read_dataset(path: str | Path) -> list[CitationSample]:

@@ -1,7 +1,7 @@
 """How every artifact goes on disk and comes back: one atomic writer, one
 canonical row encoding (with a per-write cache for objects shared between
-rows), one strict line reader (lazy, or listed whole), and file and JSON
-digests.
+rows), one strict line reader (lazy, or listed whole), the one field-type
+rule every row reader checks with, and file and JSON digests.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import itertools
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -22,25 +22,21 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def iter_rows(
-    path: str | Path, parse: Callable[[Any], Any] = lambda row: row, error=ValueError
-) -> Iterator:
+def iter_rows(path: str | Path, parse: Callable[[Any], Any] = lambda row: row) -> Iterator:
     """Each row of a JSONL file through `parse`, one at a time as the file is
     read. Bad JSON, or a ValueError, KeyError or TypeError from `parse`,
-    raises `error` naming the line once the reader gets there."""
+    raises a ValueError naming the file and line once the reader gets there."""
     for lineno, line in iter_jsonl(path):
         try:
             row = parse(json.loads(line))
         except (ValueError, KeyError, TypeError) as exc:
-            raise error(f"{path}: line {lineno}: {exc}") from exc
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
         yield row
 
 
-def read_jsonl(
-    path: str | Path, parse: Callable[[Any], Any] = lambda row: row, error=ValueError
-) -> list:
+def read_jsonl(path: str | Path, parse: Callable[[Any], Any] = lambda row: row) -> list:
     """Every row of `iter_rows`, so a bad line fails before any row is used."""
-    return list(iter_rows(path, parse, error))
+    return list(iter_rows(path, parse))
 
 
 def read_prompt_file(path: str | Path) -> list[dict]:
@@ -48,10 +44,48 @@ def read_prompt_file(path: str | Path) -> list[dict]:
     return read_jsonl(path)
 
 
-def _generation_row(row) -> tuple[str, str]:
-    if not isinstance(row, dict) or not all(isinstance(row.get(k), str) for k in ("sample_id", "text")):
-        raise ValueError("not a generation row: sample_id and text must be strings")
-    return row["sample_id"], row["text"]
+# each type's JSON name, for messages
+_NOUNS = {str: "a string", int: "an integer", bool: "a boolean", list: "a list", dict: "an object"}
+_ABSENT = object()
+
+
+def is_type(value: Any, kind: type | tuple[type, None]) -> bool:
+    """Whether `value` is exactly a `kind`, so True is not an int; the pair
+    `(kind, None)` lets null through as well."""
+    return type(value) is kind or (type(kind) is tuple and (value is None or type(value) is kind[0]))
+
+
+def _type_name(value: Any) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def row_fields(row: Any, spec: Mapping[str, Any], defaults: Mapping[str, Any] | None = None) -> list:
+    """The values of the fields `spec` names, in its order, from the object
+    `row`. `spec` gives each name's type in the form `is_type` takes; a name
+    in `defaults` may be absent and then reads as its default. Any other row
+    is a ValueError naming the first bad field."""
+    if type(row) is not dict:
+        raise ValueError(f"expected an object, got {_type_name(row)}")
+    values = []
+    for name, kind in spec.items():
+        value = row.get(name, _ABSENT)
+        if type(value) is not kind:  # a value of exactly its type, the common case, needs no more
+            if value is _ABSENT and defaults:
+                value = defaults.get(name, _ABSENT)
+            if not is_type(value, kind):
+                if value is _ABSENT:
+                    raise ValueError(f"{name} is missing")
+                noun = _NOUNS[kind if type(kind) is type else kind[0]]
+                raise ValueError(f"{name} is {_type_name(value)}, not {noun}")
+        values.append(value)
+    return values
+
+
+def _generation_row(row) -> list:
+    try:
+        return row_fields(row, {"sample_id": str, "text": str})
+    except ValueError as exc:
+        raise ValueError(f"not a generation row: {exc}") from exc
 
 
 def read_generations(path: str | Path) -> dict[str, str]:
@@ -65,12 +99,6 @@ def read_generations(path: str | Path) -> dict[str, str]:
 def dump_row(obj: Any) -> str:
     # sort_keys keeps files byte-stable across runs
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
-
-
-def all_text(values: Iterable[Any]) -> bool:
-    """True when every value is a string or None. Such values are equal
-    exactly when they encode alike; 1, 1.0 and true are equal but do not."""
-    return all(v is None or type(v) is str for v in values)
 
 
 def encoded_by_identity(encode: Callable[[Any], str]) -> Callable[[Any], str]:

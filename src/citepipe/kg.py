@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .dataset import CitationSample, sample_encoder, sample_from_dict, sample_to_dict
-from .jsonl import all_text, dump_row, encoded_by_identity, iter_jsonl, iter_rows, write_text
+from .jsonl import dump_row, encoded_by_identity, iter_jsonl, iter_rows, row_fields, write_text
 
 SECTIONS = ("abstract", "introduction", "conclusion")
 
@@ -74,50 +73,45 @@ class TripletStore:
         return any(pid == paper_id for pid, _ in self.blocks)
 
 
+# a triplet block and its entries, as triplet files and enriched files hold them
+_BLOCK = {"paper_id": str, "section": str, "triplets": list}
+_TRIPLET = {"head": str, "relation": str, "tail": str, "head_type": (str, None), "tail_type": (str, None)}
+_TRIPLET_DEFAULTS = {"head_type": None, "tail_type": None}
+
+
 def _parse_triplet(raw: dict, vocabulary: frozenset[str] | None, stats: KgIngestStats) -> KGTriplet | None:
-    head = normalize_phrase(str(raw.get("head", "")))
-    relation = normalize_phrase(str(raw.get("relation", "")))
-    tail = normalize_phrase(str(raw.get("tail", "")))
+    try:
+        fields = row_fields(raw, _TRIPLET, _TRIPLET_DEFAULTS)
+    except ValueError:  # not an object, or a field missing or of another type
+        stats.invalid_triplets += 1
+        return None
+    head, relation, tail, head_type, tail_type = (f if f is None else normalize_phrase(f) for f in fields)
     if not head or not relation or not tail or head == tail:
         stats.invalid_triplets += 1
         return None
     if vocabulary is not None and relation not in vocabulary:
         stats.unknown_relations += 1
-    head_type = raw.get("head_type")
-    tail_type = raw.get("tail_type")
-    return KGTriplet(
-        head,
-        relation,
-        tail,
-        normalize_phrase(head_type) if isinstance(head_type, str) else None,
-        normalize_phrase(tail_type) if isinstance(tail_type, str) else None,
-    )
+    return KGTriplet(head, relation, tail, head_type, tail_type)
 
 
 def load_triplets(path: str | Path, vocabulary: frozenset[str] | None = None) -> TripletStore:
     """Load a triplet JSONL file into a TripletStore.
 
-    Malformed lines and invalid triplets (empty field, head == tail after
-    normalization, unknown section) are counted and skipped. Duplicate
-    (paper, section) blocks merge, deduping identical triplets and keeping
-    first-seen order.
+    Malformed lines (not a block, unknown section) and invalid triplets (a
+    field that is not a string, an empty field, head == tail after
+    normalization) are counted and skipped. Duplicate (paper, section)
+    blocks merge, deduping identical triplets and keeping first-seen order.
     """
     store = TripletStore()
     stats = store.stats
     for lineno, line in iter_jsonl(path):
         stats.lines_read += 1
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError:
+            paper_id, section, raw_triplets = row_fields(json.loads(line), _BLOCK)
+        except ValueError:  # bad JSON, or a field of the wrong type
             stats.malformed_lines += 1
             continue
-        if not isinstance(raw, dict):
-            stats.malformed_lines += 1
-            continue
-        paper_id = raw.get("paper_id")
-        section = raw.get("section")
-        raw_triplets = raw.get("triplets")
-        if not isinstance(paper_id, str) or not paper_id or section not in SECTIONS or not isinstance(raw_triplets, list):
+        if not paper_id or section not in SECTIONS:
             stats.malformed_lines += 1
             continue
 
@@ -130,9 +124,6 @@ def load_triplets(path: str | Path, vocabulary: frozenset[str] | None = None) ->
 
         seen = {(t.head, t.relation, t.tail) for t in existing.triplets}
         for raw_triplet in raw_triplets:
-            if not isinstance(raw_triplet, dict):
-                stats.invalid_triplets += 1
-                continue
             triplet = _parse_triplet(raw_triplet, vocabulary, stats)
             if triplet is None:
                 continue
@@ -275,20 +266,21 @@ def _tset_from_dict(row: dict | None, blocks: dict) -> TripletSet | None:
     field of a block to its one TripletSet and gains the new ones."""
     if row is None:
         return None
-    key = (
-        row["paper_id"],
-        row["section"],
-        tuple(
-            (t["head"], t["relation"], t["tail"], t.get("head_type"), t.get("tail_type"))
-            for t in row["triplets"]
-        ),
-    )
-    tset = blocks.get(key)
-    if tset is None:
-        tset = TripletSet(key[0], key[1], [KGTriplet(*t) for t in key[2]])
-        if all_text((key[0], key[1], *chain.from_iterable(key[2]))):
-            blocks[key] = tset
-    return tset
+    try:
+        # only checked blocks are interned, so a hit needs no check
+        return blocks[
+            row["paper_id"],
+            row["section"],
+            tuple(
+                (t["head"], t["relation"], t["tail"], t.get("head_type"), t.get("tail_type"))
+                for t in row["triplets"]
+            ),
+        ]
+    except (KeyError, TypeError):  # a miss, or a row the check names
+        paper_id, section, raw_triplets = row_fields(row, _BLOCK)
+        entries = tuple(tuple(row_fields(t, _TRIPLET, _TRIPLET_DEFAULTS)) for t in raw_triplets)
+        tset = blocks[paper_id, section, entries] = TripletSet(paper_id, section, [KGTriplet(*t) for t in entries])
+        return tset
 
 
 def enriched_to_dict(es: EnrichedSample) -> dict:
@@ -309,25 +301,21 @@ def enriched_to_dict(es: EnrichedSample) -> dict:
     }
 
 
+_ENRICHED = {"sample": dict, "source_triplets": (dict, None), "target_triplets": list, "missing_target_triplets": bool}
+_TARGET_TRIPLETS = {"paper_id": str, **dict.fromkeys(SECTIONS, (dict, None))}
+
+
 def enriched_from_dict(row: dict, papers: dict | None = None, blocks: dict | None = None) -> EnrichedSample:
     """An enriched sample from its row; targets are shared through `papers`
     (see `sample_from_dict`) and triplet blocks through `blocks`."""
     if blocks is None:
         blocks = {}
-    return EnrichedSample(
-        sample=sample_from_dict(row["sample"], papers),
-        source_triplets=_tset_from_dict(row["source_triplets"], blocks),
-        target_triplets=[
-            TargetTriplets(
-                paper_id=tt["paper_id"],
-                abstract=_tset_from_dict(tt["abstract"], blocks),
-                introduction=_tset_from_dict(tt["introduction"], blocks),
-                conclusion=_tset_from_dict(tt["conclusion"], blocks),
-            )
-            for tt in row["target_triplets"]
-        ],
-        missing_target_triplets=row["missing_target_triplets"],
-    )
+    sample, source, targets, missing = row_fields(row, _ENRICHED)
+    per_target = []
+    for tt in targets:
+        paper_id, *sections = row_fields(tt, _TARGET_TRIPLETS)
+        per_target.append(TargetTriplets(paper_id, *[_tset_from_dict(s, blocks) for s in sections]))
+    return EnrichedSample(sample_from_dict(sample, papers), _tset_from_dict(source, blocks), per_target, missing)
 
 
 def write_enriched(samples: Iterable[EnrichedSample], path: str | Path) -> int:

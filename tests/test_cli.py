@@ -142,11 +142,11 @@ class TestStats:
         assert code == 0
         assert json.loads(out)["n_samples"] == 3
 
-    def test_corrupt_dataset_exits_2(self, tmp_path, capsys):
+    def test_corrupt_dataset_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n", encoding="utf-8")
         code, _, err = run(capsys, "stats", "--dataset", str(bad))
-        assert code == 2
+        assert code == 1
         assert "line 1" in err
 
     def test_missing_dataset_is_a_usage_error(self, tmp_path, capsys):
@@ -374,7 +374,7 @@ class TestKgMerge:
         with open(dataset, "a", encoding="utf-8") as fh:
             fh.write('{"sample_id": "torn"\n')
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
+        assert (code, out) == (1, "")
         assert f"{dataset}: line 4: " in err
         assert {p.name: p.read_bytes() for p in out_path.parent.iterdir()} == before
 
@@ -499,7 +499,7 @@ class TestDatasetTextFields:
     ):
         self.corrupt_line_2(dataset, sample, target)
         code, out, err = run(capsys, *self.argv(command, dataset, tmp_path, triplets_file))
-        assert (code, out) == (2, "")
+        assert (code, out) == (1, "")
         assert err.startswith(f"error: {dataset}: line 2: ") and "not a string" in err, err
         assert len(err.splitlines()) == 1
 
@@ -517,9 +517,35 @@ class TestDatasetTextFields:
         code, out, err = run(
             capsys, "prompts", "--mode", "kg", "--enriched", str(enriched), "--out", str(tmp_path / "p.jsonl")
         )
-        # unlike a dataset file's, a corrupt line of an enriched file exits 1
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {enriched}: line 2: ") and "not a string" in err, err
+
+    @pytest.mark.parametrize(("edit", "message"), [
+        pytest.param(lambda row: row["source_triplets"]["triplets"].append({"head": 5, "relation": "r", "tail": "t"}),
+                     "head is int, not a string", id="int-triplet-head"),
+        pytest.param(lambda row: row["source_triplets"]["triplets"].append({"head": "h", "relation": "r", "tail": None}),
+                     "tail is null, not a string", id="null-triplet-tail"),
+        pytest.param(lambda row: row["target_triplets"][0].update(paper_id=7),
+                     "paper_id is int, not a string", id="int-target-paper-id"),
+        pytest.param(lambda row: row.update(missing_target_triplets="yes"),
+                     "missing_target_triplets is str, not a boolean", id="str-missing-target-triplets"),
+    ])
+    def test_kg_prompts_reject_an_enriched_field_of_the_wrong_type(
+        self, edit, message, dataset, triplets_file, tmp_path, capsys
+    ):
+        enriched = tmp_path / "enriched.jsonl"
+        merge = ["kg-merge", "--dataset", str(dataset), "--triplets", str(triplets_file), "--out", str(enriched)]
+        assert run(capsys, *merge)[0] == 0
+        lines = enriched.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[1])
+        edit(row)
+        lines[1] = dump_row(row)
+        enriched.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code, out, err = run(
+            capsys, "prompts", "--mode", "kg", "--enriched", str(enriched), "--out", str(tmp_path / "p.jsonl")
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {enriched}: line 2: {message}\n"
 
 
 class TestGenerateEvaluate:
@@ -720,12 +746,11 @@ class TestGenerateEvaluate:
 def test_each_layer_error_is_the_builtin_of_its_exit_code():
     # `main` maps an error to its exit code by these bases alone
     from citepipe.client import EndpointError
-    from citepipe.dataset import DatasetReadError
     from citepipe.prompts import BudgetExhausted
 
     assert issubclass(BudgetExhausted, ValueError)  # exit 1: bad data
-    assert issubclass(DatasetReadError, OSError) and issubclass(EndpointError, OSError)  # exit 2: environment
-    assert not any(issubclass(e, ValueError) for e in (DatasetReadError, EndpointError))
+    assert issubclass(EndpointError, OSError)  # exit 2: environment
+    assert not issubclass(EndpointError, ValueError)
 
 
 class TestProvenance:
@@ -951,10 +976,16 @@ def test_the_chain_runs_as_python_m(chain, tmp_path):
         assert done.returncode == 0, (name, done.stdout, done.stderr)
     assert json.loads((tmp_path / "report.json").read_text())["n"] == 3
 
-    # an error class of a layer loaded on first use still maps to its exit code
+    # a corrupt line is bad data, and an error class of a layer loaded on first
+    # use still maps to its exit code
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{oops\n", encoding="utf-8")
     done = fresh("-m", "citepipe.cli", "split", "--dataset", str(bad), "--out-dir", str(tmp_path / "x"))
+    assert (done.returncode, done.stderr.startswith("error: ")) == (1, True), done.stderr
+    done = fresh(
+        "-m", "citepipe.cli", "generate", "--prompts", chain["generate"][2], "--out", str(tmp_path / "g.jsonl"),
+        "--endpoint", "http://127.0.0.1:9/generate", "--max-attempts", "1", "--backoff-seconds", "0",
+    )
     assert (done.returncode, done.stderr.startswith("error: ")) == (2, True), done.stderr
     done = fresh(
         "-m", "citepipe.cli", "prompts", "--dataset", chain["build"][-1], "--out", str(tmp_path / "p.jsonl"),

@@ -218,6 +218,28 @@ class TestValidateRecord:
             validate_record(raw)
         assert str(err.value) == message
 
+    # JSON's true and false are not numbers, though Python's bool is an int
+    @pytest.mark.parametrize("section", [
+        pytest.param(
+            {"sentences": ["Ab.", "Cd [1]."], "cite_spans": [
+                {"sentence_index": True, "char_start": False, "char_end": True, "resolved_paper_id": "q"}
+            ]},
+            id="sentences",
+        ),
+        pytest.param(
+            {"text": "Ab [1].", "cite_spans": [{"char_start": False, "char_end": True, "resolved_paper_id": "q"}]},
+            id="text",
+        ),
+    ])
+    def test_boolean_offsets_are_a_validation_error(self, section, tmp_path):
+        raw = {**one_section(**section), "fields_of_study": ["Computer Science"]}
+        with pytest.raises(ValidationError) as err:
+            validate_record(raw)
+        assert err.value.field_name == "cite_spans"
+        stats = IngestStats()
+        assert list(stream_corpus(write_jsonl_file(tmp_path / "corpus.jsonl", [raw]), stats=stats)) == []
+        assert (stats.lines_read, stats.validation_errors) == (1, 1)
+
 
 def old_sentence_target_ids(spans, sentence_index):
     """The regroup extraction did over (sentence_index, char_start, char_end,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from citepipe.corpus import validate_record
 from citepipe.dataset import (
     CitationSample,
-    DatasetReadError,
     ExtractStats,
     SplitSpec,
     TargetPaper,
@@ -300,7 +299,7 @@ class TestDatasetFiles:
         rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         rows[1]["targets"][0]["abstract"] = ["not", "text"]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-        with pytest.raises(DatasetReadError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             read_dataset(path)
 
     @pytest.mark.parametrize(("field", "value"), [
@@ -314,7 +313,7 @@ class TestDatasetFiles:
         rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         rows[1]["targets"][0][field] = value
         path.write_text("".join(dump_row(r) + "\n" for r in rows), encoding="utf-8")
-        with pytest.raises(DatasetReadError, match=f"line 2: {field} is .*, not a string"):
+        with pytest.raises(ValueError, match=f"line 2: {field} is .*, not a string"):
             read_dataset(path)
 
     def test_corrupt_line_names_line_number(self, hand_samples, tmp_path):
@@ -324,5 +323,5 @@ class TestDatasetFiles:
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[1] = '{"sample_id": "broken"'
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(DatasetReadError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             read_dataset(path)

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from citepipe.jsonl import (
     dump_row,
     file_digest,
+    is_type,
     iter_jsonl,
     json_digest,
     read_jsonl,
+    row_fields,
     write_json,
     write_jsonl,
     write_text,
@@ -88,19 +90,45 @@ def test_write_json_streams_the_bytes_of_an_indented_dump(tmp_path_factory, obj)
     assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-class _RowError(RuntimeError):
-    pass
-
-
 def test_read_jsonl_names_the_bad_line(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"a": 1}\n\n{"a": 2}\n{"b": 3}\n', encoding="utf-8")
     assert read_jsonl(path) == [{"a": 1}, {"a": 2}, {"b": 3}]
-    with pytest.raises(_RowError, match=r"rows.jsonl: line 4: 'a'"):
-        read_jsonl(path, lambda row: row["a"], _RowError)
+    with pytest.raises(ValueError, match=r"rows.jsonl: line 4: 'a'"):
+        read_jsonl(path, lambda row: row["a"])
     path.write_text('{"a": 1}\n{oops\n', encoding="utf-8")
     with pytest.raises(ValueError, match="line 2"):
         read_jsonl(path)
+
+
+def test_is_type_is_exact():
+    assert is_type(1, int) and not is_type(True, int) and not is_type(1.0, int)
+    assert is_type(True, bool) and not is_type(1, bool)
+    assert not is_type(None, str) and is_type(None, (str, None)) and is_type("", (str, None))
+    assert not is_type(0, (str, None)) and not is_type(False, (int, None))
+
+
+SPEC = {"a": str, "n": int, "note": (str, None)}
+
+
+def test_row_fields_returns_the_fields_in_spec_order():
+    assert row_fields({"note": None, "n": 2, "a": "x", "extra": []}, SPEC) == ["x", 2, None]
+    assert row_fields({"a": "x", "n": 2}, SPEC, {"note": "default"}) == ["x", 2, "default"]
+
+
+@pytest.mark.parametrize(("row", "message"), [
+    ({"a": 1, "n": 2, "note": None}, "a is int, not a string"),
+    ({"a": None, "n": 2, "note": None}, "a is null, not a string"),
+    ({"a": "x", "n": True, "note": None}, "n is bool, not an integer"),
+    ({"a": "x", "n": 2, "note": ["y"]}, "note is list, not a string"),
+    ({"a": "x", "n": 2}, "note is missing"),
+    (["x", 2, None], "expected an object, got list"),
+    (None, "expected an object, got null"),
+])
+def test_row_fields_names_the_first_bad_field(row, message):
+    with pytest.raises(ValueError) as err:
+        row_fields(row, SPEC)
+    assert str(err.value) == message
 
 
 def test_file_digest_tracks_content(tmp_path):

@@ -135,6 +135,23 @@ class TestLoadTriplets:
         assert (store.stats.invalid_triplets, store.stats.malformed_lines) == (3, 0)
         assert [(t.head, t.tail) for t in store.get("t1", "abstract").triplets] == [("good", "fine")]
 
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"head": None}, id="null-head"),
+        pytest.param({"relation": 5}, id="int-relation"),
+        pytest.param({"tail": True}, id="bool-tail"),
+        pytest.param({"head": ["x"]}, id="list-head"),
+        pytest.param({"head_type": 3}, id="int-head-type"),
+        pytest.param({"tail_type": False}, id="bool-tail-type"),
+        pytest.param({"head_type": {"a": 1}}, id="object-head-type"),
+    ])
+    def test_triplet_fields_that_are_not_strings_are_invalid(self, bad, tmp_path):
+        row = block("t1", "abstract", [("good", "Used-For", "fine"), ("other", "Used-For", "thing")])
+        row["triplets"][0].update(head_type=None, tail_type="Task")  # a type may be null
+        row["triplets"][1].update(bad)
+        store = load_triplets(write_jsonl_file(tmp_path / "kg.jsonl", [row]))
+        assert (store.stats.invalid_triplets, store.stats.malformed_lines) == (1, 0)
+        assert store.get("t1", "abstract").triplets == [KGTriplet("good", "Used-For", "fine", None, "Task")]
+
     def test_malformed_lines_counted(self, tmp_path):
         path = tmp_path / "kg.jsonl"
         rows = [
@@ -345,10 +362,8 @@ class TestEncoding:
         out = tmp_path / "enriched.jsonl"
         write_enriched(attach_triplets(samples, load_triplets(store_path)), out)
         rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
-        # hand edits: one field differs in row 2; rows 1 and 3 hold equal non-strings
+        # hand edit: one field differs in row 2
         rows[2]["target_triplets"][0]["abstract"]["triplets"][0]["tail"] = "edited"
-        rows[1]["target_triplets"][1]["abstract"]["triplets"][0]["head_type"] = True
-        rows[3]["target_triplets"][1]["abstract"]["triplets"][0]["head_type"] = 1
         out.write_text("".join(dump_row(r) + "\n" for r in rows), encoding="utf-8")
 
         back = read_enriched(out)
@@ -356,9 +371,14 @@ class TestEncoding:
         assert t1_blocks[0] is t1_blocks[1] is t1_blocks[3] is not t1_blocks[2]
         assert t1_blocks[2].triplets[0].tail == "edited"
         t2_blocks = [es.target_triplets[1].abstract for es in back]
-        assert t2_blocks[0] is t2_blocks[2]
-        assert len({id(b) for b in t2_blocks}) == 3
+        assert len({id(b) for b in t2_blocks}) == 1
         assert back[0].sample.targets[0] is back[2].sample.targets[0]
         again = tmp_path / "again.jsonl"
         write_enriched(back, again)
         assert again.read_bytes() == out.read_bytes()
+
+        # a type that is neither a string nor null is a corrupt line, not a block of its own
+        rows[1]["target_triplets"][1]["abstract"]["triplets"][0]["head_type"] = True
+        out.write_text("".join(dump_row(r) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: head_type is bool, not a string"):
+            read_enriched(out)
