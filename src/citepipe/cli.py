@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import config_from_dict, load_config, write_run_manifest
-from .jsonl import iter_rows, read_generations, row_fields, write_json
+from .jsonl import is_type, iter_rows, read_generations, row_fields, write_json
 # no command calls it now, but code that wraps this module's names before a
 # command runs, like the benchmark's tracer, still expects to find it here
 from .jsonl import read_prompt_file  # noqa: F401
@@ -300,11 +300,16 @@ def generate(args: argparse.Namespace) -> None:
     Bearer auth comes from the CITEPIPE_API_TOKEN environment variable.
     """
     _bind("client")
+    multiplier = args.config["endpoint"]["backoff_multiplier"]  # config-only, no flag
+    try:
+        multiplier = _from_config(multiplier, float)
+    except ValueError:
+        _config_error(args, "endpoint.backoff_multiplier", float, multiplier)
     policy = ClientPolicy(
         max_parallel=args.max_parallel,
         max_attempts=args.max_attempts,
         backoff_seconds=args.backoff_seconds,
-        backoff_multiplier=args.config["endpoint"]["backoff_multiplier"],  # config-only, no flag
+        backoff_multiplier=multiplier,
         timeout_seconds=args.timeout_seconds,
     )
 
@@ -534,9 +539,27 @@ def _configured(config: dict) -> dict:
     }
 
 
+# the YAML types a number flag takes besides a string; a float flag takes an int
+_NUMBER_TYPES = {int: (int,), float: (int, float)}
+
+
+def _from_config(value, convert):
+    """A configured `value` as a flag of type `convert` takes it: a string
+    is converted as if it had been given on the command line, and any other
+    value must be of a type the flag takes by `is_type`'s exact rule, so
+    true is not an int and 2.7 is not an int. Otherwise a ValueError."""
+    if type(value) is not str and not any(is_type(value, kind) for kind in _NUMBER_TYPES.get(convert, ())):
+        raise ValueError(f"not {convert.__name__}")
+    return convert(value)
+
+
+def _config_error(args: argparse.Namespace, name: str, convert, value) -> None:
+    args.parser.error(f"{name}: invalid {convert.__name__} value in the config: {value!r}")
+
+
 def _apply_config(args: argparse.Namespace) -> None:
-    """Give each flag left off the command line its configured value,
-    converted by the flag's type as if it had been given there."""
+    """Give each flag left off the command line its configured value, taken
+    as `_from_config` takes it."""
     values = _configured(args.config).get(args.run, {})
     for action in args.parser._actions:
         value = values.get(action.dest)
@@ -545,12 +568,11 @@ def _apply_config(args: argparse.Namespace) -> None:
         convert = action.type
         try:
             if isinstance(action, argparse._AppendAction):  # a repeatable flag takes a list
-                value = [convert(v) for v in value]
+                value = [_from_config(v, convert) for v in value]
             else:
-                value = convert(value)
+                value = _from_config(value, convert)
         except (TypeError, ValueError):
-            flag = "/".join(action.option_strings)
-            args.parser.error(f"argument {flag}: invalid {convert.__name__} value in the config: {value!r}")
+            _config_error(args, f"argument {'/'.join(action.option_strings)}", convert, value)
         setattr(args, action.dest, value)
 
 

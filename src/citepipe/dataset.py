@@ -6,6 +6,10 @@ cited papers' metadata. Sentences immediately adjacent to a qualifying
 sentence join its citation passage when every citation they carry resolves
 to a paper already in the target set, so a contiguous discussion of the
 same papers travels as one passage.
+
+Dataset and split rows are standalone: each holds its targets' full text.
+Enriched files write each distinct target's text once and name it by its
+bare id afterwards (`target_referencer`); `sample_from_dict` reads both.
 """
 
 from __future__ import annotations
@@ -323,10 +327,30 @@ def sample_to_dict(sample: CitationSample) -> dict:
     return {**_sample_fields(sample), "targets": [_target_to_dict(t) for t in sample.targets]}
 
 
-def sample_encoder() -> Callable[[CitationSample], str]:
+def target_referencer() -> Callable[[TargetPaper], str]:
+    """Each target's encoding in a file that holds a paper's text once: its
+    full entry the first time its paper appears, or when it differs from the
+    last full entry written for that paper_id, and otherwise the bare id, which
+    `sample_from_dict` resolves to that entry. Keep one per file written."""
+    reference = encoded_by_identity(lambda t: dump_row(t.paper_id))
+    written: dict[str, TargetPaper] = {}  # the last full entry of each paper
+
+    def encode(target: TargetPaper) -> str:
+        last = written.get(target.paper_id)
+        if last is target or last == target:
+            return reference(target)
+        written[target.paper_id] = target
+        return dump_row(_target_to_dict(target))
+
+    return encode
+
+
+def sample_encoder(encode_target: Callable[[TargetPaper], str] | None = None) -> Callable[[CitationSample], str]:
     """`dump_row(sample_to_dict(s))`, with each distinct target object encoded
-    once for as long as the returned function is kept."""
-    encode_target = encoded_by_identity(lambda t: dump_row(_target_to_dict(t)))
+    once for as long as the returned function is kept; `encode_target`, such
+    as a `target_referencer`, encodes the targets instead."""
+    if encode_target is None:
+        encode_target = encoded_by_identity(lambda t: dump_row(_target_to_dict(t)))
 
     def encode(sample: CitationSample) -> str:
         head = dump_row(_sample_fields(sample))
@@ -346,24 +370,32 @@ _TARGET_DEFAULTS = {"title": "", "abstract": "", "introduction": None, "conclusi
 
 
 def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
-    """A sample from its dataset row. Targets come from `papers`, which maps
-    every field of a target to its one shared TargetPaper, and are added to it
-    when new; without it each row gets its own. A text field that is not a
-    string is a ValueError; only a target's introduction and conclusion may
-    be null."""
+    """A sample from its dataset or enriched row. Targets come from `papers`,
+    which maps every field of a target to its one shared TargetPaper, and are
+    added to it when new; without it each row gets its own. `papers` also maps
+    each paper_id to the last full entry read for it, so a target given as a
+    bare id string is that entry, and an id with none yet is a ValueError. A
+    text field that is not a string is a ValueError; only a target's
+    introduction and conclusion may be null."""
     if papers is None:
         papers = {}
     sample_id, source_id, abstract, citation, section, raw_targets = row_fields(row, _SAMPLE, {"section_name": ""})
     targets = []
     for t in raw_targets:
-        try:
-            # only checked keys are interned, so a hit needs no check
-            target = papers[
-                t["paper_id"], t.get("title", ""), t.get("abstract", ""), t.get("introduction"), t.get("conclusion")
-            ]
-        except (KeyError, TypeError):  # a miss, or a row the check names
-            key = tuple(row_fields(t, _TARGET, _TARGET_DEFAULTS))
-            target = papers[key] = TargetPaper(*key)
+        if type(t) is str:  # content keys are tuples, so an id never meets one
+            target = papers.get(t)
+            if target is None:
+                raise ValueError(f"target {t!r} is a bare id with no earlier full entry")
+        else:
+            try:
+                # only checked keys are interned, so a hit needs no check
+                target = papers[
+                    t["paper_id"], t.get("title", ""), t.get("abstract", ""), t.get("introduction"), t.get("conclusion")
+                ]
+            except (KeyError, TypeError):  # a miss, or a row the check names
+                key = tuple(row_fields(t, _TARGET, _TARGET_DEFAULTS))
+                target = papers[key] = TargetPaper(*key)
+            papers[target.paper_id] = target
         targets.append(target)
     return CitationSample(sample_id, source_id, abstract, targets, citation, section)
 

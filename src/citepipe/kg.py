@@ -6,6 +6,11 @@ that section. Blocks for the same (paper, section) pair merge with exact
 dedup after whitespace normalization. Relation labels are free-form unless
 a validation vocabulary is supplied, in which case unknown labels are only
 counted, never altered.
+
+An enriched file holds one row per sample with its triplet blocks inline,
+and each distinct target paper's text once: a target is written in full the
+first time its paper appears, or when its fields differ from the last full
+entry of that paper_id, and as its bare id everywhere else.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .dataset import CitationSample, sample_encoder, sample_from_dict, sample_to_dict
+from .dataset import CitationSample, sample_encoder, sample_from_dict, sample_to_dict, target_referencer
 from .jsonl import dump_row, encoded_by_identity, iter_jsonl, iter_rows, row_fields, write_text
 
 SECTIONS = ("abstract", "introduction", "conclusion")
@@ -284,7 +289,9 @@ def _tset_from_dict(row: dict | None, blocks: dict) -> TripletSet | None:
 
 
 def enriched_to_dict(es: EnrichedSample) -> dict:
-    """The enriched row of a sample; `write_enriched` writes these bytes faster."""
+    """The standalone enriched row of a sample, every target written in full.
+    `write_enriched` writes these bytes but for targets it has written before,
+    which it names by their bare id; readers take either form."""
     return {
         "sample": sample_to_dict(es.sample),
         "source_triplets": _tset_to_dict(es.source_triplets),
@@ -306,8 +313,9 @@ _TARGET_TRIPLETS = {"paper_id": str, **dict.fromkeys(SECTIONS, (dict, None))}
 
 
 def enriched_from_dict(row: dict, papers: dict | None = None, blocks: dict | None = None) -> EnrichedSample:
-    """An enriched sample from its row; targets are shared through `papers`
-    (see `sample_from_dict`) and triplet blocks through `blocks`."""
+    """An enriched sample from its row; targets are shared, and a bare-id
+    target resolved, through `papers` (see `sample_from_dict`), and triplet
+    blocks are shared through `blocks`."""
     if blocks is None:
         blocks = {}
     sample, source, targets, missing = row_fields(row, _ENRICHED)
@@ -319,9 +327,11 @@ def enriched_from_dict(row: dict, papers: dict | None = None, blocks: dict | Non
 
 
 def write_enriched(samples: Iterable[EnrichedSample], path: str | Path) -> int:
-    """Write `dump_row(enriched_to_dict(es))` per sample, encoding each
-    distinct sample, target and triplet block object once."""
-    encode_sample = sample_encoder()
+    """Write `dump_row(enriched_to_dict(es))` per sample, except that a target
+    paper's text is written once: a later mention of a paper whose fields equal
+    its last full entry is its bare id (see `target_referencer`). Each distinct
+    triplet block object is encoded once."""
+    encode_sample = sample_encoder(target_referencer())
     encode_tset = encoded_by_identity(lambda tset: dump_row(_tset_to_dict(tset)))
 
     def block(tset: TripletSet | None) -> str:

@@ -37,6 +37,7 @@ from citepipe.dataset import (
     write_dataset,
 )
 from citepipe.jsonl import dump_row, file_digest, json_digest
+from citepipe.kg import enriched_to_dict, read_enriched
 from citepipe.prompts import TokenBudget
 
 from conftest import make_record
@@ -292,6 +293,42 @@ class TestConfig:
         assert code == 1
         assert "--max-parallel" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(("config", "command", "message"), [
+        pytest.param("split:\n  seed: true\n", "split", "argument --seed: invalid int value in the config: True",
+                     id="bool-seed"),
+        pytest.param("split:\n  seed: 2.7\n", "split", "argument --seed: invalid int value in the config: 2.7",
+                     id="float-seed"),
+        pytest.param("budget:\n  max_tokens: 2048.9\n", "prompts",
+                     "argument --max-tokens: invalid int value in the config: 2048.9", id="float-max-tokens"),
+        pytest.param("endpoint:\n  backoff_multiplier: true\n", "generate",
+                     "endpoint.backoff_multiplier: invalid float value in the config: True", id="bool-backoff-multiplier"),
+    ])
+    def test_config_value_of_a_type_its_flag_refuses_is_a_usage_error(
+        self, config, command, message, dataset, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(citepipe.cli, "generate_batch", lambda *args, **kwargs: [])
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(dump_row({"sample_id": "a", "prompt": "p"}) + "\n", encoding="utf-8")
+        argv = {
+            "split": ["split", "--dataset", str(dataset), "--out-dir", str(tmp_path / "s")],
+            "prompts": ["prompts", "--dataset", str(dataset), "--out", str(tmp_path / "p.jsonl")],
+            "generate": ["generate", "--prompts", str(prompts), "--out", str(tmp_path / "g.jsonl")],
+        }[command]
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config, encoding="utf-8")
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert (code, out) == (1, "")
+        assert err == f"citepipe {command}: error: {message}\n"
+
+    def test_an_int_config_value_is_taken_by_a_float_flag(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("split:\n  train: 1\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "--config", str(cfg), "split", "--dataset", str(dataset), "--out-dir", str(tmp_path / "s"),
+        )
+        # the value reaches the split, whose fractions no longer sum to 1
+        assert code == 1 and err.startswith("error: split fractions sum to 1.199"), err
+
     def test_flags_beat_the_config_for_paths_and_filter(self, hand_corpus, triplets_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(
@@ -546,6 +583,60 @@ class TestDatasetTextFields:
         )
         assert (code, out) == (1, "")
         assert err == f"error: {enriched}: line 2: {message}\n"
+
+
+class TestEnrichedReferences:
+    """An enriched file writes a target's text once and names it by its bare
+    id afterwards; a reader resolves the id to the last full entry before it."""
+
+    def merged(self, dataset, triplets_file, tmp_path, capsys):
+        enriched = tmp_path / "enriched.jsonl"
+        merge = ["kg-merge", "--dataset", str(dataset), "--triplets", str(triplets_file), "--out", str(enriched)]
+        assert run(capsys, *merge)[0] == 0
+        return enriched
+
+    def prompts(self, enriched, out, capsys):
+        return run(
+            capsys, "prompts", "--mode", "kg", "--include-introductions", "--include-conclusions",
+            "--enriched", str(enriched), "--out", str(out),
+        )
+
+    def test_a_file_with_every_target_inline_reads_the_same(self, dataset, triplets_file, tmp_path, capsys):
+        enriched = self.merged(dataset, triplets_file, tmp_path, capsys)
+        legacy = tmp_path / "legacy.jsonl"
+        legacy.write_text(
+            "".join(dump_row(enriched_to_dict(es)) + "\n" for es in read_enriched(enriched)), encoding="utf-8"
+        )
+        assert enriched.stat().st_size < legacy.stat().st_size
+        assert read_enriched(legacy) == read_enriched(enriched)
+        assert self.prompts(enriched, tmp_path / "p.jsonl", capsys)[0] == 0
+        assert self.prompts(legacy, tmp_path / "p-legacy.jsonl", capsys)[0] == 0
+        assert (tmp_path / "p.jsonl").read_bytes() == (tmp_path / "p-legacy.jsonl").read_bytes()
+
+    def test_a_first_row_naming_a_target_by_id_is_a_corrupt_line(self, dataset, triplets_file, tmp_path, capsys):
+        enriched = self.merged(dataset, triplets_file, tmp_path, capsys)
+        lines = enriched.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[0])
+        row["sample"]["targets"][0] = row["sample"]["targets"][0]["paper_id"]
+        lines[0] = dump_row(row)
+        enriched.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code, out, err = self.prompts(enriched, tmp_path / "p.jsonl", capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {enriched}: line 1: target 't1' is a bare id with no earlier full entry\n"
+
+    def test_a_filtered_file_that_lost_a_full_entry_is_a_corrupt_line(self, triplets_file, tmp_path, capsys):
+        a, b, c, d = (TargetPaper(pid, abstract=f"Abstract {pid}.") for pid in "abcd")
+        dataset = tmp_path / "dataset.jsonl"
+        rows = [[a, b], [c, d], [a, c]]
+        write_dataset([CitationSample(f"s:0:{i}", "s", "Source.", ts, "Cited.") for i, ts in enumerate(rows)], dataset)
+        enriched = self.merged(dataset, triplets_file, tmp_path, capsys)
+        # as `grep -v '"sample_id": "s:0:0"'` leaves it: the full entry of a goes
+        kept = [line for line in enriched.read_text(encoding="utf-8").splitlines(True) if '"s:0:0"' not in line]
+        filtered = tmp_path / "filtered.jsonl"
+        filtered.write_text("".join(kept), encoding="utf-8")
+        code, out, err = self.prompts(filtered, tmp_path / "p.jsonl", capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {filtered}: line 2: target 'a' is a bare id with no earlier full entry\n"
 
 
 class TestGenerateEvaluate:

@@ -17,6 +17,8 @@ from citepipe.dataset import (
     compute_stats,
     extract_samples,
     read_dataset,
+    sample_from_dict,
+    sample_to_dict,
     split_dataset,
     split_sizes,
     write_dataset,
@@ -291,6 +293,26 @@ class TestDatasetFiles:
         again = tmp_path / "again.jsonl"
         write_dataset(back, again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_a_target_given_by_its_id_is_the_last_full_entry_of_that_paper(self, tmp_path):
+        first, edited = TargetPaper("t1", abstract="One."), TargetPaper("t1", abstract="One, edited.")
+        rows = [
+            sample_to_dict(CitationSample(f"s:0:{i}", "s", "Source.", [target], "Cited."))
+            for i, target in enumerate([first, edited, first])
+        ]
+        papers = {}
+        read = [sample_from_dict(row, papers) for row in rows[:2]]
+        rows[2]["targets"] = ["t1"]
+        assert sample_from_dict(rows[2], papers).targets == [edited]
+        assert sample_from_dict(rows[2], papers).targets[0] is read[1].targets[0]
+        with pytest.raises(ValueError, match="target 't1' is a bare id with no earlier full entry"):
+            sample_from_dict(rows[2])
+        # a dataset file takes the same rule, naming the line of the id it cannot resolve
+        rows[0]["targets"] = ["t1"]
+        path = tmp_path / "dataset.jsonl"
+        path.write_text("".join(dump_row(r) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1: target 't1' is a bare id"):
+            read_dataset(path)
 
     def test_target_field_holding_a_list_names_its_line(self, hand_samples, tmp_path):
         samples, _ = hand_samples

@@ -341,14 +341,45 @@ class TestEncoding:
         assert (out / "dataset.jsonl").read_bytes() == "".join(
             dump_row(sample_to_dict(s)) + "\n" for s in samples
         ).encode("utf-8")
-        assert (out / "enriched.jsonl").read_bytes() == "".join(
-            dump_row(enriched_to_dict(es)) + "\n" for es in rows
-        ).encode("utf-8")
+        # an enriched row is the standalone row, but for each target that
+        # equals the last full entry of its paper_id, which is its bare id
+        last = {}
+        expected = []
+        for es in rows:
+            row = enriched_to_dict(es)
+            targets = row["sample"]["targets"]
+            for i, target in enumerate(targets):
+                if last.get(target["paper_id"]) == target:
+                    targets[i] = target["paper_id"]
+                last[target["paper_id"]] = target
+            expected.append(dump_row(row) + "\n")
+        assert (out / "enriched.jsonl").read_bytes() == "".join(expected).encode("utf-8")
+        assert read_enriched(out / "enriched.jsonl") == rows
         # the shared objects read back write the same bytes again
         write_dataset(read_dataset(out / "dataset.jsonl"), out / "dataset-again.jsonl")
         write_enriched(read_enriched(out / "enriched.jsonl"), out / "enriched-again.jsonl")
         assert (out / "dataset-again.jsonl").read_bytes() == (out / "dataset.jsonl").read_bytes()
         assert (out / "enriched-again.jsonl").read_bytes() == (out / "enriched.jsonl").read_bytes()
+
+    def test_a_paper_is_written_in_full_again_when_its_fields_change(self, tmp_path):
+        first, edited = TargetPaper("t1", abstract="One."), TargetPaper("t1", abstract="One, edited.")
+        other = TargetPaper("t2", abstract="Two.")
+        samples = [
+            CitationSample(f"s:{i}", "s", "Source.", [target, other], "Cited.")
+            for i, target in enumerate([first, dataclasses.replace(first), edited, first, first])
+        ]
+        out = tmp_path / "enriched.jsonl"
+        write_enriched(attach_triplets(samples, TripletStore()), out)
+        written = [
+            [t if isinstance(t, str) else t["abstract"] for t in json.loads(line)["sample"]["targets"]]
+            for line in out.read_text(encoding="utf-8").splitlines()
+        ]
+        assert written == [
+            ["One.", "Two."], ["t1", "t2"], ["One, edited.", "t2"], ["One.", "t2"], ["t1", "t2"],
+        ]
+        back = [es.sample for es in read_enriched(out)]
+        assert back == samples
+        assert back[0].targets[0] is back[1].targets[0] is back[3].targets[0] is back[4].targets[0]
 
     def test_identical_blocks_come_back_as_one_object(self, tmp_path):
         store_path = write_jsonl_file(
