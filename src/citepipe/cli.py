@@ -311,6 +311,8 @@ def generate(args: argparse.Namespace) -> None:
         backoff_seconds=args.backoff_seconds,
         backoff_multiplier=multiplier,
         timeout_seconds=args.timeout_seconds,
+        max_new_tokens=args.max_new_tokens,
+        temperature=args.temperature,
     )
 
     def request(row) -> GenerationRequest:
@@ -318,7 +320,7 @@ def generate(args: argparse.Namespace) -> None:
             sample_id, prompt = row_fields(row, {"sample_id": str, "prompt": str})
         except ValueError as exc:
             raise ValueError(f"prompt rows need sample_id and prompt fields, both strings: {exc}") from exc
-        return GenerationRequest(sample_id, prompt, args.max_new_tokens, args.temperature)
+        return GenerationRequest(sample_id, prompt)
 
     batch = iter_rows(args.prompts, request)  # each request built as its line is read
     results = generate_batch(

@@ -1,7 +1,8 @@
 """Client for a remote text-generation HTTP endpoint.
 
 The endpoint contract: POST a JSON object {"prompt", "max_new_tokens",
-"temperature", "stop"} and receive {"text": "..."} back. The client runs up
+"temperature", "stop"} and receive {"text": "..."} back: the prompt comes from
+the request, the rest from the run's `ClientPolicy`. The client runs up
 to `max_parallel` worker threads, which take the pending requests one at a
 time from a shared queue. Each worker holds one keep-alive connection for
 every request and retry it handles, retries transient failures with
@@ -38,8 +39,6 @@ DEFAULT_STOP: tuple[str, ...] = ("### Response:",)
 class GenerationRequest:
     sample_id: str
     prompt: str
-    max_new_tokens: int = DEFAULTS["endpoint"]["max_new_tokens"]
-    temperature: float = DEFAULTS["endpoint"]["temperature"]
 
 
 @dataclass
@@ -52,17 +51,25 @@ class GenerationResult:
 
 @dataclass(frozen=True)
 class ClientPolicy:
+    """A run's settings: the `endpoint` config section but its url."""
+
     max_parallel: int = DEFAULTS["endpoint"]["max_parallel"]
     max_attempts: int = DEFAULTS["endpoint"]["max_attempts"]
     backoff_seconds: float = DEFAULTS["endpoint"]["backoff_seconds"]
     backoff_multiplier: float = DEFAULTS["endpoint"]["backoff_multiplier"]
     timeout_seconds: float = DEFAULTS["endpoint"]["timeout_seconds"]
+    max_new_tokens: int = DEFAULTS["endpoint"]["max_new_tokens"]
+    temperature: float = DEFAULTS["endpoint"]["temperature"]
 
     def __post_init__(self):
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be positive")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be positive")
+        if not 0 < self.timeout_seconds < math.inf:
+            raise ValueError(f"timeout_seconds must be positive and finite, not {self.timeout_seconds!r}")
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, not {self.temperature!r}")
 
 
 class EndpointError(OSError):
@@ -93,8 +100,9 @@ class _Transport:
         from http.client import HTTPConnection, HTTPException, HTTPSConnection
 
         url = urlsplit(endpoint)
-        self._scheme = url.scheme
         self._factory = {"http": HTTPConnection, "https": HTTPSConnection}.get(url.scheme)
+        if self._factory is None or not url.hostname:
+            raise ValueError(f"endpoint {endpoint!r} is not an http:// or https:// URL with a host")
         self._netloc = url.netloc
         self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._timeout = timeout
@@ -106,11 +114,9 @@ class _Transport:
         """Send one request and read the whole response body."""
         while True:
             if self._conn is None:
-                if self._factory is None:
-                    raise _Transient(f"connection failed: unsupported URL scheme {self._scheme!r}")
                 try:
                     self._conn = self._factory(self._netloc, timeout=self._timeout)
-                except self._errors as exc:  # a malformed host or port
+                except self._errors as exc:  # a malformed port
                     raise _Transient(f"connection failed: {exc}") from exc
             conn = self._conn
             idle = conn.sock is not None  # None: this request opens a new socket
@@ -138,17 +144,10 @@ class _Transport:
             self._conn = None
 
 
-def _encode(request: GenerationRequest) -> bytes:
-    payload = {
-        "prompt": request.prompt,
-        "max_new_tokens": request.max_new_tokens,
-        "temperature": request.temperature,
-        "stop": list(DEFAULT_STOP),
-    }
-    try:
-        return json.dumps(payload, allow_nan=False).encode("utf-8")
-    except ValueError as exc:  # NaN or infinite temperature: no attempt can succeed
-        raise _Fatal(f"invalid request: {exc}") from exc
+def _encode(request: GenerationRequest, policy: ClientPolicy) -> bytes:
+    payload = {"prompt": request.prompt, "max_new_tokens": policy.max_new_tokens,
+               "temperature": policy.temperature, "stop": list(DEFAULT_STOP)}
+    return json.dumps(payload).encode("utf-8")
 
 
 def _call_once(transport: _Transport, body: bytes) -> str:
@@ -174,7 +173,7 @@ def _call_with_retries(
     stop: threading.Event,
 ) -> GenerationResult | None:
     """The request's result, or None when `stop` is set before a retry."""
-    body = _encode(request)
+    body = _encode(request, policy)
     delay = policy.backoff_seconds
     last_reason = "unknown"
     for attempt in range(1, policy.max_attempts + 1):

@@ -96,7 +96,7 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
-        if any(f <= 0 for f in fracs):
+        if any(not f > 0 for f in fracs):  # NaN passes `f <= 0`
             raise ValueError("split fractions must be positive")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions sum to {sum(fracs)!r}, expected 1.0")
@@ -153,8 +153,11 @@ def extract_samples(
     `lookup` with non-empty abstracts (self-citations excluded). Targets are
     capped at MAX_TARGETS keeping first-cited order. The citation passage
     grows over adjacent sentences whose citations all land inside the target
-    set; consumed sentences never seed another sample.
+    set; consumed sentences never seed another sample. `max_per_source`, when
+    given, caps the samples of each source paper (0 keeps none).
     """
+    if max_per_source is not None and max_per_source < 0:
+        raise ValueError(f"max_per_source must not be negative: {max_per_source}")
     if stats is None:
         stats = ExtractStats()
 

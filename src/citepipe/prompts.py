@@ -67,21 +67,9 @@ class TokenBudget:
         return self.max_tokens - self.reserve_for_response
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    name: str
-    instruction: str
-
-
-BASELINE_TEMPLATE = PromptTemplate(
-    name="instruct-baseline",
-    instruction=INSTRUCTION,
-)
-
-KG_TEMPLATE = PromptTemplate(
-    name="instruct-kg",
-    instruction=INSTRUCTION,
-)
+# the template names a prompt file records; both templates share INSTRUCTION
+BASELINE_TEMPLATE = "instruct-baseline"
+KG_TEMPLATE = "instruct-kg"
 
 
 @dataclass
@@ -263,13 +251,13 @@ def _blocks(
 
 
 def _instance(
-    template: PromptTemplate, sample: CitationSample, blocks: Iterable[_Block], budget: TokenBudget | None
+    template_name: str, sample: CitationSample, blocks: Iterable[_Block], budget: TokenBudget | None
 ) -> PromptInstance:
-    """Fit `blocks` to `budget` (the default budget when None) under `template`."""
-    text, truncations = _fit(template.instruction, list(blocks), budget or TokenBudget(), sample.sample_id)
+    """Fit `blocks` under `INSTRUCTION` to `budget` (the default budget when None)."""
+    text, truncations = _fit(INSTRUCTION, list(blocks), budget or TokenBudget(), sample.sample_id)
     return PromptInstance(
         sample_id=sample.sample_id,
-        template_name=template.name,
+        template_name=template_name,
         text=text,
         token_estimate=default_estimator(text),
         truncations=truncations,

@@ -4,6 +4,7 @@ Commands run in-process through main(argv) so exit codes and both output
 streams can be asserted directly.
 """
 
+import dataclasses
 import inspect
 import json
 import os
@@ -24,7 +25,7 @@ import citepipe.jsonl
 
 from citepipe import __version__
 from citepipe.cli import AUTH_TOKEN_ENV, main
-from citepipe.client import ClientPolicy, GenerationRequest
+from citepipe.client import ClientPolicy
 from citepipe.config import DEFAULTS, read_run_manifest, run_manifest_path
 from citepipe.corpus import stream_corpus
 from citepipe.dataset import (
@@ -120,6 +121,16 @@ class TestBuild:
         assert f"wrote 3 sample(s) to {out_path}" in out
         assert read_run_manifest(out_path)["counts"]["ingest"]["validation_errors"] == 2
 
+    def test_a_negative_cap_is_bad_usage_and_zero_keeps_none(self, hand_corpus, tmp_path, capsys):
+        out_path = tmp_path / "ds.jsonl"
+        argv = ["build", "--corpus", str(hand_corpus), "--out", str(out_path), "--max-samples-per-source"]
+        code, out, err = run(capsys, *argv, "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: max_per_source must not be negative: -1\n"
+        assert not out_path.exists()
+        code, out, _ = run(capsys, *argv, "0")
+        assert code == 0 and "wrote 0 sample(s)" in out
+
     def test_missing_corpus_is_an_environment_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "build", "--corpus", str(tmp_path / "nope"), "--out", str(tmp_path / "o.jsonl")
@@ -189,6 +200,15 @@ class TestSplit:
         inputs = [read_run_manifest(out_dir / f"{n}.jsonl")["inputs"] for n in parts]
         assert inputs[0] == inputs[1] == inputs[2]
 
+    def test_a_nan_fraction_is_not_positive(self, dataset, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "split", "--dataset", str(dataset), "--out-dir", str(tmp_path / "s"),
+            "--train", "nan", "--validation", "0.5", "--test", "0.5",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: split fractions must be positive\n"
+        assert not (tmp_path / "s").exists()
+
     def test_seed_comes_from_config_unless_flagged(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("split:\n  seed: 9\n", encoding="utf-8")
@@ -225,6 +245,22 @@ class TestConfig:
         assert code == 1
         assert "unknown key(s) in split: sedd" in err
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("split: 5\n", "section 'split' must be a mapping", id="section-not-a-mapping"),
+        pytest.param("filter:\n  fields_of_study: Biology\n", "filter.fields_of_study must be a list",
+                     id="fields-not-a-list"),
+        pytest.param("- split\n", "top level must be a mapping", id="top-level-list"),
+    ])
+    def test_a_config_of_the_wrong_shape_exits_1(self, text, message, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys, "--config", str(cfg), "split",
+            "--dataset", str(dataset), "--out-dir", str(tmp_path / "s"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1, err
+
     def test_empty_config_file_uses_defaults(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("", encoding="utf-8")
@@ -256,11 +292,9 @@ class TestConfig:
         split, budget, endpoint = DEFAULTS["split"], DEFAULTS["budget"], DEFAULTS["endpoint"]
         assert SplitSpec() == SplitSpec(split["train"], split["validation"], split["test"], split["seed"])
         assert TokenBudget() == TokenBudget(budget["max_tokens"], budget["reserve_for_response"])
-        policy_keys = ("max_parallel", "max_attempts", "backoff_seconds", "backoff_multiplier", "timeout_seconds")
-        assert ClientPolicy() == ClientPolicy(*(endpoint[k] for k in policy_keys))
-        assert GenerationRequest("a", "p") == GenerationRequest(
-            "a", "p", endpoint["max_new_tokens"], endpoint["temperature"]
-        )
+        settings = {key: value for key, value in endpoint.items() if key != "url"}
+        assert [f.name for f in dataclasses.fields(ClientPolicy)] == list(settings)
+        assert ClientPolicy() == ClientPolicy(**settings)
         fields = inspect.signature(stream_corpus).parameters["fields_of_study"].default
         assert fields == frozenset(DEFAULTS["filter"]["fields_of_study"])
 
@@ -378,7 +412,7 @@ class TestConfig:
         (batch, from_config, policy), (_, from_flag, _) = calls
         assert policy.backoff_multiplier == 3.5
         assert (from_config, from_flag) == ("http://config.invalid/generate", "http://flag.invalid/generate")
-        assert type(batch[0].temperature) is float
+        assert type(policy.temperature) is float
 
 
 class TestKgMerge:
@@ -815,6 +849,26 @@ class TestGenerateEvaluate:
                      "--endpoint", "http://[::1/x", timeout=30)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1, done.stderr
+        assert not (tmp_path / "g.jsonl").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        pytest.param(("--endpoint", "localhost:8080/generate"), "not an http:// or https:// URL", id="no-scheme"),
+        pytest.param(("--endpoint", "ftp://127.0.0.1:9/x"), "not an http:// or https:// URL", id="ftp"),
+        pytest.param(("--endpoint", "http:///x"), "not an http:// or https:// URL", id="no-host"),
+        pytest.param(("--temperature", "nan"), "temperature must be finite", id="nan-temperature"),
+        pytest.param(("--timeout-seconds", "0"), "timeout_seconds must be positive", id="zero-timeout"),
+        pytest.param(("--timeout-seconds", "-1"), "timeout_seconds must be positive", id="negative-timeout"),
+    ])
+    def test_a_bad_endpoint_setting_exits_1_at_once_and_writes_nothing(self, setting, message, tmp_path):
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(dump_row({"sample_id": "a", "prompt": "p"}) + "\n")
+        out = tmp_path / "g.jsonl"
+        done = fresh("-m", "citepipe.cli", "generate", "--prompts", str(prompts), "--out", str(out),
+                     *setting, timeout=30)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1, done.stderr
+        assert message in done.stderr
+        assert not out.exists()
 
     NOT_REPORTS = [
         pytest.param("{}", id="empty-object"),

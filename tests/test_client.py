@@ -9,6 +9,7 @@ import threading
 import time
 import warnings
 import weakref
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -46,8 +47,8 @@ class TestHappyPath:
         assert all(r.latency_ms > 0 for r in results)
 
     def test_wire_payload_shape(self, mock_endpoint):
-        request = GenerationRequest("a", "hello", max_new_tokens=128, temperature=0.7)
-        generate_batch([request], mock_endpoint.url, FAST)
+        policy = ClientPolicy(backoff_seconds=0.0, max_new_tokens=128, temperature=0.7)
+        generate_batch([GenerationRequest("a", "hello")], mock_endpoint.url, policy)
         payload = mock_endpoint.requests[0]["payload"]
         assert payload == {
             "prompt": "hello",
@@ -143,6 +144,22 @@ class TestRetries:
             ClientPolicy(max_parallel=0)
         with pytest.raises(ValueError):
             ClientPolicy(max_attempts=0)
+
+    @pytest.mark.parametrize("setting", [
+        pytest.param({"temperature": float("nan")}, id="nan-temperature"),
+        pytest.param({"temperature": float("inf")}, id="inf-temperature"),
+        pytest.param({"timeout_seconds": 0.0}, id="zero-timeout"),
+        pytest.param({"timeout_seconds": -1.0}, id="negative-timeout"),
+        pytest.param({"timeout_seconds": float("inf")}, id="inf-timeout"),
+        pytest.param({"timeout_seconds": float("nan")}, id="nan-timeout"),
+    ])
+    def test_a_setting_no_request_could_use_is_refused(self, setting):
+        name = next(iter(setting))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ClientPolicy(**setting)
+
+    def test_a_request_is_a_sample_id_and_a_prompt(self):
+        assert [f.name for f in fields(GenerationRequest)] == ["sample_id", "prompt"]
 
 
 class TestResumableOutput:
@@ -279,6 +296,7 @@ class _KeepAliveServer(ThreadingHTTPServer):
         self.delay_seconds = 0.0
         self.close_after_reply = False  # close the socket without saying so
         self.announce_close = False  # send `Connection: close` and close
+        self.cut_short_remaining = 0  # announce a 100-byte body, send 5 bytes and close
 
     @property
     def url(self) -> str:
@@ -306,6 +324,14 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
             server.requests += 1
         if server.delay_seconds:
             time.sleep(server.delay_seconds)
+        with server.lock:
+            cut_short = server.cut_short_remaining > 0
+            if cut_short:
+                server.cut_short_remaining -= 1
+        if cut_short:
+            self.wfile.write(b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"tex')
+            self.close_connection = True
+            return
         body = json.dumps({"text": "echo: " + payload["prompt"]}).encode("utf-8")
         close = "Connection: close\r\n" if server.announce_close else ""
         self.wfile.write(
@@ -371,13 +397,35 @@ class TestKeepAlive:
             generate_batch([req("a")], f"http://127.0.0.1:{closed_port()}/generate", policy)
         assert err.value.failures[0][1].startswith("connection failed")
 
-    @pytest.mark.parametrize("scheme", ["ftp", "https"])
+    @pytest.mark.parametrize("scheme", ["https"])  # against this plain-http server
     def test_other_schemes_fail_as_connection_failures(self, keepalive_endpoint, scheme):
         url = keepalive_endpoint.url.replace("http", scheme, 1)
         policy = ClientPolicy(max_attempts=1, backoff_seconds=0.0, timeout_seconds=2.0)
         with pytest.raises(EndpointError) as err:
             generate_batch([req("a")], url, policy)
         assert err.value.failures[0][1].startswith("connection failed")
+
+    @pytest.mark.parametrize("url", [
+        pytest.param("ftp://127.0.0.1:{port}/generate", id="ftp"),
+        pytest.param("127.0.0.1:{port}/generate", id="no-scheme"),
+        pytest.param("http:///generate", id="no-host"),
+    ])
+    def test_an_endpoint_not_http_or_https_with_a_host_is_refused_before_connecting(
+        self, keepalive_endpoint, url, tmp_path
+    ):
+        url = url.format(port=keepalive_endpoint.server_address[1])
+        with pytest.raises(ValueError, match="not an http:// or https:// URL with a host"):
+            generate_batch([req("a")], url, FAST, out_path=tmp_path / "g.jsonl")
+        assert keepalive_endpoint.connections == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_response_cut_short_is_retried_on_a_fresh_connection(self, keepalive_endpoint):
+        keepalive_endpoint.cut_short_remaining = 1
+        policy = ClientPolicy(max_parallel=1, max_attempts=2, backoff_seconds=0.0)
+        results = generate_batch([req("a")], keepalive_endpoint.url, policy)
+        assert [(r.text, r.attempt) for r in results] == [("echo: prompt for a", 2)]
+        assert keepalive_endpoint.requests == 2
+        assert keepalive_endpoint.connections == 2
 
     def test_no_socket_outlives_the_batch(self, keepalive_endpoint, monkeypatch):
         opened: list[socket.socket] = []

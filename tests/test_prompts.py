@@ -19,8 +19,6 @@ from citepipe import prompts
 from citepipe.dataset import CitationSample, TargetPaper
 from citepipe.kg import EnrichedSample, KGTriplet, TargetTriplets, TripletSet
 from citepipe.prompts import (
-    BASELINE_TEMPLATE,
-    KG_TEMPLATE,
     PREAMBLE,
     RESPONSE_MARKER,
     SOURCE_ABSTRACT_FLOOR_TOKENS,
@@ -183,9 +181,6 @@ class TestGoldenPrompts:
         instance = render_kg(tiny_enriched(), BIG)
         assert instance.text == GOLDEN_KG
         assert instance.template_name == "instruct-kg"
-
-    def test_templates_share_one_instruction(self):
-        assert BASELINE_TEMPLATE.instruction == KG_TEMPLATE.instruction
 
     def test_marker_closes_the_prompt(self):
         text = render_baseline(tiny_sample(), BIG).text
