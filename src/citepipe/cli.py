@@ -45,6 +45,7 @@ _LAYERS = {
         "iter_dataset",
         "read_dataset",
         "split_dataset",
+        "target_referencer",
         "write_dataset",
     ),
     "kg": (
@@ -210,7 +211,7 @@ def split(args: argparse.Namespace) -> None:
     digests: dict = {}  # the three manifests hash the dataset once
     for name, part in zip(("train", "validation", "test"), parts):
         part_path = Path(args.out_dir) / f"{name}.jsonl"
-        written = write_dataset(part, part_path)
+        written = write_dataset(part, part_path, target_referencer())  # each part stands alone
         write_run_manifest(
             part_path,
             f"split:{name}",

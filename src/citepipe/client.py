@@ -68,6 +68,10 @@ class ClientPolicy:
             raise ValueError("max_attempts must be positive")
         if not 0 < self.timeout_seconds < math.inf:
             raise ValueError(f"timeout_seconds must be positive and finite, not {self.timeout_seconds!r}")
+        for name in ("backoff_seconds", "backoff_multiplier"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be non-negative and finite, not {value!r}")
         if not math.isfinite(self.temperature):
             raise ValueError(f"temperature must be finite, not {self.temperature!r}")
 
@@ -178,7 +182,8 @@ def _call_with_retries(
     last_reason = "unknown"
     for attempt in range(1, policy.max_attempts + 1):
         if attempt > 1:
-            if stop.wait(max(delay, 0.0)):
+            # the delay grows without bound, and a wait past TIMEOUT_MAX overflows
+            if stop.wait(min(delay, threading.TIMEOUT_MAX)):
                 return None
             delay *= policy.backoff_multiplier
         started = time.monotonic()

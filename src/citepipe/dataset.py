@@ -7,9 +7,10 @@ sentence join its citation passage when every citation they carry resolves
 to a paper already in the target set, so a contiguous discussion of the
 same papers travels as one passage.
 
-Dataset and split rows are standalone: each holds its targets' full text.
-Enriched files write each distinct target's text once and name it by its
-bare id afterwards (`target_referencer`); `sample_from_dict` reads both.
+Dataset rows are standalone: each holds its targets' full text. Split parts
+and enriched files write each distinct target's text once per file and name
+it by its bare id afterwards (`target_referencer`); `sample_from_dict` reads
+both.
 """
 
 from __future__ import annotations
@@ -403,10 +404,16 @@ def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
     return CitationSample(sample_id, source_id, abstract, targets, citation, section)
 
 
-def write_dataset(samples: list[CitationSample], path: str | Path) -> dict:
-    """Write samples as JSONL; returns the sample count, stats digest and
-    builder/schema versions, which the stage records in its `.run.json`."""
-    encode = sample_encoder()
+def write_dataset(
+    samples: list[CitationSample],
+    path: str | Path,
+    encode_target: Callable[[TargetPaper], str] | None = None,
+) -> dict:
+    """Write samples as JSONL, with every target in full or, given a
+    `target_referencer`, each paper's text once; returns the sample count,
+    stats digest and builder/schema versions, which the stage records in its
+    `.run.json`."""
+    encode = sample_encoder(encode_target)
     return {
         "samples": write_text(path, (encode(sample) + "\n" for sample in samples)),
         "stats_digest": json_digest(compute_stats(samples).to_dict()),

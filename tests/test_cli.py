@@ -35,6 +35,8 @@ from citepipe.dataset import (
     TargetPaper,
     compute_stats,
     read_dataset,
+    sample_to_dict,
+    split_dataset,
     write_dataset,
 )
 from citepipe.jsonl import dump_row, file_digest, json_digest
@@ -222,6 +224,113 @@ class TestSplit:
             "--dataset", str(dataset), "--out-dir", str(tmp_path / "b"), "--seed", "3",
         )
         assert code == 0 and "(seed 3)" in out
+
+
+class TestSplitReferences:
+    """A split part writes a paper's text once and names it by its bare id
+    afterwards, each part on its own; dataset.jsonl stays all inline."""
+
+    NAMES = ("train", "validation", "test")
+    SPEC = SplitSpec(0.5, 0.25, 0.25, seed=3)
+
+    @pytest.fixture
+    def shared(self, tmp_path):
+        """A dataset of 40 samples citing five papers, so each part repeats them."""
+        papers = [
+            TargetPaper(pid, f"Title {pid}", f"The abstract of paper {pid}. " * 8, f"Intro {pid}.", None)
+            for pid in "abcde"
+        ]
+        samples = [
+            CitationSample(
+                f"s{i % 7}:0:{i}", f"s{i % 7}", f"Source {i % 7}.",
+                [papers[i % 5], papers[(i + 1) % 5], papers[(i + 3) % 5]][: 2 + i % 2], f"Passage {i} cites them.",
+            )
+            for i in range(40)
+        ]
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(samples, path)
+        return path
+
+    def split(self, dataset, out_dir, capsys) -> list[Path]:
+        spec = self.SPEC
+        code, _, err = run(
+            capsys, "split", "--dataset", str(dataset), "--out-dir", str(out_dir), "--seed", str(spec.seed),
+            "--train", str(spec.train_fraction), "--validation", str(spec.val_fraction),
+            "--test", str(spec.test_fraction),
+        )
+        assert code == 0, err
+        return [out_dir / f"{name}.jsonl" for name in self.NAMES]
+
+    @staticmethod
+    def targets(path) -> list:
+        return [t for line in path.read_text(encoding="utf-8").splitlines() for t in json.loads(line)["targets"]]
+
+    def referenced(self, part) -> Path:
+        assert any(type(t) is str for t in self.targets(part)), f"{part.name} names no paper by its id"
+        return part
+
+    def test_each_part_reads_back_as_its_share_of_the_dataset(self, shared, tmp_path, capsys):
+        parts = self.split(shared, tmp_path / "parts", capsys)
+        expected = split_dataset(read_dataset(shared), self.SPEC)
+        for part, want in zip(parts, expected):
+            assert read_dataset(self.referenced(part)) == want
+
+    def test_a_paper_is_written_in_full_once_per_part_then_named_by_id(self, shared, tmp_path, capsys):
+        for part in self.split(shared, tmp_path / "parts", capsys):
+            seen: set[str] = set()
+            for target in self.targets(self.referenced(part)):
+                if type(target) is dict:
+                    assert target["paper_id"] not in seen, f"{part.name}: {target['paper_id']} written twice"
+                    seen.add(target["paper_id"])
+                else:
+                    assert target in seen, f"{part.name}: {target} named before its full entry"
+
+    def test_a_part_copied_alone_still_reads(self, shared, tmp_path, capsys):
+        _, validation, _ = self.split(shared, tmp_path / "parts", capsys)
+        alone = tmp_path / "elsewhere" / "validation.jsonl"
+        alone.parent.mkdir()
+        alone.write_bytes(self.referenced(validation).read_bytes())
+        assert read_dataset(alone) == split_dataset(read_dataset(shared), self.SPEC)[1]
+
+    def test_evaluate_scores_a_referenced_part_as_its_inline_copy(self, shared, tmp_path, capsys):
+        test = self.referenced(self.split(shared, tmp_path / "parts", capsys)[2])
+        samples = read_dataset(test)
+        inline = tmp_path / "inline.jsonl"
+        inline.write_text("".join(dump_row(sample_to_dict(s)) + "\n" for s in samples), encoding="utf-8")
+        assert test.stat().st_size < inline.stat().st_size
+        generated = tmp_path / "generated.jsonl"
+        generated.write_text(
+            "".join(dump_row({"sample_id": s.sample_id, "text": f"Generated {i}."}) + "\n"
+                    for i, s in enumerate(samples)),
+            encoding="utf-8",
+        )
+        reports = []
+        for name, gold in (("referenced", test), ("inline", inline)):
+            report = tmp_path / f"{name}.json"
+            code, _, err = run(capsys, "evaluate", "--generated", str(generated), "--dataset", str(gold),
+                               "--out", str(report))
+            assert code == 0, err
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_stats_of_a_part_are_those_of_its_samples(self, shared, tmp_path, capsys):
+        parts = self.split(shared, tmp_path / "parts", capsys)
+        for part, want in zip(parts, split_dataset(read_dataset(shared), self.SPEC)):
+            code, out, _ = run(capsys, "stats", "--dataset", str(self.referenced(part)), "--json")
+            assert code == 0
+            assert json.loads(out) == compute_stats(want).to_dict()
+
+    def test_the_parts_together_are_smaller_than_the_dataset(self, shared, tmp_path, capsys):
+        parts = self.split(shared, tmp_path / "parts", capsys)
+        # each part still writes every paper it cites once, so a small share of the total
+        assert sum(p.stat().st_size for p in parts) < shared.stat().st_size / 2
+
+    def test_build_writes_every_target_inline(self, dataset):
+        # the benchmark's check_build reads each row's target abstracts inline
+        targets = self.targets(dataset)
+        assert all(type(t) is dict for t in targets)
+        ids = [t["paper_id"] for t in targets]
+        assert len(set(ids)) < len(ids)  # a repeated paper is written in full again
 
 
 class TestConfig:
@@ -858,12 +967,25 @@ class TestGenerateEvaluate:
         pytest.param(("--temperature", "nan"), "temperature must be finite", id="nan-temperature"),
         pytest.param(("--timeout-seconds", "0"), "timeout_seconds must be positive", id="zero-timeout"),
         pytest.param(("--timeout-seconds", "-1"), "timeout_seconds must be positive", id="negative-timeout"),
+        pytest.param(("--max-attempts", "2", "--backoff-seconds", "inf"), "backoff_seconds must be non-negative",
+                     id="inf-backoff"),
+        pytest.param(("--max-attempts", "2", "--backoff-seconds", "nan"), "backoff_seconds must be non-negative",
+                     id="nan-backoff"),
+        pytest.param(("--max-attempts", "2", "--backoff-seconds", "-1"), "backoff_seconds must be non-negative",
+                     id="negative-backoff"),
+        pytest.param(("--config", "endpoint:\n  backoff_multiplier: .inf\n"), "backoff_multiplier must be non-negative",
+                     id="inf-config-multiplier"),
     ])
     def test_a_bad_endpoint_setting_exits_1_at_once_and_writes_nothing(self, setting, message, tmp_path):
         prompts = tmp_path / "prompts.jsonl"
         prompts.write_text(dump_row({"sample_id": "a", "prompt": "p"}) + "\n")
         out = tmp_path / "g.jsonl"
-        done = fresh("-m", "citepipe.cli", "generate", "--prompts", str(prompts), "--out", str(out),
+        before = ()  # --config comes before the command
+        if setting[0] == "--config":
+            config = tmp_path / "citepipe.yaml"
+            config.write_text(setting[1])
+            before, setting = ("--config", str(config)), ()
+        done = fresh("-m", "citepipe.cli", *before, "generate", "--prompts", str(prompts), "--out", str(out),
                      *setting, timeout=30)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1, done.stderr

@@ -152,6 +152,12 @@ class TestRetries:
         pytest.param({"timeout_seconds": -1.0}, id="negative-timeout"),
         pytest.param({"timeout_seconds": float("inf")}, id="inf-timeout"),
         pytest.param({"timeout_seconds": float("nan")}, id="nan-timeout"),
+        pytest.param({"backoff_seconds": -1.0}, id="negative-backoff"),
+        pytest.param({"backoff_seconds": float("inf")}, id="inf-backoff"),
+        pytest.param({"backoff_seconds": float("nan")}, id="nan-backoff"),
+        pytest.param({"backoff_multiplier": -1.0}, id="negative-multiplier"),
+        pytest.param({"backoff_multiplier": float("inf")}, id="inf-multiplier"),
+        pytest.param({"backoff_multiplier": float("nan")}, id="nan-multiplier"),
     ])
     def test_a_setting_no_request_could_use_is_refused(self, setting):
         name = next(iter(setting))
@@ -499,6 +505,22 @@ class TestWorkers:
             transport.close()
         assert result is None
         assert time.monotonic() - started < 5
+        assert len(mock_endpoint.requests) == 1
+
+    def test_a_backoff_past_the_wait_limit_is_capped_not_an_overflow(self, mock_endpoint):
+        # 1e300 s is finite, but a lock's wait overflows past threading.TIMEOUT_MAX
+        mock_endpoint.fail_remaining = 99
+        stop = threading.Event()
+        timer = threading.Timer(0.1, stop.set)
+        transport = _Transport(mock_endpoint.url, 5.0, {})
+        timer.start()
+        try:
+            policy = ClientPolicy(max_attempts=2, backoff_seconds=1e300, backoff_multiplier=1e300)
+            result = _call_with_retries(transport, req("a"), policy, stop)
+        finally:
+            timer.join(timeout=5)
+            transport.close()
+        assert result is None
         assert len(mock_endpoint.requests) == 1
 
 
