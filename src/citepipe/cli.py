@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .config import config_from_dict, load_config, write_run_manifest
-from .jsonl import is_type, iter_rows, read_generations, row_fields, write_json
+from .jsonl import is_type, iter_rows, read_generations, row_fields, write_json_rows
 # no command calls it now, but code that wraps this module's names before a
 # command runs, like the benchmark's tracer, still expects to find it here
 from .jsonl import read_prompt_file  # noqa: F401
@@ -38,6 +38,7 @@ _LAYERS = {
     "corpus": ("IngestStats", "corpus_files", "stream_corpus"),
     "dataset": (
         "ExtractStats",
+        "PaperReferencer",
         "SplitSpec",
         "build_lookup",
         "compute_stats",
@@ -45,7 +46,6 @@ _LAYERS = {
         "iter_dataset",
         "read_dataset",
         "split_dataset",
-        "target_referencer",
         "write_dataset",
     ),
     "kg": (
@@ -211,7 +211,7 @@ def split(args: argparse.Namespace) -> None:
     digests: dict = {}  # the three manifests hash the dataset once
     for name, part in zip(("train", "validation", "test"), parts):
         part_path = Path(args.out_dir) / f"{name}.jsonl"
-        written = write_dataset(part, part_path, target_referencer())  # each part stands alone
+        written = write_dataset(part, part_path, PaperReferencer())  # each part stands alone
         write_run_manifest(
             part_path,
             f"split:{name}",
@@ -366,7 +366,7 @@ def evaluate(args: argparse.Namespace) -> None:
         raise ValueError(f"generated sample(s) missing from the dataset: {', '.join(unknown[:3])}")
     ids = sorted(generated)
     report = evaluate_corpus([(generated[i], gold[i]) for i in ids], sample_ids=ids)
-    write_json(args.out, {"label": args.label, **report_to_dict(report)})
+    write_json_rows(args.out, {"label": args.label, **report_to_dict(report)}, "per_sample")
     write_run_manifest(
         args.out,
         "evaluate",

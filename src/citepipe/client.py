@@ -66,8 +66,9 @@ class ClientPolicy:
             raise ValueError("max_parallel must be positive")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be positive")
-        if not 0 < self.timeout_seconds < math.inf:
-            raise ValueError(f"timeout_seconds must be positive and finite, not {self.timeout_seconds!r}")
+        limit = threading.TIMEOUT_MAX  # a socket timeout past it overflows the platform's time_t
+        if not 0 < self.timeout_seconds <= limit:  # NaN fails both comparisons
+            raise ValueError(f"timeout_seconds must be positive and at most {limit:.0f}, not {self.timeout_seconds!r}")
         for name in ("backoff_seconds", "backoff_multiplier"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # NaN fails both comparisons

@@ -7,10 +7,11 @@ sentence join its citation passage when every citation they carry resolves
 to a paper already in the target set, so a contiguous discussion of the
 same papers travels as one passage.
 
-Dataset rows are standalone: each holds its targets' full text. Split parts
-and enriched files write each distinct target's text once per file and name
-it by its bare id afterwards (`target_referencer`); `sample_from_dict` reads
-both.
+Dataset rows are standalone: each holds its source abstract and its targets'
+full text. Split parts and enriched files write each paper's text once per
+file (`PaperReferencer`): a distinct target in full and by its bare id
+afterwards, and a source abstract in the first row of its source and left out
+of the next rows that share it. `sample_from_dict` reads both forms.
 """
 
 from __future__ import annotations
@@ -331,33 +332,51 @@ def sample_to_dict(sample: CitationSample) -> dict:
     return {**_sample_fields(sample), "targets": [_target_to_dict(t) for t in sample.targets]}
 
 
-def target_referencer() -> Callable[[TargetPaper], str]:
-    """Each target's encoding in a file that holds a paper's text once: its
-    full entry the first time its paper appears, or when it differs from the
-    last full entry written for that paper_id, and otherwise the bare id, which
-    `sample_from_dict` resolves to that entry. Keep one per file written."""
-    reference = encoded_by_identity(lambda t: dump_row(t.paper_id))
-    written: dict[str, TargetPaper] = {}  # the last full entry of each paper
+class PaperReferencer:
+    """Which of a paper's text a row writes in a file that holds it once; keep
+    one per file written. A target is its full entry the first time its paper
+    appears, or when it differs from the last full entry written for that
+    paper_id, and otherwise the bare id, which `sample_from_dict` resolves to
+    that entry. A source abstract is written likewise, and a row whose source
+    abstract equals the last one written for its source_paper_id leaves it out."""
 
-    def encode(target: TargetPaper) -> str:
-        last = written.get(target.paper_id)
+    def __init__(self):
+        self._reference = encoded_by_identity(lambda t: dump_row(t.paper_id))
+        self._targets: dict[str, TargetPaper] = {}  # the last full entry of each paper
+        self._sources: dict[str, str] = {}  # the last abstract written for each source
+
+    def target(self, target: TargetPaper) -> str:
+        """The encoding of `target`."""
+        last = self._targets.get(target.paper_id)
         if last is target or last == target:
-            return reference(target)
-        written[target.paper_id] = target
+            return self._reference(target)
+        self._targets[target.paper_id] = target
         return dump_row(_target_to_dict(target))
 
-    return encode
+    def writes_source_abstract(self, sample: CitationSample) -> bool:
+        """Whether the row of `sample` holds its source abstract."""
+        last = self._sources.get(sample.source_paper_id)
+        if last is sample.source_abstract or last == sample.source_abstract:
+            return False
+        self._sources[sample.source_paper_id] = sample.source_abstract
+        return True
 
 
-def sample_encoder(encode_target: Callable[[TargetPaper], str] | None = None) -> Callable[[CitationSample], str]:
+def sample_encoder(referencer: PaperReferencer | None = None) -> Callable[[CitationSample], str]:
     """`dump_row(sample_to_dict(s))`, with each distinct target object encoded
-    once for as long as the returned function is kept; `encode_target`, such
-    as a `target_referencer`, encodes the targets instead."""
-    if encode_target is None:
+    once for as long as the returned function is kept; given a `referencer`,
+    it decides the form of each target and whether a row holds its source
+    abstract."""
+    if referencer is None:
         encode_target = encoded_by_identity(lambda t: dump_row(_target_to_dict(t)))
+    else:
+        encode_target = referencer.target
 
     def encode(sample: CitationSample) -> str:
-        head = dump_row(_sample_fields(sample))
+        fields = _sample_fields(sample)
+        if referencer is not None and not referencer.writes_source_abstract(sample):
+            del fields["source_abstract"]
+        head = dump_row(fields)
         # "targets" sorts after every other key, so it closes the object
         targets = ", ".join([encode_target(t) for t in sample.targets])
         return f'{head[:-1]}, "targets": [{targets}]}}'
@@ -365,10 +384,8 @@ def sample_encoder(encode_target: Callable[[TargetPaper], str] | None = None) ->
     return encode
 
 
-_SAMPLE = {
-    "sample_id": str, "source_paper_id": str, "source_abstract": str, "citation_text": str, "section_name": str,
-    "targets": list,
-}
+_SAMPLE = {"sample_id": str, "source_paper_id": str, "citation_text": str, "section_name": str, "targets": list}
+_SOURCE_ABSTRACT = {"source_abstract": str}
 _TARGET = {"paper_id": str, "title": str, "abstract": str, "introduction": (str, None), "conclusion": (str, None)}
 _TARGET_DEFAULTS = {"title": "", "abstract": "", "introduction": None, "conclusion": None}
 
@@ -378,12 +395,22 @@ def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
     which maps every field of a target to its one shared TargetPaper, and are
     added to it when new; without it each row gets its own. `papers` also maps
     each paper_id to the last full entry read for it, so a target given as a
-    bare id string is that entry, and an id with none yet is a ValueError. A
-    text field that is not a string is a ValueError; only a target's
-    introduction and conclusion may be null."""
+    bare id string is that entry, and an id with none yet is a ValueError; and
+    it maps the 1-tuple of each source_paper_id to the last source abstract
+    read for it, which a row without `source_abstract` takes, and a source
+    with none yet is a ValueError. A text field that is not a string is a
+    ValueError; only a target's introduction and conclusion may be null."""
     if papers is None:
         papers = {}
-    sample_id, source_id, abstract, citation, section, raw_targets = row_fields(row, _SAMPLE, {"section_name": ""})
+    sample_id, source_id, citation, section, raw_targets = row_fields(row, _SAMPLE, {"section_name": ""})
+    source = (source_id,)  # ids are strings and target entries 5-tuples, so it meets neither
+    if "source_abstract" in row:
+        (abstract,) = row_fields(row, _SOURCE_ABSTRACT)
+        if papers.get(source) != abstract:
+            papers[source] = abstract
+    elif source not in papers:
+        raise ValueError(f"source {source_id!r} has no source_abstract in this row or an earlier one")
+    abstract = papers[source]  # rows of one source share one string
     targets = []
     for t in raw_targets:
         if type(t) is str:  # content keys are tuples, so an id never meets one
@@ -407,13 +434,13 @@ def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
 def write_dataset(
     samples: list[CitationSample],
     path: str | Path,
-    encode_target: Callable[[TargetPaper], str] | None = None,
+    referencer: PaperReferencer | None = None,
 ) -> dict:
-    """Write samples as JSONL, with every target in full or, given a
-    `target_referencer`, each paper's text once; returns the sample count,
+    """Write samples as JSONL, with every row standalone or, given a
+    `PaperReferencer`, each paper's text once; returns the sample count,
     stats digest and builder/schema versions, which the stage records in its
     `.run.json`."""
-    encode = sample_encoder(encode_target)
+    encode = sample_encoder(referencer)
     return {
         "samples": write_text(path, (encode(sample) + "\n" for sample in samples)),
         "stats_digest": json_digest(compute_stats(samples).to_dict()),

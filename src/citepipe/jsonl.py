@@ -1,7 +1,8 @@
 """How every artifact goes on disk and comes back: one atomic writer, one
 canonical row encoding (with a per-write cache for objects shared between
-rows), one strict line reader (lazy, or listed whole), the one field-type
-rule every row reader checks with, and file and JSON digests.
+rows), indented JSON documents (with a row per line for a long list), one
+strict line reader (lazy, or listed whole), the one field-type rule every row
+reader checks with, and file and JSON digests.
 """
 
 from __future__ import annotations
@@ -145,6 +146,27 @@ def write_json(path: str | Path, obj: Any) -> None:
     indented dump runs this same encoder."""
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
     write_text(path, itertools.chain(chunks, ("\n",)))
+
+
+def write_json_rows(path: str | Path, obj: dict, key: str) -> None:
+    """Write `obj`, whose list `obj[key]` holds many rows and whose `key`
+    sorts after its other keys, as `write_json` lays it out, but for each row
+    of that list, which is one `dump_row` line: the indented encoder is pure
+    Python, and a row per line is smaller and several times faster. The
+    parsed document is `obj`."""
+    head = json.dumps({k: v for k, v in obj.items() if k != key}, indent=2, sort_keys=True)
+    rows = obj[key]
+
+    def chunks() -> Iterator[str]:
+        # head ends in "\n}", which the rows' key and list replace
+        yield f"{head[:-2]},\n  {dump_row(key)}: ["
+        separator = "\n    "
+        for row in rows:
+            yield separator + dump_row(row)
+            separator = ",\n    "
+        yield "\n  ]\n}\n" if rows else "]\n}\n"
+
+    write_text(path, chunks())
 
 
 def file_digest(path: str | Path) -> str:

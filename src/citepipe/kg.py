@@ -8,9 +8,12 @@ a validation vocabulary is supplied, in which case unknown labels are only
 counted, never altered.
 
 An enriched file holds one row per sample with its triplet blocks inline,
-and each distinct target paper's text once: a target is written in full the
-first time its paper appears, or when its fields differ from the last full
-entry of that paper_id, and as its bare id everywhere else.
+and each paper's text once (see `dataset.PaperReferencer`): a target is
+written in full the first time its paper appears, or when its fields differ
+from the last full entry of that paper_id, and as its bare id everywhere else;
+a row leaves out its source abstract when the last row of its source_paper_id
+wrote the same one. A triplet leaves out a head_type or tail_type that is
+null, which its reader takes as null.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .dataset import CitationSample, sample_encoder, sample_from_dict, sample_to_dict, target_referencer
+from .dataset import CitationSample, PaperReferencer, sample_encoder, sample_from_dict, sample_to_dict
 from .jsonl import dump_row, encoded_by_identity, iter_jsonl, iter_rows, row_fields, write_text
 
 SECTIONS = ("abstract", "introduction", "conclusion")
@@ -247,22 +250,23 @@ def pooled_triplets(target: TargetTriplets) -> TripletSet:
 
 # Serialization for the enriched dataset written between pipeline stages.
 
+def _triplet_to_dict(t: KGTriplet) -> dict:
+    """A triplet's entry; a null type is left out, as its reader's default."""
+    row = {"head": t.head, "relation": t.relation, "tail": t.tail}
+    if t.head_type is not None:
+        row["head_type"] = t.head_type
+    if t.tail_type is not None:
+        row["tail_type"] = t.tail_type
+    return row
+
+
 def _tset_to_dict(tset: TripletSet | None) -> dict | None:
     if tset is None:
         return None
     return {
         "paper_id": tset.paper_id,
         "section": tset.section,
-        "triplets": [
-            {
-                "head": t.head,
-                "relation": t.relation,
-                "tail": t.tail,
-                "head_type": t.head_type,
-                "tail_type": t.tail_type,
-            }
-            for t in tset.triplets
-        ],
+        "triplets": [_triplet_to_dict(t) for t in tset.triplets],
     }
 
 
@@ -289,9 +293,10 @@ def _tset_from_dict(row: dict | None, blocks: dict) -> TripletSet | None:
 
 
 def enriched_to_dict(es: EnrichedSample) -> dict:
-    """The standalone enriched row of a sample, every target written in full.
-    `write_enriched` writes these bytes but for targets it has written before,
-    which it names by their bare id; readers take either form."""
+    """The standalone enriched row of a sample, every target and its source
+    abstract written in full. `write_enriched` writes these bytes but for the
+    paper text it has written before: a target it names by its bare id, and a
+    source abstract it leaves out. Readers take either form."""
     return {
         "sample": sample_to_dict(es.sample),
         "source_triplets": _tset_to_dict(es.source_triplets),
@@ -314,8 +319,8 @@ _TARGET_TRIPLETS = {"paper_id": str, **dict.fromkeys(SECTIONS, (dict, None))}
 
 def enriched_from_dict(row: dict, papers: dict | None = None, blocks: dict | None = None) -> EnrichedSample:
     """An enriched sample from its row; targets are shared, and a bare-id
-    target resolved, through `papers` (see `sample_from_dict`), and triplet
-    blocks are shared through `blocks`."""
+    target or a left-out source abstract resolved, through `papers` (see
+    `sample_from_dict`), and triplet blocks are shared through `blocks`."""
     if blocks is None:
         blocks = {}
     sample, source, targets, missing = row_fields(row, _ENRICHED)
@@ -327,11 +332,12 @@ def enriched_from_dict(row: dict, papers: dict | None = None, blocks: dict | Non
 
 
 def write_enriched(samples: Iterable[EnrichedSample], path: str | Path) -> int:
-    """Write `dump_row(enriched_to_dict(es))` per sample, except that a target
-    paper's text is written once: a later mention of a paper whose fields equal
-    its last full entry is its bare id (see `target_referencer`). Each distinct
-    triplet block object is encoded once."""
-    encode_sample = sample_encoder(target_referencer())
+    """Write `dump_row(enriched_to_dict(es))` per sample, except that a paper's
+    text is written once: a later mention of a target whose fields equal its
+    last full entry is its bare id, and a source abstract equal to the last one
+    written for its source_paper_id is left out (see `PaperReferencer`). Each
+    distinct triplet block object is encoded once."""
+    encode_sample = sample_encoder(PaperReferencer())
     encode_tset = encoded_by_identity(lambda tset: dump_row(_tset_to_dict(tset)))
 
     def block(tset: TripletSet | None) -> str:

@@ -40,7 +40,7 @@ from citepipe.dataset import (
     write_dataset,
 )
 from citepipe.jsonl import dump_row, file_digest, json_digest
-from citepipe.kg import enriched_to_dict, read_enriched
+from citepipe.kg import SECTIONS, enriched_to_dict, read_enriched
 from citepipe.prompts import TokenBudget
 
 from conftest import make_record
@@ -284,6 +284,27 @@ class TestSplitReferences:
                     seen.add(target["paper_id"])
                 else:
                     assert target in seen, f"{part.name}: {target} named before its full entry"
+
+    def test_a_source_abstract_is_written_once_per_part(self, shared, tmp_path, capsys):
+        for part in self.split(shared, tmp_path / "parts", capsys):
+            rows = [json.loads(line) for line in part.read_text(encoding="utf-8").splitlines()]
+            firsts = {row["source_paper_id"]: row["sample_id"] for row in reversed(rows)}
+            for row in rows:
+                first = firsts[row["source_paper_id"]] == row["sample_id"]
+                assert ("source_abstract" in row) == first, f"{part.name}: {row['sample_id']}"
+            assert len(firsts) < len(rows)  # some source has more than one row
+
+    def test_a_part_whose_first_row_lost_its_source_abstract_is_a_corrupt_line(self, shared, tmp_path, capsys):
+        _, _, test = self.split(shared, tmp_path / "parts", capsys)
+        lines = test.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[0])
+        del row["source_abstract"]
+        lines[0] = dump_row(row)
+        test.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code, out, err = run(capsys, "stats", "--dataset", str(test))
+        assert (code, out) == (1, "")
+        source = row["source_paper_id"]
+        assert err == f"error: {test}: line 1: source {source!r} has no source_abstract in this row or an earlier one\n"
 
     def test_a_part_copied_alone_still_reads(self, shared, tmp_path, capsys):
         _, validation, _ = self.split(shared, tmp_path / "parts", capsys)
@@ -745,16 +766,38 @@ class TestEnrichedReferences:
         )
 
     def test_a_file_with_every_target_inline_reads_the_same(self, dataset, triplets_file, tmp_path, capsys):
+        # legacy files: every target and source abstract inline, and every
+        # triplet type written, null or not
         enriched = self.merged(dataset, triplets_file, tmp_path, capsys)
+        rows = [enriched_to_dict(es) for es in read_enriched(enriched)]
+        for row in rows:
+            blocks = [row["source_triplets"], *(tt[section] for tt in row["target_triplets"] for section in SECTIONS)]
+            for block in filter(None, blocks):
+                for triplet in block["triplets"]:
+                    triplet.setdefault("head_type", None)
+                    triplet.setdefault("tail_type", None)
         legacy = tmp_path / "legacy.jsonl"
-        legacy.write_text(
-            "".join(dump_row(enriched_to_dict(es)) + "\n" for es in read_enriched(enriched)), encoding="utf-8"
-        )
+        legacy.write_text("".join(dump_row(row) + "\n" for row in rows), encoding="utf-8")
+        assert '"head_type": null' in legacy.read_text(encoding="utf-8")
+        assert "head_type" not in enriched.read_text(encoding="utf-8")
         assert enriched.stat().st_size < legacy.stat().st_size
         assert read_enriched(legacy) == read_enriched(enriched)
         assert self.prompts(enriched, tmp_path / "p.jsonl", capsys)[0] == 0
         assert self.prompts(legacy, tmp_path / "p-legacy.jsonl", capsys)[0] == 0
         assert (tmp_path / "p.jsonl").read_bytes() == (tmp_path / "p-legacy.jsonl").read_bytes()
+
+        assert run(capsys, "split", "--dataset", str(dataset), "--out-dir", str(tmp_path / "parts"))[0] == 0
+        part = tmp_path / "parts" / "train.jsonl"
+        legacy_part = tmp_path / "legacy-train.jsonl"
+        legacy_part.write_text(
+            "".join(dump_row(sample_to_dict(s)) + "\n" for s in read_dataset(part)), encoding="utf-8"
+        )
+        assert part.stat().st_size < legacy_part.stat().st_size
+        assert read_dataset(legacy_part) == read_dataset(part)
+        for name, path in (("p-part.jsonl", part), ("p-legacy-part.jsonl", legacy_part)):
+            argv = ["prompts", "--mode", "baseline", "--dataset", str(path), "--out", str(tmp_path / name)]
+            assert run(capsys, *argv)[0] == 0
+        assert (tmp_path / "p-part.jsonl").read_bytes() == (tmp_path / "p-legacy-part.jsonl").read_bytes()
 
     def test_a_first_row_naming_a_target_by_id_is_a_corrupt_line(self, dataset, triplets_file, tmp_path, capsys):
         enriched = self.merged(dataset, triplets_file, tmp_path, capsys)
@@ -767,14 +810,27 @@ class TestEnrichedReferences:
         assert (code, out) == (1, "")
         assert err == f"error: {enriched}: line 1: target 't1' is a bare id with no earlier full entry\n"
 
+    def test_a_first_row_without_its_source_abstract_is_a_corrupt_line(self, dataset, triplets_file, tmp_path, capsys):
+        enriched = self.merged(dataset, triplets_file, tmp_path, capsys)
+        lines = enriched.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[0])
+        del row["sample"]["source_abstract"]
+        lines[0] = dump_row(row)
+        enriched.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code, out, err = self.prompts(enriched, tmp_path / "p.jsonl", capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {enriched}: line 1: source 's1' has no source_abstract in this row or an earlier one\n"
+
     def test_a_filtered_file_that_lost_a_full_entry_is_a_corrupt_line(self, triplets_file, tmp_path, capsys):
         a, b, c, d = (TargetPaper(pid, abstract=f"Abstract {pid}.") for pid in "abcd")
         dataset = tmp_path / "dataset.jsonl"
         rows = [[a, b], [c, d], [a, c]]
-        write_dataset([CitationSample(f"s:0:{i}", "s", "Source.", ts, "Cited.") for i, ts in enumerate(rows)], dataset)
+        # a source of its own per row, so each row holds its source abstract
+        samples = [CitationSample(f"s{i}:0:0", f"s{i}", "Source.", ts, "Cited.") for i, ts in enumerate(rows)]
+        write_dataset(samples, dataset)
         enriched = self.merged(dataset, triplets_file, tmp_path, capsys)
-        # as `grep -v '"sample_id": "s:0:0"'` leaves it: the full entry of a goes
-        kept = [line for line in enriched.read_text(encoding="utf-8").splitlines(True) if '"s:0:0"' not in line]
+        # as `grep -v '"sample_id": "s0:0:0"'` leaves it: the full entry of a goes
+        kept = [line for line in enriched.read_text(encoding="utf-8").splitlines(True) if '"s0:0:0"' not in line]
         filtered = tmp_path / "filtered.jsonl"
         filtered.write_text("".join(kept), encoding="utf-8")
         code, out, err = self.prompts(filtered, tmp_path / "p.jsonl", capsys)
@@ -824,6 +880,12 @@ class TestGenerateEvaluate:
         payload = json.loads(report_file.read_text())
         assert payload["label"] == "demo"
         assert payload["n"] == 3
+        # the head is indented, and each per-sample row is one line
+        lines = report_file.read_text().splitlines()
+        assert lines[:2] == ["{", '  "corpus": {'] and lines[-2:] == ["  ]", "}"]
+        assert lines[-5:-2] == [f"    {dump_row(row)}," for row in payload["per_sample"][:2]] + [
+            f"    {dump_row(payload['per_sample'][2])}"
+        ]
 
         code, out, _ = run(capsys, "report", "--report", str(report_file), "--label", "other")
         assert code == 0
@@ -967,6 +1029,8 @@ class TestGenerateEvaluate:
         pytest.param(("--temperature", "nan"), "temperature must be finite", id="nan-temperature"),
         pytest.param(("--timeout-seconds", "0"), "timeout_seconds must be positive", id="zero-timeout"),
         pytest.param(("--timeout-seconds", "-1"), "timeout_seconds must be positive", id="negative-timeout"),
+        pytest.param(("--timeout-seconds", "1e300"), "timeout_seconds must be positive and at most",
+                     id="overflowing-timeout"),
         pytest.param(("--max-attempts", "2", "--backoff-seconds", "inf"), "backoff_seconds must be non-negative",
                      id="inf-backoff"),
         pytest.param(("--max-attempts", "2", "--backoff-seconds", "nan"), "backoff_seconds must be non-negative",

@@ -152,6 +152,7 @@ class TestRetries:
         pytest.param({"timeout_seconds": -1.0}, id="negative-timeout"),
         pytest.param({"timeout_seconds": float("inf")}, id="inf-timeout"),
         pytest.param({"timeout_seconds": float("nan")}, id="nan-timeout"),
+        pytest.param({"timeout_seconds": 1e300}, id="overflowing-timeout"),
         pytest.param({"backoff_seconds": -1.0}, id="negative-backoff"),
         pytest.param({"backoff_seconds": float("inf")}, id="inf-backoff"),
         pytest.param({"backoff_seconds": float("nan")}, id="nan-backoff"),

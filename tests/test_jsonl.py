@@ -15,6 +15,7 @@ from citepipe.jsonl import (
     read_jsonl,
     row_fields,
     write_json,
+    write_json_rows,
     write_jsonl,
     write_text,
 )
@@ -88,6 +89,35 @@ def test_write_json_streams_the_bytes_of_an_indented_dump(tmp_path_factory, obj)
     path = tmp_path_factory.getbasetemp() / "streamed.json"
     write_json(path, obj)
     assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_write_json_rows_indents_the_head_and_writes_a_row_per_line(tmp_path):
+    path = tmp_path / "out.json"
+    write_json_rows(path, {"rows": [{"b": 1, "a": "é"}, {"a": [2]}], "n": 2, "label": "é"}, "rows")
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "label": "\\u00e9",\n  "n": 2,\n  "rows": [\n    {"a": "é", "b": 1},\n    {"a": [2]}\n  ]\n}\n'
+    )
+    write_json_rows(path, {"rows": [], "n": 0}, "rows")
+    assert path.read_text(encoding="utf-8") == '{\n  "n": 0,\n  "rows": []\n}\n'
+
+
+finite_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=10,
+)
+
+
+@given(st.dictionaries(st.text("ab", min_size=1), finite_values, min_size=1), st.lists(finite_values))
+@settings(deadline=None)
+def test_write_json_rows_parses_to_what_write_json_writes(tmp_path_factory, head, rows):
+    obj = {**head, "per_sample": rows}
+    path = tmp_path_factory.getbasetemp() / "rows.json"
+    write_json_rows(path, obj, "per_sample")
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text) == obj
+    lines = text.split("\n")  # not splitlines: a row may hold U+2028 or U+0085 raw
+    assert lines[-len(rows) - 3 : -3] == ["    " + dump_row(row) + "," * (i < len(rows) - 1) for i, row in enumerate(rows)]
 
 
 def test_read_jsonl_names_the_bad_line(tmp_path):

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citepipe.dataset import CitationSample, TargetPaper, read_dataset, sample_to_dict, write_dataset
+from citepipe.dataset import (
+    CitationSample,
+    PaperReferencer,
+    TargetPaper,
+    read_dataset,
+    sample_to_dict,
+    write_dataset,
+)
 from citepipe.jsonl import dump_row
 from citepipe.kg import (
     SCIERC_RELATIONS,
@@ -305,9 +312,13 @@ TRIPLET_SETS = st.builds(
 @st.composite
 def enriched_rows(draw):
     """Enriched samples whose targets and blocks are drawn from shared pools,
-    as equal-content copies of pool objects, or fresh."""
+    as equal-content copies of pool objects, or fresh, and whose source ids
+    and abstracts come from small pools, so a source repeats with the same
+    abstract or another."""
     papers = draw(st.lists(TARGETS, min_size=1, max_size=3))
     blocks = draw(st.lists(TRIPLET_SETS, min_size=1, max_size=3))
+    sources = draw(st.lists(TEXT, min_size=1, max_size=2))
+    abstracts = draw(st.lists(TEXT, min_size=1, max_size=2))
 
     def pick(pool, fresh, nullable=False):
         choices = [st.sampled_from(pool), st.sampled_from(pool).map(dataclasses.replace), fresh]
@@ -316,7 +327,8 @@ def enriched_rows(draw):
     rows = []
     for i in range(draw(st.integers(1, 4))):
         targets = [pick(papers, TARGETS) for _ in range(draw(st.integers(0, 3)))]
-        sample = CitationSample(f"s:{i}", draw(TEXT), draw(TEXT), targets, draw(TEXT), draw(TEXT))
+        source, abstract = draw(st.sampled_from(sources)), draw(st.sampled_from(abstracts))
+        sample = CitationSample(f"s:{i}", source, abstract, targets, draw(TEXT), draw(TEXT))
         per_target = [
             TargetTriplets(t.paper_id, *(pick(blocks, TRIPLET_SETS, nullable=True) for _ in range(3)))
             for t in targets
@@ -337,28 +349,48 @@ class TestEncoding:
         out = scratch_dir
         samples = [es.sample for es in rows]
         write_dataset(samples, out / "dataset.jsonl")
+        write_dataset(samples, out / "part.jsonl", PaperReferencer())
         write_enriched(rows, out / "enriched.jsonl")
         assert (out / "dataset.jsonl").read_bytes() == "".join(
             dump_row(sample_to_dict(s)) + "\n" for s in samples
         ).encode("utf-8")
         # an enriched row is the standalone row, but for each target that
-        # equals the last full entry of its paper_id, which is its bare id
-        last = {}
+        # equals the last full entry of its paper_id, which is its bare id, a
+        # source abstract equal to the last one of its source_paper_id, which
+        # is left out, and a null triplet type, which is left out
+        last_target, last_source = {}, {}
         expected = []
         for es in rows:
             row = enriched_to_dict(es)
-            targets = row["sample"]["targets"]
+            sample = row["sample"]
+            if last_source.get(sample["source_paper_id"]) == sample["source_abstract"]:
+                del sample["source_abstract"]
+            else:
+                last_source[sample["source_paper_id"]] = sample["source_abstract"]
+            targets = sample["targets"]
             for i, target in enumerate(targets):
-                if last.get(target["paper_id"]) == target:
+                if last_target.get(target["paper_id"]) == target:
                     targets[i] = target["paper_id"]
-                last[target["paper_id"]] = target
-            expected.append(dump_row(row) + "\n")
-        assert (out / "enriched.jsonl").read_bytes() == "".join(expected).encode("utf-8")
+                last_target[target["paper_id"]] = target
+            blocks = [row["source_triplets"], *(tt[s] for tt in row["target_triplets"] for s in SECTIONS)]
+            for block in filter(None, blocks):
+                block["triplets"] = [{k: v for k, v in t.items() if v is not None} for t in block["triplets"]]
+            expected.append(row)
+        assert (out / "enriched.jsonl").read_bytes() == "".join(
+            dump_row(row) + "\n" for row in expected
+        ).encode("utf-8")
+        # a split part is the sample of each enriched row
+        assert (out / "part.jsonl").read_bytes() == "".join(
+            dump_row(row["sample"]) + "\n" for row in expected
+        ).encode("utf-8")
         assert read_enriched(out / "enriched.jsonl") == rows
+        assert read_dataset(out / "part.jsonl") == samples
         # the shared objects read back write the same bytes again
         write_dataset(read_dataset(out / "dataset.jsonl"), out / "dataset-again.jsonl")
+        write_dataset(read_dataset(out / "part.jsonl"), out / "part-again.jsonl", PaperReferencer())
         write_enriched(read_enriched(out / "enriched.jsonl"), out / "enriched-again.jsonl")
         assert (out / "dataset-again.jsonl").read_bytes() == (out / "dataset.jsonl").read_bytes()
+        assert (out / "part-again.jsonl").read_bytes() == (out / "part.jsonl").read_bytes()
         assert (out / "enriched-again.jsonl").read_bytes() == (out / "enriched.jsonl").read_bytes()
 
     def test_a_paper_is_written_in_full_again_when_its_fields_change(self, tmp_path):
