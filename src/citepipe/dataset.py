@@ -8,10 +8,9 @@ to a paper already in the target set, so a contiguous discussion of the
 same papers travels as one passage.
 
 Dataset rows are standalone: each holds its source abstract and its targets'
-full text. Split parts and enriched files write each paper's text once per
-file (`PaperReferencer`): a distinct target in full and by its bare id
-afterwards, and a source abstract in the first row of its source and left out
-of the next rows that share it. `sample_from_dict` reads both forms.
+full text. Split parts and enriched files hold each paper's text once, by the
+rule of the README's "Each paper once per file": `PaperReferencer` writes it,
+and `sample_from_dict` and `last_entry` read it.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from . import __version__
 from .config import DEFAULTS
@@ -341,16 +340,15 @@ class PaperReferencer:
     abstract equals the last one written for its source_paper_id leaves it out."""
 
     def __init__(self):
-        self._reference = encoded_by_identity(lambda t: dump_row(t.paper_id))
-        self._targets: dict[str, TargetPaper] = {}  # the last full entry of each paper
+        self._targets: dict[str, tuple[TargetPaper, str]] = {}  # each paper's last full entry and encoded id
         self._sources: dict[str, str] = {}  # the last abstract written for each source
 
     def target(self, target: TargetPaper) -> str:
         """The encoding of `target`."""
         last = self._targets.get(target.paper_id)
-        if last is target or last == target:
-            return self._reference(target)
-        self._targets[target.paper_id] = target
+        if last is not None and (last[0] is target or last[0] == target):
+            return last[1]
+        self._targets[target.paper_id] = (target, dump_row(target.paper_id))
         return dump_row(_target_to_dict(target))
 
     def writes_source_abstract(self, sample: CitationSample) -> bool:
@@ -390,20 +388,34 @@ _TARGET = {"paper_id": str, "title": str, "abstract": str, "introduction": (str,
 _TARGET_DEFAULTS = {"title": "", "abstract": "", "introduction": None, "conclusion": None}
 
 
+def last_entry(papers: dict, key: Any, raw: Any, parse: Callable[[Any], Any]) -> Any:
+    """The object of `raw`, a full entry of `key` in a file, by the README's
+    "Each paper once per file"; `papers` holds each key's last one as (JSON,
+    object). That JSON passed `parse`, and a JSON string equals only a string
+    and null only null, so a `raw` equal to it needs no check. The key of a
+    `raw` whose key fields are not strings is None, for `parse` to name them."""
+    last = papers.get(key)
+    if last is None or last[0] != raw:
+        last = papers[key] = (raw, parse(raw))
+    return last[1]
+
+
+def _target(raw: Any) -> TargetPaper:
+    return TargetPaper(*row_fields(raw, _TARGET, _TARGET_DEFAULTS))
+
+
 def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
-    """A sample from its dataset or enriched row. Targets come from `papers`,
-    which maps every field of a target to its one shared TargetPaper, and are
-    added to it when new; without it each row gets its own. `papers` also maps
-    each paper_id to the last full entry read for it, so a target given as a
-    bare id string is that entry, and an id with none yet is a ValueError; and
-    it maps the 1-tuple of each source_paper_id to the last source abstract
-    read for it, which a row without `source_abstract` takes, and a source
-    with none yet is a ValueError. A text field that is not a string is a
-    ValueError; only a target's introduction and conclusion may be null."""
+    """A sample from its dataset or enriched row. `papers` is the table of its
+    file (see `last_entry`), keyed by each target's paper_id and each source's
+    (source_paper_id,); without it the row stands alone. A target given as a
+    bare id string, or a row without `source_abstract`, takes the last entry
+    of its key, and a key with none yet is a ValueError. A text field that is
+    not a string is a ValueError; only a target's introduction and conclusion
+    may be null."""
     if papers is None:
         papers = {}
     sample_id, source_id, citation, section, raw_targets = row_fields(row, _SAMPLE, {"section_name": ""})
-    source = (source_id,)  # ids are strings and target entries 5-tuples, so it meets neither
+    source = (source_id,)
     if "source_abstract" in row:
         (abstract,) = row_fields(row, _SOURCE_ABSTRACT)
         if papers.get(source) != abstract:
@@ -413,21 +425,14 @@ def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
     abstract = papers[source]  # rows of one source share one string
     targets = []
     for t in raw_targets:
-        if type(t) is str:  # content keys are tuples, so an id never meets one
-            target = papers.get(t)
-            if target is None:
+        if type(t) is str:
+            last = papers.get(t)
+            if last is None:
                 raise ValueError(f"target {t!r} is a bare id with no earlier full entry")
+            targets.append(last[1])
         else:
-            try:
-                # only checked keys are interned, so a hit needs no check
-                target = papers[
-                    t["paper_id"], t.get("title", ""), t.get("abstract", ""), t.get("introduction"), t.get("conclusion")
-                ]
-            except (KeyError, TypeError):  # a miss, or a row the check names
-                key = tuple(row_fields(t, _TARGET, _TARGET_DEFAULTS))
-                target = papers[key] = TargetPaper(*key)
-            papers[target.paper_id] = target
-        targets.append(target)
+            paper_id = t.get("paper_id") if type(t) is dict else None
+            targets.append(last_entry(papers, paper_id if type(paper_id) is str else None, t, _target))
     return CitationSample(sample_id, source_id, abstract, targets, citation, section)
 
 
@@ -451,8 +456,9 @@ def write_dataset(
 
 def iter_dataset(path: str | Path) -> Iterator[CitationSample]:
     """The samples of a dataset file, one at a time as it is read; a corrupt
-    line fails with its line number when it is reached. Samples share one
-    TargetPaper per distinct target, so treat them as read-only."""
+    line fails with its line number when it is reached. Samples share their
+    papers by the README's "Each paper once per file", so treat them as
+    read-only."""
     papers: dict = {}
     return iter_rows(path, lambda row: sample_from_dict(row, papers))
 

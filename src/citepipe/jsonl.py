@@ -119,9 +119,17 @@ def encoded_by_identity(encode: Callable[[Any], str]) -> Callable[[Any], str]:
 
 def write_text(path: str | Path, chunks: Iterable[str]) -> int:
     """Replace `path` with the chunks via a hidden temp file and `os.replace`,
-    so a failure or interrupt leaves `path` as it was. Returns the chunk count."""
+    so a failure or interrupt leaves `path` as it was; first it removes the
+    temp files that killed writes to `path` left. Returns the chunk count."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    # `.<name>.<8 hex digits>.tmp`; the exact length spares the temp files of a
+    # longer name that starts with this one, such as `<name>.run.json`
+    prefix, length = f".{path.name}.", len(path.name) + 14
+    with os.scandir(path.parent) as entries:
+        stale = [e.path for e in entries if len(e.name) == length and e.name.startswith(prefix) and e.name.endswith(".tmp")]
+    for name in stale:
+        Path(name).unlink(missing_ok=True)
+    tmp = path.with_name(f"{prefix}{os.urandom(4).hex()}.tmp")
     count = 0
     try:
         with open(tmp, "x", encoding="utf-8") as fh:

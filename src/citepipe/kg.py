@@ -8,12 +8,9 @@ a validation vocabulary is supplied, in which case unknown labels are only
 counted, never altered.
 
 An enriched file holds one row per sample with its triplet blocks inline,
-and each paper's text once (see `dataset.PaperReferencer`): a target is
-written in full the first time its paper appears, or when its fields differ
-from the last full entry of that paper_id, and as its bare id everywhere else;
-a row leaves out its source abstract when the last row of its source_paper_id
-wrote the same one. A triplet leaves out a head_type or tail_type that is
-null, which its reader takes as null.
+and each paper's text once, by the rule of the README's "Each paper once per
+file", which its reader applies to the blocks too. A triplet leaves out a
+head_type or tail_type that is null, which its reader takes as null.
 """
 
 from __future__ import annotations
@@ -21,9 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator
 
-from .dataset import CitationSample, PaperReferencer, sample_encoder, sample_from_dict, sample_to_dict
+from .dataset import CitationSample, PaperReferencer, last_entry, sample_encoder, sample_from_dict, sample_to_dict
 from .jsonl import dump_row, encoded_by_identity, iter_jsonl, iter_rows, row_fields, write_text
 
 SECTIONS = ("abstract", "introduction", "conclusion")
@@ -76,9 +73,6 @@ class TripletStore:
 
     def get(self, paper_id: str, section: str) -> TripletSet | None:
         return self.blocks.get((paper_id, section))
-
-    def __contains__(self, paper_id: str) -> bool:
-        return any(pid == paper_id for pid, _ in self.blocks)
 
 
 # a triplet block and its entries, as triplet files and enriched files hold them
@@ -270,26 +264,18 @@ def _tset_to_dict(tset: TripletSet | None) -> dict | None:
     }
 
 
-def _tset_from_dict(row: dict | None, blocks: dict) -> TripletSet | None:
-    """A triplet block from its row, shared through `blocks`, which maps every
-    field of a block to its one TripletSet and gains the new ones."""
+def _tset(raw: Any) -> TripletSet:
+    paper_id, section, raw_triplets = row_fields(raw, _BLOCK)
+    return TripletSet(paper_id, section, [KGTriplet(*row_fields(t, _TRIPLET, _TRIPLET_DEFAULTS)) for t in raw_triplets])
+
+
+def _tset_from_dict(row: dict | None, papers: dict) -> TripletSet | None:
+    """A triplet block from its row, the entry of its (paper_id, section) in
+    `papers` (see `dataset.last_entry`)."""
     if row is None:
         return None
-    try:
-        # only checked blocks are interned, so a hit needs no check
-        return blocks[
-            row["paper_id"],
-            row["section"],
-            tuple(
-                (t["head"], t["relation"], t["tail"], t.get("head_type"), t.get("tail_type"))
-                for t in row["triplets"]
-            ),
-        ]
-    except (KeyError, TypeError):  # a miss, or a row the check names
-        paper_id, section, raw_triplets = row_fields(row, _BLOCK)
-        entries = tuple(tuple(row_fields(t, _TRIPLET, _TRIPLET_DEFAULTS)) for t in raw_triplets)
-        tset = blocks[paper_id, section, entries] = TripletSet(paper_id, section, [KGTriplet(*t) for t in entries])
-        return tset
+    key = row.get("paper_id"), row.get("section")
+    return last_entry(papers, key if type(key[0]) is str and type(key[1]) is str else None, row, _tset)
 
 
 def enriched_to_dict(es: EnrichedSample) -> dict:
@@ -317,18 +303,18 @@ _ENRICHED = {"sample": dict, "source_triplets": (dict, None), "target_triplets":
 _TARGET_TRIPLETS = {"paper_id": str, **dict.fromkeys(SECTIONS, (dict, None))}
 
 
-def enriched_from_dict(row: dict, papers: dict | None = None, blocks: dict | None = None) -> EnrichedSample:
-    """An enriched sample from its row; targets are shared, and a bare-id
-    target or a left-out source abstract resolved, through `papers` (see
-    `sample_from_dict`), and triplet blocks are shared through `blocks`."""
-    if blocks is None:
-        blocks = {}
+def enriched_from_dict(row: dict, papers: dict | None = None) -> EnrichedSample:
+    """An enriched sample from its row; its targets, source abstract and
+    triplet blocks are read through `papers`, the table of its file (see
+    `sample_from_dict` and `_tset_from_dict`)."""
+    if papers is None:
+        papers = {}
     sample, source, targets, missing = row_fields(row, _ENRICHED)
     per_target = []
     for tt in targets:
         paper_id, *sections = row_fields(tt, _TARGET_TRIPLETS)
-        per_target.append(TargetTriplets(paper_id, *[_tset_from_dict(s, blocks) for s in sections]))
-    return EnrichedSample(sample_from_dict(sample, papers), _tset_from_dict(source, blocks), per_target, missing)
+        per_target.append(TargetTriplets(paper_id, *[_tset_from_dict(s, papers) for s in sections]))
+    return EnrichedSample(sample_from_dict(sample, papers), _tset_from_dict(source, papers), per_target, missing)
 
 
 def write_enriched(samples: Iterable[EnrichedSample], path: str | Path) -> int:
@@ -363,12 +349,11 @@ def write_enriched(samples: Iterable[EnrichedSample], path: str | Path) -> int:
 
 def iter_enriched(path: str | Path) -> Iterator[EnrichedSample]:
     """The samples of an enriched file, one at a time as it is read; a corrupt
-    line fails with its line number when it is reached. Samples share one
-    TargetPaper per distinct target and one TripletSet per distinct block, so
+    line fails with its line number when it is reached. Samples share their
+    papers and triplet blocks by the README's "Each paper once per file", so
     treat them as read-only."""
     papers: dict = {}
-    blocks: dict = {}
-    return iter_rows(path, lambda row: enriched_from_dict(row, papers, blocks))
+    return iter_rows(path, lambda row: enriched_from_dict(row, papers))
 
 
 def read_enriched(path: str | Path) -> list[EnrichedSample]:

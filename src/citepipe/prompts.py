@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Iterator
 from .config import DEFAULTS
 from .dataset import CitationSample
 from .jsonl import encoded_by_identity, write_jsonl
-from .jsonl import read_prompt_file  # noqa: F401  (still importable from here)
 from .kg import EnrichedSample, TripletSet, pooled_triplets, render_triplets
 
 SOURCE_ABSTRACT_FLOOR_TOKENS = 200

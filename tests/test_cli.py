@@ -728,6 +728,10 @@ class TestDatasetTextFields:
                      "tail is null, not a string", id="null-triplet-tail"),
         pytest.param(lambda row: row["target_triplets"][0].update(paper_id=7),
                      "paper_id is int, not a string", id="int-target-paper-id"),
+        pytest.param(lambda row: row["sample"].update(targets=[{"paper_id": ["t1"]}]),
+                     "paper_id is list, not a string", id="list-sample-target-paper-id"),
+        pytest.param(lambda row: row["source_triplets"].update(section={}),
+                     "section is dict, not a string", id="object-block-section"),
         pytest.param(lambda row: row.update(missing_target_triplets="yes"),
                      "missing_target_triplets is str, not a boolean", id="str-missing-target-triplets"),
     ])

@@ -1,11 +1,17 @@
 """Canonical JSONL encoding and digest helpers."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citepipe
 from citepipe.jsonl import (
     dump_row,
     file_digest,
@@ -68,6 +74,35 @@ def test_interrupted_write_leaves_the_previous_file(tmp_path):
         write_jsonl(path, rows())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+KILLED_WRITE = """\
+import os, signal, sys
+from citepipe.jsonl import write_text
+
+def chunks():
+    yield "partial\\n"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+write_text(sys.argv[1], chunks())
+"""
+
+
+def test_a_killed_write_leaves_no_temp_file_after_the_next_write(tmp_path):
+    # SIGKILL runs no cleanup, so the killed writes leave their temp files
+    path = tmp_path / "out[1].jsonl"  # a name glob would misread
+    path.write_text("previous\n", encoding="utf-8")
+    longer = tmp_path / ".out[1].jsonl.run.json.0123abcd.tmp"  # another target's temp file
+    longer.write_text("", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(citepipe.__file__).parents[1])}
+    for _ in range(2):
+        killed = subprocess.run([sys.executable, "-c", KILLED_WRITE, str(path)], env=env, timeout=60)
+        assert killed.returncode == -signal.SIGKILL
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert len(list(tmp_path.iterdir())) > 2
+    write_text(path, ["new\n"])
+    assert path.read_text(encoding="utf-8") == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [longer.name, path.name]
 
 
 def test_write_json_is_indented_sorted_and_newline_terminated(tmp_path):

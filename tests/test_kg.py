@@ -11,7 +11,9 @@ from citepipe.dataset import (
     CitationSample,
     PaperReferencer,
     TargetPaper,
+    iter_dataset,
     read_dataset,
+    sample_from_dict,
     sample_to_dict,
     write_dataset,
 )
@@ -28,6 +30,7 @@ from citepipe.kg import (
     attach_triplets,
     enriched_from_dict,
     enriched_to_dict,
+    iter_enriched,
     load_triplets,
     normalize_phrase,
     pooled_triplets,
@@ -81,7 +84,6 @@ class TestLoadTriplets:
         assert store.get("t1", "introduction").triplets[0].tail == "benchmark"
         assert store.get("t2", "conclusion") is not None
         assert store.get("t2", "abstract") is None
-        assert "t1" in store and "t9" not in store
 
     def test_duplicate_blocks_merge_with_dedup(self, tmp_path):
         path = write_jsonl_file(
@@ -411,7 +413,11 @@ class TestEncoding:
         ]
         back = [es.sample for es in read_enriched(out)]
         assert back == samples
-        assert back[0].targets[0] is back[1].targets[0] is back[3].targets[0] is back[4].targets[0]
+        # a bare id is the last full entry; a full entry equal to an earlier
+        # one, after a different one, is a new, equal object
+        assert back[0].targets[0] is back[1].targets[0]
+        assert back[3].targets[0] is back[4].targets[0]
+        assert back[3].targets[0] == back[0].targets[0] and back[3].targets[0] is not back[0].targets[0]
 
     def test_identical_blocks_come_back_as_one_object(self, tmp_path):
         store_path = write_jsonl_file(
@@ -431,7 +437,8 @@ class TestEncoding:
 
         back = read_enriched(out)
         t1_blocks = [es.target_triplets[0].abstract for es in back]
-        assert t1_blocks[0] is t1_blocks[1] is t1_blocks[3] is not t1_blocks[2]
+        assert t1_blocks[0] is t1_blocks[1] is not t1_blocks[2]
+        assert t1_blocks[3] == t1_blocks[0] and t1_blocks[3] is not t1_blocks[0]
         assert t1_blocks[2].triplets[0].tail == "edited"
         t2_blocks = [es.target_triplets[1].abstract for es in back]
         assert len({id(b) for b in t2_blocks}) == 1
@@ -445,3 +452,87 @@ class TestEncoding:
         out.write_text("".join(dump_row(r) + "\n" for r in rows), encoding="utf-8")
         with pytest.raises(ValueError, match="line 2: head_type is bool, not a string"):
             read_enriched(out)
+
+
+# Raw rows for the last-entry rule: every entry written in full, drawn from
+# pools of at most two targets, sources and blocks, so entries of one key
+# repeat, alternate and revert. A pool entry may hold one field of another
+# JSON type; 1 == 1.0 == True in Python, and null or an absent field is valid
+# for some fields and not for others.
+ABSENT = object()
+HOSTILE = st.sampled_from([1, 1.0, True, None, ["a"], {"a": "a"}, ABSENT])
+LETTER = st.sampled_from(["a", "b"])
+OPTIONAL = st.sampled_from(["a", None, ABSENT])  # an explicit null beside an absent field
+
+
+@st.composite
+def raw_entry(draw, **fields):
+    entry = {name: draw(values) for name, values in fields.items()}
+    if draw(st.booleans()):
+        entry[draw(st.sampled_from(sorted(fields)))] = draw(HOSTILE)
+    return {name: value for name, value in entry.items() if value is not ABSENT}
+
+
+RAW_TARGETS = raw_entry(
+    paper_id=st.sampled_from(["t1", "t2"]), title=LETTER, abstract=LETTER, introduction=OPTIONAL, conclusion=OPTIONAL
+)
+RAW_TRIPLETS = raw_entry(head=LETTER, relation=LETTER, tail=LETTER, head_type=OPTIONAL, tail_type=OPTIONAL)
+RAW_BLOCKS = raw_entry(
+    paper_id=st.sampled_from(["t1", "t2"]),
+    section=st.sampled_from(["abstract", "introduction"]),
+    triplets=st.lists(RAW_TRIPLETS, max_size=2),
+)
+RAW_SOURCES = raw_entry(source_paper_id=st.sampled_from(["s1", "s2"]), source_abstract=LETTER)
+
+
+@st.composite
+def raw_rows(draw):
+    targets = draw(st.lists(RAW_TARGETS, min_size=1, max_size=2))
+    blocks = draw(st.lists(st.none() | RAW_BLOCKS, min_size=1, max_size=2))
+    sources = draw(st.lists(RAW_SOURCES, min_size=1, max_size=2))
+    rows = []
+    for i in range(draw(st.integers(1, 6))):
+        # a row holds its source abstract, so it stands alone
+        source = {"source_abstract": "a", **draw(st.sampled_from(sources))}
+        sample = {"sample_id": f"s:{i}", "citation_text": "c", **source, "targets": []}
+        per_target = []
+        for _ in range(draw(st.integers(0, 3))):
+            sample["targets"].append(draw(st.sampled_from(targets)))
+            per_target.append({"paper_id": "t1", **{s: draw(st.sampled_from(blocks)) for s in SECTIONS}})
+        rows.append((sample, {
+            "sample": sample,
+            "source_triplets": draw(st.sampled_from(blocks)),
+            "target_triplets": per_target,
+            "missing_target_triplets": False,
+        }))
+    return rows
+
+
+def read_each(rows, path, parse):
+    """What reading each row alone, with a fresh table, gives: the samples
+    before the first failing row, and that row's error as a file read names it."""
+    read = []
+    for lineno, row in enumerate(rows, start=1):
+        try:
+            read.append(parse(row))
+        except (ValueError, KeyError, TypeError) as exc:
+            return read, f"{path}: line {lineno}: {exc}"
+    return read, None
+
+
+def read_file(path, rows_of):
+    read = []
+    try:
+        read.extend(rows_of(path))
+    except ValueError as exc:
+        return read, str(exc)
+    return read, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=raw_rows())
+def test_a_file_reads_as_its_rows_read_alone(scratch_dir, rows):
+    for rows_of, parse, index in ((iter_dataset, sample_from_dict, 0), (iter_enriched, enriched_from_dict, 1)):
+        path = scratch_dir / "raw.jsonl"
+        path.write_text("".join(dump_row(row[index]) + "\n" for row in rows), encoding="utf-8")
+        assert read_file(path, rows_of) == read_each([row[index] for row in rows], path, parse)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from citepipe import prompts
 from citepipe.dataset import CitationSample, TargetPaper
+from citepipe.jsonl import read_prompt_file
 from citepipe.kg import EnrichedSample, KGTriplet, TargetTriplets, TripletSet
 from citepipe.prompts import (
     PREAMBLE,
@@ -27,7 +28,6 @@ from citepipe.prompts import (
     Truncation,
     default_estimator,
     emit_finetune_file,
-    read_prompt_file,
     render_baseline,
     render_kg,
     triplet_renderer,
