@@ -12,6 +12,10 @@ samples. An interrupt (Ctrl-C) stops the workers from taking another request
 or starting another retry; the requests in flight finish and keep their rows
 before it propagates.
 
+The connection speaks HTTP/1.1 (RFC 9112) on a plain socket: a run against
+an http:// endpoint imports neither `http.client`, whose header parsing
+brings in the `email` package, nor `ssl`.
+
 Completed output files are canonical: rows sorted by sample_id, stable JSON
 encoding. Re-running against a complete file performs no requests and leaves
 the bytes untouched.
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import socket
 import threading
 import time
 from collections import Counter
@@ -96,57 +102,168 @@ class _Fatal(Exception):
     pass
 
 
+class _BadReply(OSError):
+    """A reply that breaks HTTP/1.1 message syntax or the limits on its head."""
+
+
+_MAX_LINE = 65536  # the limits of http.client: bytes in one line of the head,
+_MAX_HEADERS = 100  # and header lines in one reply
+_PIECE = 1 << 20  # a body is read this much at a time, whatever length it announces
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)(?:[ \t]|\r?\n)")
+_HEX = re.compile(rb"[0-9A-Fa-f]+")
+
+
 class _Transport:
-    """One worker's keep-alive connection, opened on first use."""
+    """One worker's keep-alive HTTP/1.1 connection, opened on first use.
+
+    Each request goes out in one write: the request line, `Host`,
+    `Content-Type`, `Accept-Encoding: identity`, the extra headers,
+    `Content-Length` and the body. A reply is framed by `Content-Length`, by
+    chunked transfer coding (trailers are read and dropped) or, with neither,
+    by the server closing the connection; interim 1xx replies are skipped. The
+    connection is closed after an HTTP/1.0 reply, a `Connection: close`
+    header, or any error. `ssl` is imported only for an https:// endpoint.
+    """
 
     def __init__(self, endpoint: str, timeout: float, headers: dict[str, str]):
-        # imported here: only `generate` sends requests, and http.client with
-        # ssl would add about 20 ms to the start-up of every command
-        from http.client import HTTPConnection, HTTPException, HTTPSConnection
-
         url = urlsplit(endpoint)
-        self._factory = {"http": HTTPConnection, "https": HTTPSConnection}.get(url.scheme)
-        if self._factory is None or not url.hostname:
-            raise ValueError(f"endpoint {endpoint!r} is not an http:// or https:// URL with a host")
-        self._netloc = url.netloc
-        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        if "@" in url.netloc:  # refused below, without echoing the password
+            endpoint = endpoint.replace(url.netloc, "***@" + url.netloc.rpartition("@")[2], 1)
+        if url.scheme not in ("http", "https") or not url.hostname or "@" in url.netloc:
+            raise ValueError(f"endpoint {endpoint!r} is not an http:// or https:// URL with a host and no credentials")
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        if not (target.isascii() and target.isprintable()) or " " in target:
+            raise ValueError(f"endpoint {endpoint!r} has a space, a control or a non-ASCII character in its path")
+        host = url.netloc if url.netloc.isascii() else url.netloc.encode("idna").decode("ascii")
+        head = [f"POST {target} HTTP/1.1", f"Host: {host}",
+                "Content-Type: application/json", "Accept-Encoding: identity",
+                *(f"{name}: {value}" for name, value in headers.items())]
+        if not all(line.isprintable() for line in head):
+            raise ValueError("a request header holds a control character")
+        self._head = "".join(f"{line}\r\n" for line in head).encode("latin-1") + b"Content-Length: "
+        self._url = url
         self._timeout = timeout
-        self._headers = {"Content-Type": "application/json", **headers}
-        self._errors = (OSError, HTTPException)
-        self._conn = None
+        self._tls = None
+        if url.scheme == "https":
+            import ssl  # only here: it costs about 2 MB and 20 ms to import
+
+            self._tls = ssl.create_default_context()
+            self._tls.set_alpn_protocols(["http/1.1"])
+        self._sock = None
+        self._file = None
 
     def post(self, body: bytes) -> tuple[int, bytes]:
-        """Send one request and read the whole response body."""
+        """Send one request and read the whole reply body."""
+        message = self._head + b"%d\r\n\r\n" % len(body) + body
         while True:
-            if self._conn is None:
-                try:
-                    self._conn = self._factory(self._netloc, timeout=self._timeout)
-                except self._errors as exc:  # a malformed port
-                    raise _Transient(f"connection failed: {exc}") from exc
-            conn = self._conn
-            idle = conn.sock is not None  # None: this request opens a new socket
+            reused = self._file is not None
+            line = b""
             try:
-                conn.request("POST", self._target, body, self._headers)
-                response = conn.getresponse()
-            except (ConnectionResetError, BrokenPipeError) as exc:  # incl. RemoteDisconnected
+                if not reused:
+                    self._open()
+                self._sock.sendall(message)
+                line = self._line()
+                if not line:
+                    raise ConnectionResetError("the server closed the connection before replying")
+                return self._reply(line)
+            except OSError as exc:
                 self.close()
-                if idle:  # the server closed the idle connection: one free reconnect
-                    continue
-                raise _Transient(f"connection failed: {exc}") from exc
-            except self._errors as exc:
-                self.close()
-                raise _Transient(f"connection failed: {exc}") from exc
-            try:
-                return response.status, response.read()
-            except self._errors as exc:
-                response.close()
-                self.close()
+                if reused and not line and isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+                    continue  # the server closed the idle connection: one free reconnect
                 raise _Transient(f"connection failed: {exc}") from exc
 
+    def _open(self) -> None:
+        try:
+            port = self._url.port or (443 if self._tls else 80)
+        except ValueError as exc:  # a bad port fails as a connection, not as a usage error
+            raise OSError(exc) from None
+        sock = socket.create_connection((self._url.hostname, port), self._timeout)
+        if self._tls is not None:
+            try:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._url.hostname)
+            except BaseException:
+                sock.close()
+                raise
+        self._sock = sock
+        self._file = sock.makefile("rb")
+
+    def _line(self) -> bytes:
+        line = self._file.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _BadReply(f"a line of the reply is longer than {_MAX_LINE} bytes")
+        return line
+
+    def _fields(self) -> dict[bytes, bytes]:
+        """The header (or trailer) lines up to the empty one, by lowercased name."""
+        fields = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._line()
+            if line in (b"\r\n", b"\n"):
+                return fields
+            if not line:
+                raise _BadReply("the reply ended inside its head")
+            name, _, value = line.partition(b":")
+            fields[name.strip().lower()] = value.strip()
+        raise _BadReply(f"the reply has more than {_MAX_HEADERS} header lines")
+
+    def _exactly(self, size: int) -> bytes:
+        parts = []
+        while size:
+            part = self._file.read(min(size, _PIECE))
+            if not part:
+                raise _BadReply("the reply body was cut short")
+            parts.append(part)
+            size -= len(part)
+        return b"".join(parts)
+
+    def _reply(self, line: bytes) -> tuple[int, bytes]:
+        """Read the reply whose status line is `line`, skipping interim ones."""
+        while True:
+            status = _STATUS_LINE.match(line)
+            if status is None:
+                raise _BadReply(f"malformed status line {line[:80]!r}")
+            fields = self._fields()
+            code = int(status[2])
+            if code >= 200:
+                break
+            line = self._line()
+        options = {option.strip() for option in fields.get(b"connection", b"").lower().split(b",")}
+        keep = status[1] != b"0" and b"close" not in options  # HTTP/1.0 closes by default
+        codings = fields.get(b"transfer-encoding", b"")
+        length = fields.get(b"content-length")
+        if code in (204, 304):
+            body = b""
+        elif codings.rpartition(b",")[2].strip().lower() == b"chunked":
+            body = self._chunked()
+        elif length is not None and not codings:
+            if not length.isdigit():
+                raise _BadReply(f"malformed Content-Length {length[:80]!r}")
+            body = self._exactly(int(length))
+        else:  # no framing, or a transfer coding that does not end in chunked
+            body, keep = self._file.read(), False
+        if not keep:
+            self.close()
+        return code, body
+
+    def _chunked(self) -> bytes:
+        parts = []
+        while True:
+            digits = self._line().partition(b";")[0].strip()  # a chunk extension is dropped
+            if not _HEX.fullmatch(digits):
+                raise _BadReply(f"malformed chunk size {digits[:80]!r}")
+            size = int(digits, 16)
+            if size == 0:
+                self._fields()  # the trailer
+                return b"".join(parts)
+            parts.append(self._exactly(size))
+            if self._line() not in (b"\r\n", b"\n"):
+                raise _BadReply("a chunk is longer than its size")
+
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._file is not None:
+            self._file.close()
+            self._sock.close()
+            self._file = self._sock = None
 
 
 def _encode(request: GenerationRequest, policy: ClientPolicy) -> bytes:

@@ -1030,6 +1030,9 @@ class TestGenerateEvaluate:
         pytest.param(("--endpoint", "localhost:8080/generate"), "not an http:// or https:// URL", id="no-scheme"),
         pytest.param(("--endpoint", "ftp://127.0.0.1:9/x"), "not an http:// or https:// URL", id="ftp"),
         pytest.param(("--endpoint", "http:///x"), "not an http:// or https:// URL", id="no-host"),
+        pytest.param(("--endpoint", "http://user:pw@127.0.0.1:9/x"),
+                     "'http://***@127.0.0.1:9/x' is not an http:// or https:// URL with a host and no credentials",
+                     id="credentials"),
         pytest.param(("--temperature", "nan"), "temperature must be finite", id="nan-temperature"),
         pytest.param(("--timeout-seconds", "0"), "timeout_seconds must be positive", id="zero-timeout"),
         pytest.param(("--timeout-seconds", "-1"), "timeout_seconds must be positive", id="negative-timeout"),
@@ -1195,20 +1198,27 @@ def chain(hand_corpus, triplets_file, tmp_path, capsys, mock_endpoint):
     return steps
 
 
+# standard-library modules no command needs: the thread pool, and the HTTP
+# library, which brings in the email parser and ssl (generate speaks HTTP/1.1
+# on a plain socket, and imports ssl only for an https:// endpoint)
+UNNEEDED = ("concurrent.futures", "email.parser", "http.client", "ssl")
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
 def test_each_command_imports_only_its_layers(chain, command):
     probe = (
         "import sys, citepipe.cli; code = citepipe.cli.main(sys.argv[1:]); "
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'citepipe')); "
-        "print('concurrent.futures' in sys.modules); sys.exit(code)"
+        f"print([m for m in {UNNEEDED!r} if m in sys.modules]); sys.exit(code)"
     )
     if command == "generate":  # no row to reuse, so the workers start and send every request
         argv = chain[command]
         Path(argv[argv.index("--out") + 1]).unlink()
+        assert argv[argv.index("--endpoint") + 1].startswith("http://")
     done = fresh("-c", probe, *chain[command])
     assert done.returncode == 0, done.stderr
     want = sorted(CLI_MODULES + [f"citepipe.{layer}" for layer in COMMAND_LAYERS[command]])
-    assert done.stdout.splitlines()[-2:] == [repr(want), "False"]
+    assert done.stdout.splitlines()[-2:] == [repr(want), "[]"]
 
 
 # prints the loaded modules that are neither the standard library's nor citepipe's

@@ -1,5 +1,6 @@
 """Generation client behavior against a scripted in-process HTTP endpoint."""
 
+import contextlib
 import gc
 import json
 import os
@@ -11,6 +12,7 @@ import warnings
 import weakref
 from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -303,7 +305,8 @@ class _KeepAliveServer(ThreadingHTTPServer):
         self.delay_seconds = 0.0
         self.close_after_reply = False  # close the socket without saying so
         self.announce_close = False  # send `Connection: close` and close
-        self.cut_short_remaining = 0  # announce a 100-byte body, send 5 bytes and close
+        # (reply bytes, close after it): sent as they are, one per request, before any echo reply
+        self.raw_replies: list[tuple[bytes, bool]] = []
 
     @property
     def url(self) -> str:
@@ -332,12 +335,10 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
         if server.delay_seconds:
             time.sleep(server.delay_seconds)
         with server.lock:
-            cut_short = server.cut_short_remaining > 0
-            if cut_short:
-                server.cut_short_remaining -= 1
-        if cut_short:
-            self.wfile.write(b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"tex')
-            self.close_connection = True
+            raw = server.raw_replies.pop(0) if server.raw_replies else None
+        if raw is not None:
+            self.wfile.write(raw[0])
+            self.close_connection = raw[1]
             return
         body = json.dumps({"text": "echo: " + payload["prompt"]}).encode("utf-8")
         close = "Connection: close\r\n" if server.announce_close else ""
@@ -348,9 +349,8 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
         self.close_connection = server.close_after_reply or server.announce_close
 
 
-@pytest.fixture
-def keepalive_endpoint():
-    server = _KeepAliveServer()
+@contextlib.contextmanager
+def serving(server: _KeepAliveServer):
     # a short poll interval, since shutdown() waits for the next poll
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
@@ -360,6 +360,28 @@ def keepalive_endpoint():
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def keepalive_endpoint():
+    with serving(_KeepAliveServer()) as server:
+        yield server
+
+
+TLS = Path(__file__).parent / "fixtures" / "tls"  # a self-signed certificate for IP:127.0.0.1
+
+
+@pytest.fixture
+def tls_endpoint():
+    import ssl
+
+    server = _KeepAliveServer()
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS / "cert.pem", TLS / "key.pem")
+    server.socket = context.wrap_socket(server.socket, server_side=True)  # the handshake runs in accept()
+    with serving(server):
+        yield server
 
 
 def closed_port() -> int:
@@ -416,6 +438,7 @@ class TestKeepAlive:
         pytest.param("ftp://127.0.0.1:{port}/generate", id="ftp"),
         pytest.param("127.0.0.1:{port}/generate", id="no-scheme"),
         pytest.param("http:///generate", id="no-host"),
+        pytest.param("http://user:pw@127.0.0.1:{port}/generate", id="credentials"),
     ])
     def test_an_endpoint_not_http_or_https_with_a_host_is_refused_before_connecting(
         self, keepalive_endpoint, url, tmp_path
@@ -426,11 +449,66 @@ class TestKeepAlive:
         assert keepalive_endpoint.connections == 0
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("path, token, message", [
+        pytest.param("/a b", None, "has a space, a control or a non-ASCII character in its path", id="space"),
+        pytest.param("/a\x7fb", None, "has a space, a control or a non-ASCII character in its path", id="control"),
+        pytest.param("/caf\u00e9", None, "has a space, a control or a non-ASCII character in its path", id="non-ascii"),
+        pytest.param("/x", "a\r\nX-Injected: 1", "a request header holds a control character", id="token"),
+    ])
+    def test_a_request_head_that_http_cannot_carry_is_refused_before_connecting(
+        self, keepalive_endpoint, path, token, message, tmp_path
+    ):
+        url = f"http://127.0.0.1:{keepalive_endpoint.server_address[1]}{path}"
+        with pytest.raises(ValueError, match=message):
+            generate_batch([req("a")], url, FAST, out_path=tmp_path / "g.jsonl", auth_token=token)
+        assert keepalive_endpoint.connections == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_response_cut_short_is_retried_on_a_fresh_connection(self, keepalive_endpoint):
-        keepalive_endpoint.cut_short_remaining = 1
+        keepalive_endpoint.raw_replies.append((b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"tex', True))
         policy = ClientPolicy(max_parallel=1, max_attempts=2, backoff_seconds=0.0)
         results = generate_batch([req("a")], keepalive_endpoint.url, policy)
         assert [(r.text, r.attempt) for r in results] == [("echo: prompt for a", 2)]
+        assert keepalive_endpoint.requests == 2
+        assert keepalive_endpoint.connections == 2
+
+    RAW = b'{"text": "raw"}'
+
+    @pytest.mark.parametrize("reply, server_closes, connections", [
+        pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                     b"8;part=1\r\n" + RAW[:8] + b"\r\n7\r\n" + RAW[8:] + b"\r\n0\r\nX-Checksum: none\r\n\r\n",
+                     False, 1, id="chunked-with-trailer"),
+        pytest.param(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 15\r\n\r\n" + RAW,
+                     False, 1, id="100-continue"),
+        # an HTTP/1.0 reply ends its connection, so the next request opens another
+        pytest.param(b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + RAW, True, 2,
+                     id="http-1.0-read-to-the-close"),
+        pytest.param(b"HTTP/1.0 200 OK\r\nContent-Length: 15\r\n\r\n" + RAW, False, 2,
+                     id="http-1.0-with-length-left-open"),
+    ])
+    def test_a_reply_is_read_by_its_framing(self, keepalive_endpoint, reply, server_closes, connections):
+        keepalive_endpoint.raw_replies.append((reply, server_closes))
+        policy = ClientPolicy(max_parallel=1, max_attempts=1, backoff_seconds=0.0)
+        results = generate_batch([req("a"), req("b")], keepalive_endpoint.url, policy)
+        assert [(r.text, r.attempt) for r in results] == [("raw", 1), ("echo: prompt for b", 1)]
+        assert keepalive_endpoint.connections == connections
+
+    @pytest.mark.parametrize("reply", [
+        pytest.param(b"HTTP/1.1 OK\r\nContent-Length: 0\r\n\r\n", id="no-status-code"),
+        pytest.param(b"HTTP/2 200 OK\r\nContent-Length: 0\r\n\r\n", id="not-http-1"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\nContent-Length: 0\r\n\r\n",
+                     id="line-over-64k"),
+        pytest.param(b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 101 + b"Content-Length: 0\r\n\r\n",
+                     id="over-100-headers"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", id="negative-length"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n+f\r\n", id="bad-chunk-size"),
+    ])
+    def test_a_malformed_reply_is_a_retried_connection_failure(self, keepalive_endpoint, reply):
+        keepalive_endpoint.raw_replies += [(reply, False), (reply, False)]
+        policy = ClientPolicy(max_parallel=1, max_attempts=2, backoff_seconds=0.0, timeout_seconds=5.0)
+        with pytest.raises(EndpointError) as err:
+            generate_batch([req("a")], keepalive_endpoint.url, policy)
+        assert err.value.failures[0][1].startswith("connection failed")
         assert keepalive_endpoint.requests == 2
         assert keepalive_endpoint.connections == 2
 
@@ -455,6 +533,26 @@ class TestKeepAlive:
             opened.clear()
             gc.collect()
         assert [u.exc_value for u in unraisable] == []
+
+
+class TestTls:
+    POLICY = ClientPolicy(max_parallel=1, max_attempts=1, backoff_seconds=0.0, timeout_seconds=5.0)
+
+    def test_an_https_endpoint_whose_certificate_is_trusted_round_trips(self, tls_endpoint, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS / "cert.pem"))  # read by the default trust store
+        url = tls_endpoint.url.replace("http", "https", 1)
+        results = generate_batch([req("a"), req("b")], url, self.POLICY)
+        assert [(r.text, r.attempt) for r in results] == [("echo: prompt for a", 1), ("echo: prompt for b", 1)]
+        assert (tls_endpoint.requests, tls_endpoint.connections) == (2, 1)
+
+    def test_an_https_endpoint_whose_certificate_is_not_trusted_fails_to_connect(self, tls_endpoint, monkeypatch):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        url = tls_endpoint.url.replace("http", "https", 1)
+        with pytest.raises(EndpointError) as err:
+            generate_batch([req("a")], url, self.POLICY)
+        reason = err.value.failures[0][1]
+        assert reason.startswith("connection failed") and "CERTIFICATE_VERIFY_FAILED" in reason, reason
+        assert tls_endpoint.requests == 0
 
 
 class TestWorkers:
