@@ -266,7 +266,7 @@ def prompts(args: argparse.Namespace) -> None:
     else:
         if args.enriched is None:
             args.parser.error("--mode kg needs --enriched")
-        blocks = triplet_renderer(args.triplet_budget)  # each shared triplet block rendered once
+        blocks = triplet_renderer(args.triplet_budget)  # a run of equal triplet blocks rendered once
         instances = (
             render_kg(
                 es,

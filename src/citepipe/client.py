@@ -341,6 +341,7 @@ def generate_batch(
     """
     policy = policy or ClientPolicy()
     headers = {"Authorization": f"Bearer {auth_token}"} if auth_token else {}
+    first = _Transport(endpoint, policy.timeout_seconds, headers)  # a bad endpoint fails before --out is read
     out_file = Path(out_path) if out_path is not None else None
     texts = read_generations(out_file) if out_file is not None and out_file.exists() else {}
 
@@ -359,12 +360,16 @@ def generate_batch(
     failures: list[tuple[str, str]] = []
     if pending:
         # Each worker takes the next request and records its outcome under one
-        # lock. If this thread is interrupted, no worker takes another request
-        # or starts another retry; the requests in flight finish and keep their
-        # rows before the interrupt propagates. Each worker closes the transport
-        # it owns; all are built first, so a malformed endpoint opens nothing.
+        # lock. If this thread is interrupted, no worker takes another request or
+        # starts another retry; the requests in flight finish and keep their rows
+        # before the interrupt propagates. Each worker closes the transport it owns.
         workers = min(policy.max_parallel, len(pending))
-        transports = [_Transport(endpoint, policy.timeout_seconds, headers) for _ in range(workers)]
+        transports = [first, *(_Transport(endpoint, policy.timeout_seconds, headers) for _ in range(workers - 1))]
+        if texts:  # a last row without its newline gets one, so that no row is appended to it
+            with open(out_file, "rb+") as fh:
+                fh.seek(-1, 2)  # the last byte
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")
         append_handle = open(out_file, "a", encoding="utf-8") if out_file is not None else None
         lock = threading.Lock()
         queue = iter(pending)

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from . import __version__
 from .config import DEFAULTS
-from .jsonl import dump_row, encoded_by_identity, iter_rows, json_digest, row_fields, write_text
+from .jsonl import dump_row, iter_rows, json_digest, row_fields, write_text
 
 if TYPE_CHECKING:
     from .corpus import BodySection, PaperRecord
@@ -361,12 +361,15 @@ class PaperReferencer:
 
 
 def sample_encoder(referencer: PaperReferencer | None = None) -> Callable[[CitationSample], str]:
-    """`dump_row(sample_to_dict(s))`, with each distinct target object encoded
-    once for as long as the returned function is kept; given a `referencer`,
-    it decides the form of each target and whether a row holds its source
-    abstract."""
+    """`dump_row(sample_to_dict(s))`, a target that is or equals the last one of
+    its paper_id reusing its bytes (see `last_entry`); given a `referencer`, it
+    decides the form of each target and whether a row holds its source abstract."""
     if referencer is None:
-        encode_target = encoded_by_identity(lambda t: dump_row(_target_to_dict(t)))
+        encoded: dict = {}
+
+        def encode_target(target: TargetPaper) -> str:
+            return last_entry(encoded, target.paper_id, target, lambda t: dump_row(_target_to_dict(t)))
+
     else:
         encode_target = referencer.target
 
@@ -388,15 +391,15 @@ _TARGET = {"paper_id": str, "title": str, "abstract": str, "introduction": (str,
 _TARGET_DEFAULTS = {"title": "", "abstract": "", "introduction": None, "conclusion": None}
 
 
-def last_entry(papers: dict, key: Any, raw: Any, parse: Callable[[Any], Any]) -> Any:
-    """The object of `raw`, a full entry of `key` in a file, by the README's
-    "Each paper once per file"; `papers` holds each key's last one as (JSON,
-    object). That JSON passed `parse`, and a JSON string equals only a string
-    and null only null, so a `raw` equal to it needs no check. The key of a
-    `raw` whose key fields are not strings is None, for `parse` to name them."""
+def last_entry(papers: dict, key: Any, entry: Any, parse: Callable[[Any], Any]) -> Any:
+    """`parse(entry)` for an entry of `key`, raw JSON or an object, by the
+    README's "Each paper once per file": `papers` holds each key's last entry
+    and result, which an entry that is or equals it takes. JSON equal to it
+    needs no check, as a string equals only a string and null only null; JSON
+    whose key fields are not strings has the key None, for `parse` to name."""
     last = papers.get(key)
-    if last is None or last[0] != raw:
-        last = papers[key] = (raw, parse(raw))
+    if last is None or (last[0] is not entry and last[0] != entry):
+        last = papers[key] = (entry, parse(entry))
     return last[1]
 
 

@@ -1,8 +1,8 @@
 """How every artifact goes on disk and comes back: one atomic writer, one
-canonical row encoding (with a per-write cache for objects shared between
-rows), indented JSON documents (with a row per line for a long list), one
-strict line reader (lazy, or listed whole), the one field-type rule every row
-reader checks with, and file and JSON digests.
+canonical row encoding (an object shared by rows is encoded by the rule of
+`dataset.last_entry`), indented JSON documents (with a row per line for a long
+list), one strict line reader (lazy, or listed whole), the one field-type rule
+every row reader checks with, and file and JSON digests.
 """
 
 from __future__ import annotations
@@ -100,21 +100,6 @@ def read_generations(path: str | Path) -> dict[str, str]:
 def dump_row(obj: Any) -> str:
     # sort_keys keeps files byte-stable across runs
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
-
-
-def encoded_by_identity(encode: Callable[[Any], str]) -> Callable[[Any], str]:
-    """`encode`, run once per distinct object for as long as the returned
-    function is kept. Objects are keyed by identity and held meanwhile, so an
-    id is never reused; the cache assumes nobody mutates them while it lives."""
-    seen: dict[int, tuple[Any, str]] = {}
-
-    def encoded(obj: Any) -> str:
-        hit = seen.get(id(obj))
-        if hit is None:
-            hit = seen[id(obj)] = (obj, encode(obj))
-        return hit[1]
-
-    return encoded
 
 
 def write_text(path: str | Path, chunks: Iterable[str]) -> int:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .dataset import CitationSample, PaperReferencer, last_entry, sample_encoder, sample_from_dict, sample_to_dict
-from .jsonl import dump_row, encoded_by_identity, iter_jsonl, iter_rows, row_fields, write_text
+from .jsonl import dump_row, iter_jsonl, iter_rows, row_fields, write_text
 
 SECTIONS = ("abstract", "introduction", "conclusion")
 
@@ -184,15 +184,12 @@ def attach_triplets(
         stats = AttachStats()
 
     referenced: set[str] = set()
-    # a source paper without a block gets one empty set, shared by its samples,
-    # since a writer keeps each block it encodes and one per row would pile up
-    no_block: dict[str, TripletSet] = {}
     for sample in samples:
         source_id = sample.source_paper_id
         referenced.add(source_id)
         source_set = store.get(source_id, "abstract")
         if source_set is None:
-            source_set = no_block.setdefault(source_id, TripletSet(source_id, "abstract"))
+            source_set = TripletSet(source_id, "abstract")
 
         per_target: list[TargetTriplets] = []
         for target in sample.targets:
@@ -321,13 +318,15 @@ def write_enriched(samples: Iterable[EnrichedSample], path: str | Path) -> int:
     """Write `dump_row(enriched_to_dict(es))` per sample, except that a paper's
     text is written once: a later mention of a target whose fields equal its
     last full entry is its bare id, and a source abstract equal to the last one
-    written for its source_paper_id is left out (see `PaperReferencer`). Each
-    distinct triplet block object is encoded once."""
+    written for its source_paper_id is left out (see `PaperReferencer`). A block
+    that is or equals the last one of its (paper_id, section) reuses its bytes."""
     encode_sample = sample_encoder(PaperReferencer())
-    encode_tset = encoded_by_identity(lambda tset: dump_row(_tset_to_dict(tset)))
+    encoded: dict = {}
 
     def block(tset: TripletSet | None) -> str:
-        return "null" if tset is None else encode_tset(tset)
+        if tset is None:
+            return "null"
+        return last_entry(encoded, (tset.paper_id, tset.section), tset, lambda t: dump_row(_tset_to_dict(t)))
 
     def row(es: EnrichedSample) -> str:
         # keys in sorted order, as dump_row writes them

@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .config import DEFAULTS
-from .dataset import CitationSample
-from .jsonl import encoded_by_identity, write_jsonl
+from .dataset import CitationSample, last_entry
+from .jsonl import write_jsonl
 from .kg import EnrichedSample, TripletSet, pooled_triplets, render_triplets
 
 SOURCE_ABSTRACT_FLOOR_TOKENS = 200
@@ -276,9 +276,16 @@ def render_baseline(
 
 
 def triplet_renderer(triplet_budget: int | None = None) -> Callable[[TripletSet | None], str]:
-    """`render_triplets` under `triplet_budget`, run once per distinct block
-    object for as long as the returned function is kept."""
-    return encoded_by_identity(lambda tset: render_triplets(tset, triplet_budget))
+    """`render_triplets` under `triplet_budget`; a block that is or equals the
+    last one of its (paper_id, section) takes its rendering (see `last_entry`)."""
+    rendered: dict = {}
+
+    def render(tset: TripletSet | None) -> str:
+        if tset is None:
+            return ""
+        return last_entry(rendered, (tset.paper_id, tset.section), tset, lambda t: render_triplets(t, triplet_budget))
+
+    return render
 
 
 def render_kg(
@@ -298,7 +305,7 @@ def render_kg(
     the first k triplets of each set. With triplet_budget=0 and headers off
     the output text equals render_baseline's. Samples that share triplet
     blocks can share one `render_block = triplet_renderer(triplet_budget)`,
-    which then renders each block once.
+    which then renders a run of equal blocks once.
     """
     if render_block is None:
         render_block = triplet_renderer(triplet_budget)

@@ -1063,6 +1063,28 @@ class TestGenerateEvaluate:
         assert message in done.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("endpoint, token", [
+        pytest.param("ftp://nowhere/x", None, id="ftp"),
+        pytest.param("http://user:pw@127.0.0.1:9/x", None, id="credentials"),
+        pytest.param("http://127.0.0.1:9/a b", None, id="space"),
+        pytest.param("http://127.0.0.1:9/x", "a\r\nX-Injected: 1", id="token"),
+    ])
+    def test_a_bad_endpoint_exits_1_when_every_row_is_done_too(self, endpoint, token, tmp_path, capsys, monkeypatch):
+        if token is None:
+            monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
+        else:
+            monkeypatch.setenv(AUTH_TOKEN_ENV, token)
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(dump_row({"sample_id": "a", "prompt": "p"}) + "\n")
+        out = tmp_path / "g.jsonl"
+        out.write_text(dump_row({"sample_id": "a", "text": "done"}) + "\n")
+        before = out.read_bytes()
+        code, stdout, err = run(capsys, "generate", "--prompts", str(prompts), "--out", str(out), "--endpoint", endpoint)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert out.read_bytes() == before
+        assert not run_manifest_path(out).exists()
+
     NOT_REPORTS = [
         pytest.param("{}", id="empty-object"),
         pytest.param("[1]", id="list"),

@@ -230,6 +230,13 @@ class TestResumableOutput:
         out.write_text('{"sample_id": "s1"}\n')
         with pytest.raises(ValueError, match="not a generation row"):
             generate_batch([req("s1")], mock_endpoint.url, FAST, out_path=out)
+        # a torn last line, as a kill mid-append leaves it, is refused before any request
+        torn = dump_row({"sample_id": "s1", "text": "done"}) + '\n{"sample_id": "s2", "te'
+        out.write_text(torn)
+        with pytest.raises(ValueError, match="line 2"):
+            generate_batch([req("s1"), req("s2")], mock_endpoint.url, FAST, out_path=out)
+        assert mock_endpoint.requests == []
+        assert out.read_text() == torn
 
     def test_kill_during_the_canonical_rewrite_keeps_every_row(self, mock_endpoint, tmp_path, monkeypatch):
         out = tmp_path / "gen.jsonl"
@@ -285,6 +292,23 @@ class TestResumableOutput:
             generate_batch(batch, mock_endpoint.url, FAST, out_path=out)
         assert mock_endpoint.requests == []
         assert out.read_text() == dump_row({"sample_id": "s1", "text": "old"}) + "\n"
+
+    def test_a_last_row_without_its_newline_keeps_a_line_of_its_own(self, mock_endpoint, tmp_path):
+        out = tmp_path / "gen.jsonl"
+        done = dump_row({"sample_id": "a", "text": "done"})
+        out.write_text(done)
+        # c fails, so the appended rows stay as they are, with no canonical rewrite
+        mock_endpoint.fail_remaining = 1
+        policy = ClientPolicy(max_parallel=1, max_attempts=1, backoff_seconds=0.0)
+        with pytest.raises(EndpointError):
+            generate_batch([req("a"), req("c"), req("b")], mock_endpoint.url, policy, out_path=out)
+        assert out.read_text() == f"{done}\n" + dump_row({"sample_id": "b", "text": "echo: prompt for b"}) + "\n"
+
+        mock_endpoint.requests.clear()
+        results = generate_batch([req("a"), req("b"), req("c")], mock_endpoint.url, policy, out_path=out)
+        assert mock_endpoint.prompts_seen() == ["prompt for c"]
+        assert [(r.sample_id, r.attempt) for r in results] == [("a", 0), ("b", 0), ("c", 1)]
+        assert [row_id(line) for line in out.read_text().splitlines()] == ["a", "b", "c"]
 
     def test_no_output_path_keeps_everything_in_memory(self, mock_endpoint, tmp_path):
         results = generate_batch([req("a")], mock_endpoint.url, FAST)

@@ -1,12 +1,15 @@
 """Triplet ingest, normalization, sample enrichment, and rendering."""
 
+import copy
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citepipe import dataset, kg
 from citepipe.dataset import (
     CitationSample,
     PaperReferencer,
@@ -339,6 +342,32 @@ def enriched_rows(draw):
     return rows
 
 
+def reference_enriched_rows(rows: list[EnrichedSample]) -> list[dict]:
+    """What `write_enriched` writes for `rows`: each standalone row, but for a
+    target that equals the last full entry of its paper_id, which is its bare
+    id, a source abstract equal to the last one of its source_paper_id, which
+    is left out, and a null triplet type, which is left out."""
+    last_target, last_source = {}, {}
+    expected = []
+    for es in rows:
+        row = enriched_to_dict(es)
+        sample = row["sample"]
+        if last_source.get(sample["source_paper_id"]) == sample["source_abstract"]:
+            del sample["source_abstract"]
+        else:
+            last_source[sample["source_paper_id"]] = sample["source_abstract"]
+        targets = sample["targets"]
+        for i, target in enumerate(targets):
+            if last_target.get(target["paper_id"]) == target:
+                targets[i] = target["paper_id"]
+            last_target[target["paper_id"]] = target
+        blocks = [row["source_triplets"], *(tt[s] for tt in row["target_triplets"] for s in SECTIONS)]
+        for block in filter(None, blocks):
+            block["triplets"] = [{k: v for k, v in t.items() if v is not None} for t in block["triplets"]]
+        expected.append(row)
+    return expected
+
+
 @pytest.fixture(scope="module")
 def scratch_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("rows")
@@ -356,28 +385,7 @@ class TestEncoding:
         assert (out / "dataset.jsonl").read_bytes() == "".join(
             dump_row(sample_to_dict(s)) + "\n" for s in samples
         ).encode("utf-8")
-        # an enriched row is the standalone row, but for each target that
-        # equals the last full entry of its paper_id, which is its bare id, a
-        # source abstract equal to the last one of its source_paper_id, which
-        # is left out, and a null triplet type, which is left out
-        last_target, last_source = {}, {}
-        expected = []
-        for es in rows:
-            row = enriched_to_dict(es)
-            sample = row["sample"]
-            if last_source.get(sample["source_paper_id"]) == sample["source_abstract"]:
-                del sample["source_abstract"]
-            else:
-                last_source[sample["source_paper_id"]] = sample["source_abstract"]
-            targets = sample["targets"]
-            for i, target in enumerate(targets):
-                if last_target.get(target["paper_id"]) == target:
-                    targets[i] = target["paper_id"]
-                last_target[target["paper_id"]] = target
-            blocks = [row["source_triplets"], *(tt[s] for tt in row["target_triplets"] for s in SECTIONS)]
-            for block in filter(None, blocks):
-                block["triplets"] = [{k: v for k, v in t.items() if v is not None} for t in block["triplets"]]
-            expected.append(row)
+        expected = reference_enriched_rows(rows)
         assert (out / "enriched.jsonl").read_bytes() == "".join(
             dump_row(row) + "\n" for row in expected
         ).encode("utf-8")
@@ -394,6 +402,41 @@ class TestEncoding:
         assert (out / "dataset-again.jsonl").read_bytes() == (out / "dataset.jsonl").read_bytes()
         assert (out / "part-again.jsonl").read_bytes() == (out / "part.jsonl").read_bytes()
         assert (out / "enriched-again.jsonl").read_bytes() == (out / "enriched.jsonl").read_bytes()
+
+    def test_equal_copies_are_encoded_once_per_run_of_a_key(self, tmp_path):
+        one, edited = TargetPaper("t1", abstract="One."), TargetPaper("t1", abstract="One, edited.")
+        two = TargetPaper("t2", abstract="Two.")
+        a = one, TripletSet("t1", "abstract", [KGTriplet("a", "Used-For", "b")])
+        b = edited, TripletSet("t1", "abstract", [KGTriplet("a", "Used-For", "c", "Task")])
+        source_block = TripletSet("s", "abstract", [KGTriplet("x", "Compare", "y")])
+        two_block = TripletSet("t2", "conclusion", [KGTriplet("d", "Part-Of", "e")])
+        rows = []
+        # t1 and its abstract block run A, A, B, A, A; every object is a distinct copy
+        for i, (target, target_block) in enumerate([a, a, b, a, a]):
+            cited = CitationSample(f"s:{i}", "s", "Source.", [target, two], "Cited.")
+            per_target = [TargetTriplets("t1", target_block), TargetTriplets("t2", conclusion=two_block)]
+            rows.append(copy.deepcopy(EnrichedSample(cited, source_block, per_target)))
+        samples = [es.sample for es in rows]
+        expected = reference_enriched_rows(rows)
+        with (
+            mock.patch.object(kg, "_tset_to_dict", wraps=kg._tset_to_dict) as tsets,
+            mock.patch.object(dataset, "_target_to_dict", wraps=dataset._target_to_dict) as targets,
+        ):
+            write_dataset(samples, tmp_path / "dataset.jsonl")
+            assert [c.args[0].abstract for c in targets.call_args_list] == ["One.", "Two.", "One, edited.", "One."]
+            targets.reset_mock()
+            write_enriched(rows, tmp_path / "enriched.jsonl")
+        assert [c.args[0].abstract for c in targets.call_args_list] == ["One.", "Two.", "One, edited.", "One."]
+        # the first row's blocks, targets' before the source's, then t1's B and A
+        assert [(c.args[0].paper_id, c.args[0].triplets[0].tail) for c in tsets.call_args_list] == [
+            ("t1", "b"), ("t2", "e"), ("s", "y"), ("t1", "c"), ("t1", "b"),
+        ]
+        assert (tmp_path / "dataset.jsonl").read_bytes() == "".join(
+            dump_row(sample_to_dict(s)) + "\n" for s in samples
+        ).encode("utf-8")
+        assert (tmp_path / "enriched.jsonl").read_bytes() == "".join(
+            dump_row(row) + "\n" for row in expected
+        ).encode("utf-8")
 
     def test_a_paper_is_written_in_full_again_when_its_fields_change(self, tmp_path):
         first, edited = TargetPaper("t1", abstract="One."), TargetPaper("t1", abstract="One, edited.")

@@ -595,9 +595,22 @@ class TestTripletRenderer:
         with mock.patch.object(prompts, "render_triplets", wraps=prompts.render_triplets) as spy:
             blocks = triplet_renderer(1)
             got = [render_kg(es, BIG, 1, render_block=blocks) for es in samples]
-        # three blocks and None, then the second distinct sample's three blocks
-        assert spy.call_count == 7
+        # the first sample's three blocks; an absent block renders without a
+        # call, and the equal blocks of the other samples reuse the renderings
+        assert spy.call_count == 3
         assert got == [render_kg(es, BIG, 1) for es in samples]
+
+    def test_a_block_after_a_different_one_of_its_key_renders_again(self):
+        first, edited = tiny_enriched(), tiny_enriched()
+        edited.target_triplets[0].abstract.triplets.reverse()
+        samples = [first, edited, tiny_enriched()]
+        with mock.patch.object(prompts, "render_triplets", wraps=prompts.render_triplets) as spy:
+            blocks = triplet_renderer(None)
+            got = [render_kg(es, BIG, render_block=blocks) for es in samples]
+        # three blocks, then t1's edited abstract block, then its first one again
+        assert [c.args[0].triplets[0].head for c in spy.call_args_list] == ["model", "a", "e", "c", "a"]
+        assert got == [render_kg(es, BIG) for es in samples]
+        assert got[0].text == got[2].text != got[1].text
 
 
 class TestBudgetSafety:
