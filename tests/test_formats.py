@@ -1,6 +1,7 @@
 """Every file format a writer ever produced still reads to the same samples
-and renders to the same prompts, and today's writers write the newest. The
-fixtures never change with the code: their digests are pinned here."""
+and renders to the same prompts, today's writers write the newest, and
+`evaluate` writes the same report and table. The fixtures never change with
+the code: their digests are pinned here."""
 
 import hashlib
 from pathlib import Path
@@ -14,7 +15,8 @@ from citepipe.kg import read_enriched, write_enriched
 FIXTURES = Path(__file__).parent / "fixtures"
 FORMATS = ("inline", "referenced")
 
-# sha256 of every format fixture, as commit 54393fa wrote them
+# sha256 of every format fixture, as commit 54393fa wrote them, and of the
+# report fixtures, as commit 3290322 wrote them
 DIGESTS = {
     "inline/dataset.jsonl": "13ca12855a865448b9608ed845bdae954ca71f00c96c5abf2da73f9da1424093",
     "inline/enriched.jsonl": "89aebc526600a27f07416ad032bb5d91efda70133bc8acee1a51591d7f1af263",
@@ -25,13 +27,16 @@ DIGESTS = {
     "prompts/dataset.baseline.jsonl": "3641a9d473b62f710f8386b733f65ca0c4e55b6d2cdf05222cc9d044c6b2f45d",
     "prompts/enriched.kg.jsonl": "8f91704a2d6c71086ab27e0d5fd6d75c8624168973df77e9bac2e77ffa1bb306",
     "prompts/train.baseline.jsonl": "da79e2d52f775a0c304c86a9cc1ad410f432922ec987f8c929f23ae36e257d88",
+    "report/generated.jsonl": "618f37525cf1851cda91a1ea8ff464a3cd33764d4de42132dee807733e692a1b",
+    "report/report.json": "8848a5b8c0c528a3abb9bc560a1104a75408bc7d565e860f8c40358e6f7ab23a",
+    "report/table.txt": "4950fa0c8e6180d1d138d7027a8bca45d88cd4d39944eef9e95add04528c9cf6",
 }
 
 
 def test_the_fixtures_are_the_pinned_files():
     found = {
         f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for directory in (*FORMATS, "prompts")
+        for directory in (*FORMATS, "prompts", "report")
         for path in sorted((FIXTURES / directory).iterdir())
     }
     assert found == DIGESTS
@@ -75,3 +80,13 @@ def test_the_writers_write_the_inline_samples_as_the_referenced_files(name, tmp_
     else:  # `build` writes every row standalone, `split` each part through a referencer
         write_dataset(read_dataset(source), out, PaperReferencer() if name == "train" else None)
     assert out.read_bytes() == (FIXTURES / "referenced" / f"{name}.jsonl").read_bytes()
+
+
+def test_evaluate_writes_the_frozen_report_and_table(tmp_path, capsys):
+    report = FIXTURES / "report"
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--generated", str(report / "generated.jsonl"),
+            "--dataset", str(FIXTURES / "inline" / "dataset.jsonl"), "--out", str(out), "--label", "demo"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (report / "table.txt").read_text(encoding="utf-8")
+    assert out.read_bytes() == (report / "report.json").read_bytes()
