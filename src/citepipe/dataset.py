@@ -29,6 +29,7 @@ if TYPE_CHECKING:
     from .corpus import BodySection, PaperRecord
 
 SCHEMA_VERSION = 1
+READ_SCHEMA_VERSIONS = (1,)  # a row may also leave the field out
 
 MAX_TARGETS = 3
 
@@ -414,10 +415,15 @@ def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
     bare id string, or a row without `source_abstract`, takes the last entry
     of its key, and a key with none yet is a ValueError. A text field that is
     not a string is a ValueError; only a target's introduction and conclusion
-    may be null."""
+    may be null. A `schema_version` other than one of `READ_SCHEMA_VERSIONS`,
+    as an integer, is a ValueError."""
     if papers is None:
         papers = {}
     sample_id, source_id, citation, section, raw_targets = row_fields(row, _SAMPLE, {"section_name": ""})
+    version = row.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version not in READ_SCHEMA_VERSIONS:
+        takes = ", ".join(map(str, READ_SCHEMA_VERSIONS))
+        raise ValueError(f"schema_version is {dump_row(version)}; this reader takes {takes}")
     source = (source_id,)
     if "source_abstract" in row:
         (abstract,) = row_fields(row, _SOURCE_ABSTRACT)

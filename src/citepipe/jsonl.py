@@ -1,8 +1,9 @@
 """How every artifact goes on disk and comes back: one atomic writer, one
 canonical row encoding (an object shared by rows is encoded by the rule of
-`dataset.last_entry`), indented JSON documents (with a row per line for a long
-list), one strict line reader (lazy, or listed whole), the one field-type rule
-every row reader checks with, and file and JSON digests.
+`dataset.last_entry`), indented JSON documents (with a long list written from
+its rows' encodings, a row per line), one strict line reader (lazy, or listed
+whole), the one field-type rule every row reader checks with, and file and
+JSON digests.
 """
 
 from __future__ import annotations
@@ -141,23 +142,23 @@ def write_json(path: str | Path, obj: Any) -> None:
     write_text(path, itertools.chain(chunks, ("\n",)))
 
 
-def write_json_rows(path: str | Path, obj: dict, key: str) -> None:
-    """Write `obj`, whose list `obj[key]` holds many rows and whose `key`
-    sorts after its other keys, as `write_json` lays it out, but for each row
-    of that list, which is one `dump_row` line: the indented encoder is pure
-    Python, and a row per line is smaller and several times faster. The
-    parsed document is `obj`."""
-    head = json.dumps({k: v for k, v in obj.items() if k != key}, indent=2, sort_keys=True)
-    rows = obj[key]
+def write_json_rows(path: str | Path, head: dict, key: str, rows: Iterable[str]) -> None:
+    """Write the document `{**head, key: [...]}`, whose `key` sorts after every
+    key of `head`, as `write_json` lays it out, but for the list, which holds
+    one row per line: each of `rows` is a row's `dump_row` encoding, taken as
+    it comes. The indented encoder is pure Python, and a row per line is
+    smaller and several times faster."""
+    text = json.dumps(head, indent=2, sort_keys=True)
 
     def chunks() -> Iterator[str]:
-        # head ends in "\n}", which the rows' key and list replace
-        yield f"{head[:-2]},\n  {dump_row(key)}: ["
+        # the head ends in "\n}", which the rows' key and list replace
+        yield f"{text[:-2]},\n  {dump_row(key)}: ["
         separator = "\n    "
         for row in rows:
-            yield separator + dump_row(row)
+            yield separator + row
             separator = ",\n    "
-        yield "\n  ]\n}\n" if rows else "]\n}\n"
+        # with no row, the list closes on the key's line
+        yield "]\n}\n" if separator == "\n    " else "\n  ]\n}\n"
 
     write_text(path, chunks())
 

@@ -14,15 +14,23 @@ free compatible pair is left, cannot be cut short. Pairs of at most 16
 tokens a side then get an exact branch-and-bound search for the chunk
 minimum, seeded with the greedy's alignment; if it runs out of nodes, the
 best alignment it found so far stands.
+
+`evaluate_corpus` encodes each sample's report row, its four scores and its
+id, as one `dump_row` line as soon as the pair is scored. A report holds those
+lines and the corpus means, not a score object per metric, and decodes its
+per-sample scores only when they are asked for.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import json
 import re
 from collections import Counter
 from dataclasses import dataclass
 
+from .jsonl import dump_row
 from .stemmer import stem
 
 # exact chunk search limits: above the token limit the longest-run greedy's
@@ -302,10 +310,18 @@ REPORT_COLUMNS = ("METEOR", "Rouge-1", "Rouge-2", "Rouge-L")
 
 @dataclass
 class EvalReport:
+    """A scored corpus: each sample's report row as its `dump_row` line, in
+    pair order, and the corpus means."""
+
     n: int
-    per_sample: list[dict[str, MetricScore]]
+    rows: list[str]
     corpus: dict[str, float]
     sample_ids: list[str] | None = None
+
+    @property
+    def per_sample(self) -> list[dict[str, MetricScore]]:
+        """Each sample's scores by metric, decoded from its row on each access."""
+        return [_row_scores(json.loads(line)) for line in self.rows]
 
 
 def _score_all(candidate: str, reference: str) -> dict[str, MetricScore]:
@@ -319,23 +335,40 @@ def _score_all(candidate: str, reference: str) -> dict[str, MetricScore]:
     }
 
 
+def _encode_row(scores: dict[str, MetricScore], sample_id: str | None) -> str:
+    """A sample's report row: precision, recall and f by metric, and its id if it has one."""
+    row: dict = {metric: {"precision": s.precision, "recall": s.recall, "f": s.f} for metric, s in scores.items()}
+    if sample_id is not None:
+        row["sample_id"] = sample_id
+    return dump_row(row)
+
+
+def _row_scores(row: dict) -> dict[str, MetricScore]:
+    return {metric: MetricScore(v["precision"], v["recall"], v["f"]) for metric, v in row.items() if metric != "sample_id"}
+
+
 def evaluate_corpus(pairs: list[tuple[str, str]], sample_ids: list[str] | None = None) -> EvalReport:
     """Score (candidate, reference) pairs and average over the corpus.
 
     Corpus numbers are means of the per-sample scores scaled by 100 and
-    rounded to two decimals. An empty pair list is an error.
+    rounded to two decimals. An empty pair list is an error. Each pair's row
+    is encoded as soon as it is scored; only its f scores stay numbers, one
+    column per metric for the means.
     """
     if not pairs:
         raise ValueError("evaluate_corpus needs at least one (candidate, reference) pair")
     if sample_ids is not None and len(sample_ids) != len(pairs):
         raise ValueError("sample_ids length must match pairs")
 
-    per_sample = [_score_all(cand, ref) for cand, ref in pairs]
-    corpus = {
-        column: round(100 * sum(scores[column].f for scores in per_sample) / len(per_sample), 2)
-        for column in REPORT_COLUMNS
-    }
-    return EvalReport(n=len(pairs), per_sample=per_sample, corpus=corpus, sample_ids=sample_ids)
+    rows: list[str] = []
+    columns: dict[str, list[float]] = {column: [] for column in REPORT_COLUMNS}
+    for (cand, ref), sample_id in zip(pairs, sample_ids if sample_ids is not None else itertools.repeat(None)):
+        scores = _score_all(cand, ref)
+        for column, values in columns.items():
+            values.append(scores[column].f)
+        rows.append(_encode_row(scores, sample_id))
+    corpus = {column: round(100 * sum(values) / len(rows), 2) for column, values in columns.items()}
+    return EvalReport(n=len(rows), rows=rows, corpus=corpus, sample_ids=sample_ids)
 
 
 def render_report_table(report: EvalReport, label: str = "corpus") -> str:
@@ -349,28 +382,16 @@ def render_report_table(report: EvalReport, label: str = "corpus") -> str:
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    rows = []
-    for idx, scores in enumerate(report.per_sample):
-        row: dict = {
-            metric: {"precision": s.precision, "recall": s.recall, "f": s.f}
-            for metric, s in scores.items()
-        }
-        if report.sample_ids is not None:
-            row["sample_id"] = report.sample_ids[idx]
-        rows.append(row)
-    return {"n": report.n, "corpus": dict(report.corpus), "per_sample": rows}
+    return {"n": report.n, "corpus": dict(report.corpus), "per_sample": [json.loads(line) for line in report.rows]}
 
 
 def report_from_dict(raw: dict) -> EvalReport:
-    per_sample = []
+    rows = []
     sample_ids: list[str] | None = [] if raw["per_sample"] and "sample_id" in raw["per_sample"][0] else None
     for row in raw["per_sample"]:
-        scores = {
-            metric: MetricScore(v["precision"], v["recall"], v["f"])
-            for metric, v in row.items()
-            if metric != "sample_id"
-        }
-        per_sample.append(scores)
+        sample_id = None
         if sample_ids is not None:
-            sample_ids.append(row["sample_id"])
-    return EvalReport(n=raw["n"], per_sample=per_sample, corpus=raw["corpus"], sample_ids=sample_ids)
+            sample_id = row["sample_id"]
+            sample_ids.append(sample_id)
+        rows.append(_encode_row(_row_scores(row), sample_id))
+    return EvalReport(n=raw["n"], rows=rows, corpus=raw["corpus"], sample_ids=sample_ids)

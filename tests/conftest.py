@@ -130,6 +130,10 @@ class MockEndpoint:
         self.malformed_remaining = 0
         self.status_override: int | None = None
         self.delay_seconds = 0.0
+        # with hold_after set, every request after that many waits for `release`
+        self.hold_after: int | None = None
+        self.release = threading.Event()
+        self.arrivals = 0
         self.active = 0
         self.max_active = 0
         self.responder = lambda payload: "echo: " + payload["prompt"][-40:]
@@ -150,7 +154,11 @@ class _MockHandler(BaseHTTPRequestHandler):
         with state.lock:
             state.active += 1
             state.max_active = max(state.max_active, state.active)
+            state.arrivals += 1
+            held = state.hold_after is not None and state.arrivals > state.hold_after
         try:
+            if held:
+                state.release.wait()
             if state.delay_seconds:
                 time.sleep(state.delay_seconds)
             length = int(self.headers.get("Content-Length", 0))
@@ -201,6 +209,7 @@ def mock_endpoint():
     try:
         yield state
     finally:
+        state.release.set()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)

@@ -4,12 +4,14 @@ and renders to the same prompts, today's writers write the newest, and
 the code: their digests are pinned here."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from citepipe.cli import main
 from citepipe.dataset import PaperReferencer, read_dataset, write_dataset
+from citepipe.jsonl import dump_row
 from citepipe.kg import read_enriched, write_enriched
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -80,6 +82,51 @@ def test_the_writers_write_the_inline_samples_as_the_referenced_files(name, tmp_
     else:  # `build` writes every row standalone, `split` each part through a referencer
         write_dataset(read_dataset(source), out, PaperReferencer() if name == "train" else None)
     assert out.read_bytes() == (FIXTURES / "referenced" / f"{name}.jsonl").read_bytes()
+
+
+def with_version(source: Path, out: Path, lineno: int, version) -> Path:
+    """`source` with the schema_version of one row, or of its sample, set to
+    `version`, or removed from every row when `version` is None."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    for k, line in enumerate(lines, start=1):
+        row = json.loads(line)
+        sample = row.get("sample", row)  # an enriched row holds its sample
+        if version is None:
+            del sample["schema_version"]
+        elif k == lineno:
+            sample["schema_version"] = version
+        lines[k - 1] = dump_row(row)
+    out.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return out
+
+
+def read_samples(path: Path) -> list:
+    return read_enriched(path) if path.name == "enriched.jsonl" else read_dataset(path)
+
+
+# a dataset row, a split part's row with bare-id targets, an enriched row's sample
+VERSIONED = [("inline", "dataset", 3), ("referenced", "train", 2), ("referenced", "enriched", 2)]
+
+
+@pytest.mark.parametrize("fmt, name, lineno", VERSIONED)
+def test_a_row_without_schema_version_or_with_1_reads_as_today(fmt, name, lineno, tmp_path):
+    source = FIXTURES / fmt / f"{name}.jsonl"
+    assert read_samples(with_version(source, tmp_path / f"{name}.jsonl", lineno, None)) == read_samples(source)
+    assert read_samples(with_version(source, tmp_path / f"{name}.jsonl", lineno, 1)) == read_samples(source)
+
+
+@pytest.mark.parametrize("version, shown", [(3, "3"), ("1", '"1"'), (True, "true")])
+@pytest.mark.parametrize("fmt, name, lineno", VERSIONED)
+def test_a_row_of_any_other_schema_version_is_a_corrupt_line(fmt, name, lineno, version, shown, tmp_path, capsys):
+    path = with_version(FIXTURES / fmt / f"{name}.jsonl", tmp_path / f"{name}.jsonl", lineno, version)
+    if name == "enriched":
+        argv = ["prompts", "--mode", "kg", "--enriched", str(path), "--out", str(tmp_path / "prompts.jsonl")]
+    else:
+        argv = ["stats", "--dataset", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: line {lineno}: schema_version is {shown}; this reader takes 1\n"
 
 
 def test_evaluate_writes_the_frozen_report_and_table(tmp_path, capsys):

@@ -128,11 +128,12 @@ def test_write_json_streams_the_bytes_of_an_indented_dump(tmp_path_factory, obj)
 
 def test_write_json_rows_indents_the_head_and_writes_a_row_per_line(tmp_path):
     path = tmp_path / "out.json"
-    write_json_rows(path, {"rows": [{"b": 1, "a": "é"}, {"a": [2]}], "n": 2, "label": "é"}, "rows")
+    # the rows come encoded, and may come from a generator
+    write_json_rows(path, {"n": 2, "label": "é"}, "rows", map(dump_row, [{"b": 1, "a": "é"}, {"a": [2]}]))
     assert path.read_text(encoding="utf-8") == (
         '{\n  "label": "\\u00e9",\n  "n": 2,\n  "rows": [\n    {"a": "é", "b": 1},\n    {"a": [2]}\n  ]\n}\n'
     )
-    write_json_rows(path, {"rows": [], "n": 0}, "rows")
+    write_json_rows(path, {"n": 0}, "rows", iter([]))
     assert path.read_text(encoding="utf-8") == '{\n  "n": 0,\n  "rows": []\n}\n'
 
 
@@ -148,7 +149,7 @@ finite_values = st.recursive(
 def test_write_json_rows_parses_to_what_write_json_writes(tmp_path_factory, head, rows):
     obj = {**head, "per_sample": rows}
     path = tmp_path_factory.getbasetemp() / "rows.json"
-    write_json_rows(path, obj, "per_sample")
+    write_json_rows(path, head, "per_sample", map(dump_row, rows))
     text = path.read_text(encoding="utf-8")
     assert json.loads(text) == obj
     lines = text.split("\n")  # not splitlines: a row may hold U+2028 or U+0085 raw
