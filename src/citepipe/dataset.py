@@ -7,10 +7,10 @@ sentence join its citation passage when every citation they carry resolves
 to a paper already in the target set, so a contiguous discussion of the
 same papers travels as one passage.
 
-Dataset rows are standalone: each holds its source abstract and its targets'
-full text. Split parts and enriched files hold each paper's text once, by the
-rule of the README's "Each paper once per file": `PaperReferencer` writes it,
-and `sample_from_dict` and `last_entry` read it.
+How rows go on disk is the README's "File formats": dataset rows stand
+alone, split parts and enriched files hold each paper once (`PaperReferencer`
+writes that rule, and `sample_from_dict` and `last_entry` read it), and a
+field at its reader's default is left out.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .jsonl import dump_row, iter_rows, json_digest, row_fields, write_text
 if TYPE_CHECKING:
     from .corpus import BodySection, PaperRecord
 
-SCHEMA_VERSION = 1
-READ_SCHEMA_VERSIONS = (1,)  # a row may also leave the field out
+SCHEMA_VERSION = 2
+READ_SCHEMA_VERSIONS = (1, 2)  # a row may also leave the field out
 
 MAX_TARGETS = 3
 
@@ -306,13 +306,13 @@ def compute_stats(samples: list[CitationSample]) -> DatasetStats:
 
 
 def _target_to_dict(target: TargetPaper) -> dict:
-    return {
-        "paper_id": target.paper_id,
-        "title": target.title,
-        "abstract": target.abstract,
-        "introduction": target.introduction,
-        "conclusion": target.conclusion,
-    }
+    """A target's entry; a null section is left out, as its reader's default."""
+    row = {"paper_id": target.paper_id, "title": target.title, "abstract": target.abstract}
+    if target.introduction is not None:
+        row["introduction"] = target.introduction
+    if target.conclusion is not None:
+        row["conclusion"] = target.conclusion
+    return row
 
 
 def _sample_fields(sample: CitationSample) -> dict:
@@ -325,11 +325,6 @@ def _sample_fields(sample: CitationSample) -> dict:
         "section_name": sample.section_name,
         "citation_text": sample.citation_text,
     }
-
-
-def sample_to_dict(sample: CitationSample) -> dict:
-    """The dataset row of a sample; `sample_encoder` writes these bytes faster."""
-    return {**_sample_fields(sample), "targets": [_target_to_dict(t) for t in sample.targets]}
 
 
 class PaperReferencer:
@@ -362,9 +357,10 @@ class PaperReferencer:
 
 
 def sample_encoder(referencer: PaperReferencer | None = None) -> Callable[[CitationSample], str]:
-    """`dump_row(sample_to_dict(s))`, a target that is or equals the last one of
-    its paper_id reusing its bytes (see `last_entry`); given a `referencer`, it
-    decides the form of each target and whether a row holds its source abstract."""
+    """The row of a sample: its fields and each target's entry, a target that
+    is or equals the last one of its paper_id reusing its bytes (see
+    `last_entry`); given a `referencer`, it decides the form of each target and
+    whether a row holds its source abstract."""
     if referencer is None:
         encoded: dict = {}
 

@@ -8,9 +8,10 @@ a validation vocabulary is supplied, in which case unknown labels are only
 counted, never altered.
 
 An enriched file holds one row per sample with its triplet blocks inline,
-and each paper's text once, by the rule of the README's "Each paper once per
-file", which its reader applies to the blocks too. A triplet leaves out a
-head_type or tail_type that is null, which its reader takes as null.
+written by the rules of the README's "File formats": each paper's text once,
+which its reader applies to the blocks too, and a field at its reader's
+default left out: a triplet's null head_type or tail_type, and a block's
+paper_id and section where its place in the row gives them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .dataset import CitationSample, PaperReferencer, last_entry, sample_encoder, sample_from_dict, sample_to_dict
+from .dataset import CitationSample, PaperReferencer, last_entry, sample_encoder, sample_from_dict
 from .jsonl import dump_row, iter_jsonl, iter_rows, row_fields, write_text
 
 SECTIONS = ("abstract", "introduction", "conclusion")
@@ -251,49 +252,31 @@ def _triplet_to_dict(t: KGTriplet) -> dict:
     return row
 
 
-def _tset_to_dict(tset: TripletSet | None) -> dict | None:
-    if tset is None:
-        return None
-    return {
-        "paper_id": tset.paper_id,
-        "section": tset.section,
-        "triplets": [_triplet_to_dict(t) for t in tset.triplets],
-    }
+def _tset_to_dict(tset: TripletSet, paper_id: str, section: str) -> dict:
+    """A block's entry at the place in its row of (`paper_id`, `section`): its
+    paper_id and section are left out where they equal the place's."""
+    row: dict = {"triplets": [_triplet_to_dict(t) for t in tset.triplets]}
+    if tset.paper_id != paper_id:
+        row["paper_id"] = tset.paper_id
+    if tset.section != section:
+        row["section"] = tset.section
+    return row
 
 
-def _tset(raw: Any) -> TripletSet:
-    paper_id, section, raw_triplets = row_fields(raw, _BLOCK)
+def _tset(raw: dict, paper_id: str, section: str) -> TripletSet:
+    paper_id, section, raw_triplets = row_fields(raw, _BLOCK, {"paper_id": paper_id, "section": section})
     return TripletSet(paper_id, section, [KGTriplet(*row_fields(t, _TRIPLET, _TRIPLET_DEFAULTS)) for t in raw_triplets])
 
 
-def _tset_from_dict(row: dict | None, papers: dict) -> TripletSet | None:
-    """A triplet block from its row, the entry of its (paper_id, section) in
+def _tset_from_dict(row: dict | None, papers: dict, paper_id: str, section: str) -> TripletSet | None:
+    """A triplet block from its entry at the place in its row of (`paper_id`,
+    `section`), which give the fields it leaves out; the entry of its key in
     `papers` (see `dataset.last_entry`)."""
     if row is None:
         return None
-    key = row.get("paper_id"), row.get("section")
-    return last_entry(papers, key if type(key[0]) is str and type(key[1]) is str else None, row, _tset)
-
-
-def enriched_to_dict(es: EnrichedSample) -> dict:
-    """The standalone enriched row of a sample, every target and its source
-    abstract written in full. `write_enriched` writes these bytes but for the
-    paper text it has written before: a target it names by its bare id, and a
-    source abstract it leaves out. Readers take either form."""
-    return {
-        "sample": sample_to_dict(es.sample),
-        "source_triplets": _tset_to_dict(es.source_triplets),
-        "target_triplets": [
-            {
-                "paper_id": tt.paper_id,
-                "abstract": _tset_to_dict(tt.abstract),
-                "introduction": _tset_to_dict(tt.introduction),
-                "conclusion": _tset_to_dict(tt.conclusion),
-            }
-            for tt in es.target_triplets
-        ],
-        "missing_target_triplets": es.missing_target_triplets,
-    }
+    key = row.get("paper_id", paper_id), row.get("section", section)
+    key = key if type(key[0]) is str and type(key[1]) is str else None
+    return last_entry(papers, key, row, lambda raw: _tset(raw, paper_id, section))
 
 
 _ENRICHED = {"sample": dict, "source_triplets": (dict, None), "target_triplets": list, "missing_target_triplets": bool}
@@ -303,43 +286,55 @@ _TARGET_TRIPLETS = {"paper_id": str, **dict.fromkeys(SECTIONS, (dict, None))}
 def enriched_from_dict(row: dict, papers: dict | None = None) -> EnrichedSample:
     """An enriched sample from its row; its targets, source abstract and
     triplet blocks are read through `papers`, the table of its file (see
-    `sample_from_dict` and `_tset_from_dict`)."""
+    `sample_from_dict` and `_tset_from_dict`). The sample, and so its
+    schema_version, is read before any block. A block leaving out its key
+    takes it from its place: `source_triplets` is the sample's source abstract,
+    and a target's section block that target's section."""
     if papers is None:
         papers = {}
     sample, source, targets, missing = row_fields(row, _ENRICHED)
+    sample = sample_from_dict(sample, papers)
     per_target = []
     for tt in targets:
-        paper_id, *sections = row_fields(tt, _TARGET_TRIPLETS)
-        per_target.append(TargetTriplets(paper_id, *[_tset_from_dict(s, papers) for s in sections]))
-    return EnrichedSample(sample_from_dict(sample, papers), _tset_from_dict(source, papers), per_target, missing)
+        paper_id, *blocks = row_fields(tt, _TARGET_TRIPLETS)
+        per_target.append(
+            TargetTriplets(paper_id, *[_tset_from_dict(b, papers, paper_id, s) for b, s in zip(blocks, SECTIONS)])
+        )
+    source = _tset_from_dict(source, papers, sample.source_paper_id, "abstract")
+    return EnrichedSample(sample, source, per_target, missing)
 
 
 def write_enriched(samples: Iterable[EnrichedSample], path: str | Path) -> int:
-    """Write `dump_row(enriched_to_dict(es))` per sample, except that a paper's
-    text is written once: a later mention of a target whose fields equal its
-    last full entry is its bare id, and a source abstract equal to the last one
-    written for its source_paper_id is left out (see `PaperReferencer`). A block
-    that is or equals the last one of its (paper_id, section) reuses its bytes."""
+    """Write one row per sample by the README's "File formats": a paper's text
+    once, so a later mention of a target whose fields equal its last full
+    entry is its bare id, and a source abstract equal to the last one written
+    for its source_paper_id is left out (see `PaperReferencer`); and a block's
+    paper_id and section left out where its place gives them. A block that is
+    or equals the last one of its key at its place reuses its bytes."""
     encode_sample = sample_encoder(PaperReferencer())
     encoded: dict = {}
 
-    def block(tset: TripletSet | None) -> str:
+    def block(tset: TripletSet | None, paper_id: str, section: str) -> str:
         if tset is None:
             return "null"
-        return last_entry(encoded, (tset.paper_id, tset.section), tset, lambda t: dump_row(_tset_to_dict(t)))
+        key = tset.paper_id, tset.section, paper_id, section  # a block's bytes depend on its place
+        return last_entry(encoded, key, tset, lambda t: dump_row(_tset_to_dict(t, paper_id, section)))
 
     def row(es: EnrichedSample) -> str:
         # keys in sorted order, as dump_row writes them
         targets = ", ".join(
             [
-                f'{{"abstract": {block(tt.abstract)}, "conclusion": {block(tt.conclusion)}, '
-                f'"introduction": {block(tt.introduction)}, "paper_id": {dump_row(tt.paper_id)}}}'
+                f'{{"abstract": {block(tt.abstract, tt.paper_id, "abstract")}, '
+                f'"conclusion": {block(tt.conclusion, tt.paper_id, "conclusion")}, '
+                f'"introduction": {block(tt.introduction, tt.paper_id, "introduction")}, '
+                f'"paper_id": {dump_row(tt.paper_id)}}}'
                 for tt in es.target_triplets
             ]
         )
+        source = block(es.source_triplets, es.sample.source_paper_id, "abstract")
         return (
             f'{{"missing_target_triplets": {dump_row(es.missing_target_triplets)}, '
-            f'"sample": {encode_sample(es.sample)}, "source_triplets": {block(es.source_triplets)}, '
+            f'"sample": {encode_sample(es.sample)}, "source_triplets": {source}, '
             f'"target_triplets": [{targets}]}}\n'
         )
 

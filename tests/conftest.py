@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -48,6 +49,20 @@ def write_jsonl_file(path: Path, rows: list[dict]) -> Path:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
     return path
+
+
+def inline_sample_row(sample) -> dict:
+    """The row of a `CitationSample` in the all-inline form of schema version
+    1, as the first writers wrote it: its source abstract and every field of
+    every target in full, nulls included. Readers of every version take it."""
+    return {**asdict(sample), "schema_version": 1}
+
+
+def inline_enriched_row(es) -> dict:
+    """The row of an `EnrichedSample` in the all-inline form: its sample as
+    `inline_sample_row` writes it, and every triplet block in full, with its
+    paper_id, its section and every triplet type, nulls included."""
+    return {**asdict(es), "sample": inline_sample_row(es.sample)}
 
 
 INTRO_SENTENCES = [

@@ -36,15 +36,14 @@ from citepipe.dataset import (
     TargetPaper,
     compute_stats,
     read_dataset,
-    sample_to_dict,
     split_dataset,
     write_dataset,
 )
 from citepipe.jsonl import dump_row, file_digest, json_digest
-from citepipe.kg import SECTIONS, enriched_to_dict, read_enriched
+from citepipe.kg import read_enriched
 from citepipe.prompts import TokenBudget
 
-from conftest import make_record
+from conftest import inline_enriched_row, inline_sample_row, make_record
 
 # `config_sha256` of the built-in configuration; a run with no --config records it
 DEFAULT_CONFIG_SHA256 = "160b0eef91c417bb320d836155333ffbea61d7e33260c8f8a3e7923f8315764a"
@@ -318,7 +317,7 @@ class TestSplitReferences:
         test = self.referenced(self.split(shared, tmp_path / "parts", capsys)[2])
         samples = read_dataset(test)
         inline = tmp_path / "inline.jsonl"
-        inline.write_text("".join(dump_row(sample_to_dict(s)) + "\n" for s in samples), encoding="utf-8")
+        inline.write_text("".join(dump_row(inline_sample_row(s)) + "\n" for s in samples), encoding="utf-8")
         assert test.stat().st_size < inline.stat().st_size
         generated = tmp_path / "generated.jsonl"
         generated.write_text(
@@ -772,15 +771,9 @@ class TestEnrichedReferences:
 
     def test_a_file_with_every_target_inline_reads_the_same(self, dataset, triplets_file, tmp_path, capsys):
         # legacy files: every target and source abstract inline, and every
-        # triplet type written, null or not
+        # triplet type and block key written, null or not
         enriched = self.merged(dataset, triplets_file, tmp_path, capsys)
-        rows = [enriched_to_dict(es) for es in read_enriched(enriched)]
-        for row in rows:
-            blocks = [row["source_triplets"], *(tt[section] for tt in row["target_triplets"] for section in SECTIONS)]
-            for block in filter(None, blocks):
-                for triplet in block["triplets"]:
-                    triplet.setdefault("head_type", None)
-                    triplet.setdefault("tail_type", None)
+        rows = [inline_enriched_row(es) for es in read_enriched(enriched)]
         legacy = tmp_path / "legacy.jsonl"
         legacy.write_text("".join(dump_row(row) + "\n" for row in rows), encoding="utf-8")
         assert '"head_type": null' in legacy.read_text(encoding="utf-8")
@@ -795,7 +788,7 @@ class TestEnrichedReferences:
         part = tmp_path / "parts" / "train.jsonl"
         legacy_part = tmp_path / "legacy-train.jsonl"
         legacy_part.write_text(
-            "".join(dump_row(sample_to_dict(s)) + "\n" for s in read_dataset(part)), encoding="utf-8"
+            "".join(dump_row(inline_sample_row(s)) + "\n" for s in read_dataset(part)), encoding="utf-8"
         )
         assert part.stat().st_size < legacy_part.stat().st_size
         assert read_dataset(legacy_part) == read_dataset(part)

@@ -18,14 +18,13 @@ from citepipe.dataset import (
     extract_samples,
     read_dataset,
     sample_from_dict,
-    sample_to_dict,
     split_dataset,
     split_sizes,
     write_dataset,
 )
 from citepipe.jsonl import dump_row
 
-from conftest import INTRO_SENTENCES, RELATED_SENTENCES, hand_corpus_records, make_record, make_section
+from conftest import INTRO_SENTENCES, RELATED_SENTENCES, hand_corpus_records, inline_sample_row, make_record, make_section
 
 
 @pytest.fixture
@@ -300,7 +299,7 @@ class TestDatasetFiles:
     def test_a_target_given_by_its_id_is_the_last_full_entry_of_that_paper(self, tmp_path):
         first, edited = TargetPaper("t1", abstract="One."), TargetPaper("t1", abstract="One, edited.")
         rows = [
-            sample_to_dict(CitationSample(f"s:0:{i}", "s", "Source.", [target], "Cited."))
+            inline_sample_row(CitationSample(f"s:0:{i}", "s", "Source.", [target], "Cited."))
             for i, target in enumerate([first, edited, first])
         ]
         papers = {}

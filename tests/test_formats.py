@@ -14,11 +14,14 @@ from citepipe.dataset import PaperReferencer, read_dataset, write_dataset
 from citepipe.jsonl import dump_row
 from citepipe.kg import read_enriched, write_enriched
 
-FIXTURES = Path(__file__).parent / "fixtures"
-FORMATS = ("inline", "referenced")
+from conftest import inline_enriched_row, inline_sample_row
 
-# sha256 of every format fixture, as commit 54393fa wrote them, and of the
-# report fixtures, as commit 3290322 wrote them
+FIXTURES = Path(__file__).parent / "fixtures"
+FORMATS = ("inline", "referenced", "v2")
+
+# sha256 of every format fixture, as commit 54393fa wrote the inline and
+# referenced ones, of the schema version 2 ones, and of the report fixtures,
+# as commit 3290322 wrote them
 DIGESTS = {
     "inline/dataset.jsonl": "13ca12855a865448b9608ed845bdae954ca71f00c96c5abf2da73f9da1424093",
     "inline/enriched.jsonl": "89aebc526600a27f07416ad032bb5d91efda70133bc8acee1a51591d7f1af263",
@@ -26,6 +29,9 @@ DIGESTS = {
     "referenced/dataset.jsonl": "13ca12855a865448b9608ed845bdae954ca71f00c96c5abf2da73f9da1424093",
     "referenced/enriched.jsonl": "5b22f62386ef396d66cfc0005c09b1f8d91cddaa6102b34d268965e94cece2b7",
     "referenced/train.jsonl": "9d8a23f39a4a3827859cb650b873076d0123fd9e1b72b8a90d27ee37edfd8177",
+    "v2/dataset.jsonl": "a918d3573715bb1c780ff7fe8373e21372952da71fe24fac9744247681c65bd2",
+    "v2/enriched.jsonl": "90438d0e4d77d46a6a343ed97a8eb43ece857bda769f2218a4ed566fc6b54665",
+    "v2/train.jsonl": "7100357ae7e81e959748244064dc7bbef34a6f34c6332048345c13b88bd7fcd8",
     "prompts/dataset.baseline.jsonl": "3641a9d473b62f710f8386b733f65ca0c4e55b6d2cdf05222cc9d044c6b2f45d",
     "prompts/enriched.kg.jsonl": "8f91704a2d6c71086ab27e0d5fd6d75c8624168973df77e9bac2e77ffa1bb306",
     "prompts/train.baseline.jsonl": "da79e2d52f775a0c304c86a9cc1ad410f432922ec987f8c929f23ae36e257d88",
@@ -81,7 +87,7 @@ def test_the_writers_write_the_inline_samples_as_the_referenced_files(name, tmp_
         write_enriched(read_enriched(source), out)
     else:  # `build` writes every row standalone, `split` each part through a referencer
         write_dataset(read_dataset(source), out, PaperReferencer() if name == "train" else None)
-    assert out.read_bytes() == (FIXTURES / "referenced" / f"{name}.jsonl").read_bytes()
+    assert out.read_bytes() == (FIXTURES / "v2" / f"{name}.jsonl").read_bytes()
 
 
 def with_version(source: Path, out: Path, lineno: int, version) -> Path:
@@ -104,15 +110,26 @@ def read_samples(path: Path) -> list:
     return read_enriched(path) if path.name == "enriched.jsonl" else read_dataset(path)
 
 
-# a dataset row, a split part's row with bare-id targets, an enriched row's sample
-VERSIONED = [("inline", "dataset", 3), ("referenced", "train", 2), ("referenced", "enriched", 2)]
+@pytest.mark.parametrize("name", ["dataset", "train", "enriched"])
+def test_the_tests_reference_encoder_writes_the_inline_files(name):
+    path = FIXTURES / "inline" / f"{name}.jsonl"
+    encode = inline_enriched_row if name == "enriched" else inline_sample_row
+    assert "".join(dump_row(encode(s)) + "\n" for s in read_samples(path)).encode("utf-8") == path.read_bytes()
+
+
+# a dataset row, a split part's row with bare-id targets, an enriched row's
+# sample, and the same of version 2, whose enriched blocks leave out their keys
+VERSIONED = [
+    ("inline", "dataset", 3), ("referenced", "train", 2), ("referenced", "enriched", 2),
+    ("v2", "dataset", 3), ("v2", "train", 2), ("v2", "enriched", 2),
+]
 
 
 @pytest.mark.parametrize("fmt, name, lineno", VERSIONED)
 def test_a_row_without_schema_version_or_with_1_reads_as_today(fmt, name, lineno, tmp_path):
     source = FIXTURES / fmt / f"{name}.jsonl"
-    assert read_samples(with_version(source, tmp_path / f"{name}.jsonl", lineno, None)) == read_samples(source)
-    assert read_samples(with_version(source, tmp_path / f"{name}.jsonl", lineno, 1)) == read_samples(source)
+    for version in (None, 1, 2):  # the reader takes any of them, whatever the writer
+        assert read_samples(with_version(source, tmp_path / f"{name}.jsonl", lineno, version)) == read_samples(source)
 
 
 @pytest.mark.parametrize("version, shown", [(3, "3"), ("1", '"1"'), (True, "true")])
@@ -126,7 +143,21 @@ def test_a_row_of_any_other_schema_version_is_a_corrupt_line(fmt, name, lineno, 
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {path}: line {lineno}: schema_version is {shown}; this reader takes 1\n"
+    assert captured.err == f"error: {path}: line {lineno}: schema_version is {shown}; this reader takes 1, 2\n"
+
+
+def test_an_enriched_row_of_another_version_is_refused_before_its_blocks_are_read(tmp_path):
+    # a later writer may lay blocks out otherwise; the row names its version, not a block's fault
+    lines = (FIXTURES / "v2" / "enriched.jsonl").read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[1])
+    row["sample"]["schema_version"] = 3
+    row["source_triplets"] = {"relations": []}
+    row["target_triplets"][0]["abstract"] = {"section": 7, "triplets": "none"}
+    lines[1] = dump_row(row)
+    path = tmp_path / "enriched.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}: line 2: schema_version is 3; this reader takes 1, 2$"):
+        read_enriched(path)
 
 
 def test_evaluate_writes_the_frozen_report_and_table(tmp_path, capsys):

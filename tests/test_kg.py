@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from citepipe import dataset, kg
 from citepipe.dataset import (
+    SCHEMA_VERSION,
     CitationSample,
     PaperReferencer,
     TargetPaper,
     iter_dataset,
     read_dataset,
     sample_from_dict,
-    sample_to_dict,
     write_dataset,
 )
 from citepipe.jsonl import dump_row
@@ -32,7 +32,6 @@ from citepipe.kg import (
     TripletStore,
     attach_triplets,
     enriched_from_dict,
-    enriched_to_dict,
     iter_enriched,
     load_triplets,
     normalize_phrase,
@@ -42,7 +41,7 @@ from citepipe.kg import (
     write_enriched,
 )
 
-from conftest import write_jsonl_file
+from conftest import inline_enriched_row, inline_sample_row, write_jsonl_file
 
 
 def block(paper_id, section, triplets):
@@ -289,8 +288,9 @@ class TestEnrichedFiles:
 
     def test_dict_round_trip_exact(self):
         es = list(attach_triplets([sample()], TripletStore()))[0]
-        again = enriched_from_dict(enriched_to_dict(es))
-        assert enriched_to_dict(again) == enriched_to_dict(es)
+        again = enriched_from_dict(inline_enriched_row(es))
+        assert again == es
+        assert inline_enriched_row(again) == inline_enriched_row(es)
 
     def test_corrupt_line_names_line_number(self, tmp_path):
         out = tmp_path / "enriched.jsonl"
@@ -342,15 +342,25 @@ def enriched_rows(draw):
     return rows
 
 
+def written_sample_row(sample: CitationSample) -> dict:
+    """What `write_dataset` writes for `sample` alone: its all-inline row at
+    today's schema version, with a target's null section left out."""
+    row = {**inline_sample_row(sample), "schema_version": SCHEMA_VERSION}
+    row["targets"] = [{k: v for k, v in t.items() if v is not None} for t in row["targets"]]
+    return row
+
+
 def reference_enriched_rows(rows: list[EnrichedSample]) -> list[dict]:
-    """What `write_enriched` writes for `rows`: each standalone row, but for a
-    target that equals the last full entry of its paper_id, which is its bare
-    id, a source abstract equal to the last one of its source_paper_id, which
-    is left out, and a null triplet type, which is left out."""
+    """What `write_enriched` writes for `rows`: each all-inline row, with its
+    sample as `written_sample_row` writes it, but for a target that equals the
+    last full entry of its paper_id, which is its bare id, a source abstract
+    equal to the last one of its source_paper_id, which is left out, a null
+    triplet type, which is left out, and a block's paper_id and section, which
+    are left out where they equal those of its place in the row."""
     last_target, last_source = {}, {}
     expected = []
     for es in rows:
-        row = enriched_to_dict(es)
+        row = {**inline_enriched_row(es), "sample": written_sample_row(es.sample)}
         sample = row["sample"]
         if last_source.get(sample["source_paper_id"]) == sample["source_abstract"]:
             del sample["source_abstract"]
@@ -361,9 +371,16 @@ def reference_enriched_rows(rows: list[EnrichedSample]) -> list[dict]:
             if last_target.get(target["paper_id"]) == target:
                 targets[i] = target["paper_id"]
             last_target[target["paper_id"]] = target
-        blocks = [row["source_triplets"], *(tt[s] for tt in row["target_triplets"] for s in SECTIONS)]
-        for block in filter(None, blocks):
+        placed = [(row["source_triplets"], sample["source_paper_id"], "abstract")]
+        placed += [(tt[s], tt["paper_id"], s) for tt in row["target_triplets"] for s in SECTIONS]
+        for block, paper_id, section in placed:
+            if block is None:
+                continue
             block["triplets"] = [{k: v for k, v in t.items() if v is not None} for t in block["triplets"]]
+            if block["paper_id"] == paper_id:
+                del block["paper_id"]
+            if block["section"] == section:
+                del block["section"]
         expected.append(row)
     return expected
 
@@ -383,7 +400,7 @@ class TestEncoding:
         write_dataset(samples, out / "part.jsonl", PaperReferencer())
         write_enriched(rows, out / "enriched.jsonl")
         assert (out / "dataset.jsonl").read_bytes() == "".join(
-            dump_row(sample_to_dict(s)) + "\n" for s in samples
+            dump_row(written_sample_row(s)) + "\n" for s in samples
         ).encode("utf-8")
         expected = reference_enriched_rows(rows)
         assert (out / "enriched.jsonl").read_bytes() == "".join(
@@ -402,6 +419,21 @@ class TestEncoding:
         assert (out / "dataset-again.jsonl").read_bytes() == (out / "dataset.jsonl").read_bytes()
         assert (out / "part-again.jsonl").read_bytes() == (out / "part.jsonl").read_bytes()
         assert (out / "enriched-again.jsonl").read_bytes() == (out / "enriched.jsonl").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=enriched_rows())
+    def test_every_written_file_reads_as_its_all_inline_form(self, scratch_dir, rows):
+        out = scratch_dir
+        samples = [es.sample for es in rows]
+        write_dataset(samples, out / "dataset.jsonl")
+        write_dataset(samples, out / "part.jsonl", PaperReferencer())
+        write_enriched(rows, out / "enriched.jsonl")
+        inline, inline_enriched = out / "inline.jsonl", out / "inline-enriched.jsonl"
+        inline.write_text("".join(dump_row(inline_sample_row(s)) + "\n" for s in samples), encoding="utf-8")
+        inline_enriched.write_text("".join(dump_row(inline_enriched_row(es)) + "\n" for es in rows), encoding="utf-8")
+        assert read_dataset(out / "dataset.jsonl") == read_dataset(inline)
+        assert read_dataset(out / "part.jsonl") == read_dataset(inline)
+        assert read_enriched(out / "enriched.jsonl") == read_enriched(inline_enriched)
 
     def test_equal_copies_are_encoded_once_per_run_of_a_key(self, tmp_path):
         one, edited = TargetPaper("t1", abstract="One."), TargetPaper("t1", abstract="One, edited.")
@@ -432,7 +464,7 @@ class TestEncoding:
             ("t1", "b"), ("t2", "e"), ("s", "y"), ("t1", "c"), ("t1", "b"),
         ]
         assert (tmp_path / "dataset.jsonl").read_bytes() == "".join(
-            dump_row(sample_to_dict(s)) + "\n" for s in samples
+            dump_row(written_sample_row(s)) + "\n" for s in samples
         ).encode("utf-8")
         assert (tmp_path / "enriched.jsonl").read_bytes() == "".join(
             dump_row(row) + "\n" for row in expected
