@@ -392,8 +392,8 @@ def last_entry(papers: dict, key: Any, entry: Any, parse: Callable[[Any], Any]) 
     """`parse(entry)` for an entry of `key`, raw JSON or an object, by the
     README's "Each paper once per file": `papers` holds each key's last entry
     and result, which an entry that is or equals it takes. JSON equal to it
-    needs no check, as a string equals only a string and null only null; JSON
-    whose key fields are not strings has the key None, for `parse` to name."""
+    needs no check, as a string equals only a string and null only null; a
+    target whose paper_id is not a string has the key None, for `parse` to name."""
     last = papers.get(key)
     if last is None or (last[0] is not entry and last[0] != entry):
         last = papers[key] = (entry, parse(entry))
@@ -412,14 +412,14 @@ def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
     of its key, and a key with none yet is a ValueError. A text field that is
     not a string is a ValueError; only a target's introduction and conclusion
     may be null. A `schema_version` other than one of `READ_SCHEMA_VERSIONS`,
-    as an integer, is a ValueError."""
+    as an integer, is a ValueError, checked before any other field."""
     if papers is None:
         papers = {}
-    sample_id, source_id, citation, section, raw_targets = row_fields(row, _SAMPLE, {"section_name": ""})
-    version = row.get("schema_version", SCHEMA_VERSION)
+    version = row.get("schema_version", SCHEMA_VERSION) if type(row) is dict else SCHEMA_VERSION
     if type(version) is not int or version not in READ_SCHEMA_VERSIONS:
         takes = ", ".join(map(str, READ_SCHEMA_VERSIONS))
         raise ValueError(f"schema_version is {dump_row(version)}; this reader takes {takes}")
+    sample_id, source_id, citation, section, raw_targets = row_fields(row, _SAMPLE, {"section_name": ""})
     source = (source_id,)
     if "source_abstract" in row:
         (abstract,) = row_fields(row, _SOURCE_ABSTRACT)

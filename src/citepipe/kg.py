@@ -7,11 +7,10 @@ dedup after whitespace normalization. Relation labels are free-form unless
 a validation vocabulary is supplied, in which case unknown labels are only
 counted, never altered.
 
-An enriched file holds one row per sample with its triplet blocks inline,
-written by the rules of the README's "File formats": each paper's text once,
-which its reader applies to the blocks too, and a field at its reader's
-default left out: a triplet's null head_type or tail_type, and a block's
-paper_id and section where its place in the row gives them.
+An enriched file holds one row per sample with its triplet blocks inline, by
+the README's "File formats": each target's blocks at that target's position,
+a block keyed by its place in the row and so without its paper_id and
+section, each paper's text once, and a triplet's null types left out.
 """
 
 from __future__ import annotations
@@ -252,34 +251,26 @@ def _triplet_to_dict(t: KGTriplet) -> dict:
     return row
 
 
-def _tset_to_dict(tset: TripletSet, paper_id: str, section: str) -> dict:
-    """A block's entry at the place in its row of (`paper_id`, `section`): its
-    paper_id and section are left out where they equal the place's."""
-    row: dict = {"triplets": [_triplet_to_dict(t) for t in tset.triplets]}
-    if tset.paper_id != paper_id:
-        row["paper_id"] = tset.paper_id
-    if tset.section != section:
-        row["section"] = tset.section
-    return row
-
-
-def _tset(raw: dict, paper_id: str, section: str) -> TripletSet:
-    paper_id, section, raw_triplets = row_fields(raw, _BLOCK, {"paper_id": paper_id, "section": section})
-    return TripletSet(paper_id, section, [KGTriplet(*row_fields(t, _TRIPLET, _TRIPLET_DEFAULTS)) for t in raw_triplets])
+def _tset_to_dict(tset: TripletSet) -> dict:
+    """A block's entry: its triplets, as its place in its row is its key."""
+    return {"triplets": [_triplet_to_dict(t) for t in tset.triplets]}
 
 
 def _tset_from_dict(row: dict | None, papers: dict, paper_id: str, section: str) -> TripletSet | None:
     """A triplet block from its entry at the place in its row of (`paper_id`,
-    `section`), which give the fields it leaves out; the entry of its key in
-    `papers` (see `dataset.last_entry`)."""
-    if row is None:
-        return None
-    key = row.get("paper_id", paper_id), row.get("section", section)
-    key = key if type(key[0]) is str and type(key[1]) is str else None
-    return last_entry(papers, key, row, lambda raw: _tset(raw, paper_id, section))
+    `section`), which is its key: the entry of that key in `papers` (see
+    `dataset.last_entry`). An entry that names another key is a ValueError."""
+
+    def parse(raw: dict) -> TripletSet:
+        *key, raw_triplets = row_fields(raw, _BLOCK, {"paper_id": paper_id, "section": section})
+        if key != [paper_id, section]:
+            raise ValueError(f"the block at {(paper_id, section)} names {tuple(key)}")
+        return TripletSet(paper_id, section, [KGTriplet(*row_fields(t, _TRIPLET, _TRIPLET_DEFAULTS)) for t in raw_triplets])
+
+    return None if row is None else last_entry(papers, (paper_id, section), row, parse)
 
 
-_ENRICHED = {"sample": dict, "source_triplets": (dict, None), "target_triplets": list, "missing_target_triplets": bool}
+_ENRICHED = {"source_triplets": (dict, None), "target_triplets": list, "missing_target_triplets": bool}
 _TARGET_TRIPLETS = {"paper_id": str, **dict.fromkeys(SECTIONS, (dict, None))}
 
 
@@ -287,16 +278,21 @@ def enriched_from_dict(row: dict, papers: dict | None = None) -> EnrichedSample:
     """An enriched sample from its row; its targets, source abstract and
     triplet blocks are read through `papers`, the table of its file (see
     `sample_from_dict` and `_tset_from_dict`). The sample, and so its
-    schema_version, is read before any block. A block leaving out its key
-    takes it from its place: `source_triplets` is the sample's source abstract,
-    and a target's section block that target's section."""
+    schema_version, is read before any other field. An entry of
+    `target_triplets` that does not name the sample's target at its position
+    is a ValueError."""
     if papers is None:
         papers = {}
-    sample, source, targets, missing = row_fields(row, _ENRICHED)
+    (sample,) = row_fields(row, {"sample": dict})
     sample = sample_from_dict(sample, papers)
+    source, targets, missing = row_fields(row, _ENRICHED)
+    if len(targets) != len(sample.targets):
+        raise ValueError(f"target_triplets has length {len(targets)}, the sample's targets {len(sample.targets)}")
     per_target = []
-    for tt in targets:
+    for target, tt in zip(sample.targets, targets):
         paper_id, *blocks = row_fields(tt, _TARGET_TRIPLETS)
+        if paper_id != target.paper_id:
+            raise ValueError(f"target_triplets names {paper_id!r} where the sample cites {target.paper_id!r}")
         per_target.append(
             TargetTriplets(paper_id, *[_tset_from_dict(b, papers, paper_id, s) for b, s in zip(blocks, SECTIONS)])
         )
@@ -308,30 +304,34 @@ def write_enriched(samples: Iterable[EnrichedSample], path: str | Path) -> int:
     """Write one row per sample by the README's "File formats": a paper's text
     once, so a later mention of a target whose fields equal its last full
     entry is its bare id, and a source abstract equal to the last one written
-    for its source_paper_id is left out (see `PaperReferencer`); and a block's
-    paper_id and section left out where its place gives them. A block that is
-    or equals the last one of its key at its place reuses its bytes."""
+    for its source_paper_id is left out (see `PaperReferencer`); and a block
+    by its place, reusing the bytes of the last block there that it is or
+    equals. A sample whose `target_triplets` do not name its targets in order,
+    or whose block is not its place's, is a ValueError, and `path` is kept."""
     encode_sample = sample_encoder(PaperReferencer())
     encoded: dict = {}
 
-    def block(tset: TripletSet | None, paper_id: str, section: str) -> str:
+    def block(es: EnrichedSample, tset: TripletSet | None, *place: str) -> str:
         if tset is None:
             return "null"
-        key = tset.paper_id, tset.section, paper_id, section  # a block's bytes depend on its place
-        return last_entry(encoded, key, tset, lambda t: dump_row(_tset_to_dict(t, paper_id, section)))
+        if (tset.paper_id, tset.section) != place:
+            raise ValueError(f"sample {es.sample.sample_id!r}: the block of {(tset.paper_id, tset.section)} is at {place}")
+        return last_entry(encoded, place, tset, lambda t: dump_row(_tset_to_dict(t)))
 
     def row(es: EnrichedSample) -> str:
+        if [tt.paper_id for tt in es.target_triplets] != [t.paper_id for t in es.sample.targets]:
+            raise ValueError(f"sample {es.sample.sample_id!r}: target_triplets do not name its targets in order")
         # keys in sorted order, as dump_row writes them
         targets = ", ".join(
             [
-                f'{{"abstract": {block(tt.abstract, tt.paper_id, "abstract")}, '
-                f'"conclusion": {block(tt.conclusion, tt.paper_id, "conclusion")}, '
-                f'"introduction": {block(tt.introduction, tt.paper_id, "introduction")}, '
+                f'{{"abstract": {block(es, tt.abstract, tt.paper_id, "abstract")}, '
+                f'"conclusion": {block(es, tt.conclusion, tt.paper_id, "conclusion")}, '
+                f'"introduction": {block(es, tt.introduction, tt.paper_id, "introduction")}, '
                 f'"paper_id": {dump_row(tt.paper_id)}}}'
                 for tt in es.target_triplets
             ]
         )
-        source = block(es.source_triplets, es.sample.source_paper_id, "abstract")
+        source = block(es, es.source_triplets, es.sample.source_paper_id, "abstract")
         return (
             f'{{"missing_target_triplets": {dump_row(es.missing_target_triplets)}, '
             f'"sample": {encode_sample(es.sample)}, "source_triplets": {source}, '

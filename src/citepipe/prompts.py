@@ -230,15 +230,15 @@ def _blocks(
     if enriched is not None:
         relations = render_block(enriched.source_triplets)
         yield _Block("source_kg_abstract", "Source abstract relations:", relations, 0, headers)
-    for k, target in enumerate(sample.targets, start=1):
+    per_target = enriched.target_triplets if enriched is not None else [None] * len(sample.targets)
+    for k, (target, triplets) in enumerate(zip(sample.targets, per_target), start=1):
         for section, rung, _ in _SECTIONS:
             text = getattr(target, section)
             # an abstract always has its block; a body section only when shown and present
             if section == "abstract" or (shown[section] and text):
                 yield _Block(f"target_{section}[{k}]", f"Target paper {k} {section}:", text, rung)
-        if enriched is None:
+        if triplets is None:
             continue
-        triplets = enriched.target_triplets[k - 1]
         if pooled:  # the pooled set is new per sample, so its rendering is not cached
             relations = render_triplets(pooled_triplets(triplets), triplet_budget)
             yield _Block(f"target_kg[{k}]", f"Target paper {k} relations:", relations, 2, headers)

@@ -160,6 +160,66 @@ def test_an_enriched_row_of_another_version_is_refused_before_its_blocks_are_rea
         read_enriched(path)
 
 
+def refused(argv, path, message, capsys):
+    """`main(argv)` fails on `path`'s row with `message` alone and writes no `--out`."""
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+    assert out is None or not out.exists()
+
+
+def test_a_row_of_a_later_version_is_refused_by_its_number_before_its_fields(tmp_path, capsys):
+    # a later version may lay its fields out otherwise; the row names its version, not a missing field
+    path = tmp_path / "dataset.jsonl"
+    row = {"schema_version": 3, "sample_id": "x", "source_paper_id": "s", "citation_text": "c", "rows": []}
+    path.write_text(dump_row(row) + "\n", encoding="utf-8")
+    refused(["stats", "--dataset", str(path)], path, "line 1: schema_version is 3; this reader takes 1, 2", capsys)
+
+
+def test_an_enriched_row_of_a_later_version_is_refused_by_its_number_before_its_fields(tmp_path, capsys):
+    row = json.loads((FIXTURES / "v2" / "enriched.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    del row["sample"]["targets"], row["target_triplets"]
+    row["sample"]["schema_version"] = 3
+    path = tmp_path / "enriched.jsonl"
+    path.write_text(dump_row(row) + "\n", encoding="utf-8")
+    argv = ["prompts", "--mode", "kg", "--enriched", str(path), "--out", str(tmp_path / "prompts.jsonl")]
+    refused(argv, path, "line 1: schema_version is 3; this reader takes 1, 2", capsys)
+
+
+def name_papers(row, names):
+    for tt, name in zip(row["target_triplets"], names):
+        tt["paper_id"] = name
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # one entry for two targets
+        (lambda row: row["target_triplets"].pop(), "target_triplets has length 1, the sample's targets 2"),
+        (lambda row: name_papers(row, ["zzz", "yyy"]), "target_triplets names 'zzz' where the sample cites 't1'"),
+        (lambda row: name_papers(row, ["t2", "t1"]), "target_triplets names 't2' where the sample cites 't1'"),
+        # a block under t1's abstract that names t2
+        (lambda row: row["target_triplets"][0]["abstract"].update(paper_id="t2"),
+         "the block at ('t1', 'abstract') names ('t2', 'abstract')"),
+        (lambda row: row["source_triplets"].update(section="conclusion"),
+         "the block at ('s1', 'abstract') names ('s1', 'conclusion')"),
+    ],
+    ids=["fewer-entries", "other-papers", "swapped-papers", "block-names-another-paper", "block-names-another-section"],
+)
+def test_prompts_refuses_an_enriched_row_whose_triplets_are_not_at_their_place(edit, message, tmp_path, capsys):
+    # every block is read by its place in the row, so a row that says otherwise is corrupt
+    lines = (FIXTURES / "v2" / "enriched.jsonl").read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[0])
+    edit(row)
+    lines[0] = dump_row(row)
+    path = tmp_path / "enriched.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    argv = ["prompts", "--mode", "kg", "--enriched", str(path), "--out", str(tmp_path / "prompts.jsonl")]
+    refused(argv, path, f"line 1: {message}", capsys)
+
+
 def test_evaluate_writes_the_frozen_report_and_table(tmp_path, capsys):
     report = FIXTURES / "report"
     out = tmp_path / "report.json"

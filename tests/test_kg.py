@@ -292,6 +292,30 @@ class TestEnrichedFiles:
         assert again == es
         assert inline_enriched_row(again) == inline_enriched_row(es)
 
+    @pytest.mark.parametrize(
+        "misplace, message",
+        [
+            (lambda es: setattr(es.target_triplets[0], "abstract", TripletSet("t2", "abstract")),
+             r"the block of \('t2', 'abstract'\) is at \('t1', 'abstract'\)"),
+            (lambda es: setattr(es.target_triplets[1], "introduction", TripletSet("t2", "conclusion")),
+             r"the block of \('t2', 'conclusion'\) is at \('t2', 'introduction'\)"),
+            (lambda es: setattr(es, "source_triplets", TripletSet("t1", "abstract")),
+             r"the block of \('t1', 'abstract'\) is at \('s1', 'abstract'\)"),
+            (lambda es: es.target_triplets.pop(), "target_triplets do not name its targets in order"),
+            (lambda es: es.target_triplets.reverse(), "target_triplets do not name its targets in order"),
+        ],
+        ids=["another-paper", "another-section", "source", "fewer-entries", "swapped-entries"],
+    )
+    def test_a_block_away_from_its_place_is_refused_and_nothing_is_written(self, tmp_path, misplace, message):
+        # kg-merge takes each block from the store by its place; a block
+        # placed elsewhere would read back under its place's key
+        rows = list(attach_triplets([sample("s1:0:0"), sample("s1:0:1")], TripletStore()))
+        misplace(rows[1])
+        out = tmp_path / "enriched.jsonl"
+        with pytest.raises(ValueError, match=f"^sample 's1:0:1': {message}$"):
+            write_enriched(rows, out)
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupt_line_names_line_number(self, tmp_path):
         out = tmp_path / "enriched.jsonl"
         enriched = attach_triplets([sample()], TripletStore())
@@ -306,28 +330,27 @@ class TestEnrichedFiles:
 TEXT = st.text(st.sampled_from('ab "\\\n\r\t\x00\x1f\x7f\u2028é中😀'), max_size=6)
 MAYBE_TEXT = st.none() | TEXT
 TARGETS = st.builds(TargetPaper, TEXT, TEXT, TEXT, MAYBE_TEXT, MAYBE_TEXT)
-TRIPLET_SETS = st.builds(
-    TripletSet,
-    TEXT,
-    st.sampled_from(SECTIONS),
-    st.lists(st.builds(KGTriplet, TEXT, TEXT, TEXT, MAYBE_TEXT, MAYBE_TEXT), max_size=3),
-)
+TRIPLETS = st.lists(st.builds(KGTriplet, TEXT, TEXT, TEXT, MAYBE_TEXT, MAYBE_TEXT), max_size=3)
 
 
 @st.composite
 def enriched_rows(draw):
-    """Enriched samples whose targets and blocks are drawn from shared pools,
-    as equal-content copies of pool objects, or fresh, and whose source ids
-    and abstracts come from small pools, so a source repeats with the same
-    abstract or another."""
+    """Enriched samples whose targets are drawn from a shared pool, and each
+    block from a pool of its place, as pool objects, equal-content copies of
+    them, or fresh, and whose source ids and abstracts come from small pools,
+    so a source repeats with the same abstract or another."""
     papers = draw(st.lists(TARGETS, min_size=1, max_size=3))
-    blocks = draw(st.lists(TRIPLET_SETS, min_size=1, max_size=3))
     sources = draw(st.lists(TEXT, min_size=1, max_size=2))
     abstracts = draw(st.lists(TEXT, min_size=1, max_size=2))
+    blocks: dict = {}  # by place, the block first drawn there
 
     def pick(pool, fresh, nullable=False):
         choices = [st.sampled_from(pool), st.sampled_from(pool).map(dataclasses.replace), fresh]
         return draw(st.one_of(choices + [st.none()] * nullable))
+
+    def block_at(paper_id, section, nullable=False):
+        fresh = st.builds(TripletSet, st.just(paper_id), st.just(section), TRIPLETS)
+        return pick(blocks.setdefault((paper_id, section), [draw(fresh)]), fresh, nullable)
 
     rows = []
     for i in range(draw(st.integers(1, 4))):
@@ -335,10 +358,9 @@ def enriched_rows(draw):
         source, abstract = draw(st.sampled_from(sources)), draw(st.sampled_from(abstracts))
         sample = CitationSample(f"s:{i}", source, abstract, targets, draw(TEXT), draw(TEXT))
         per_target = [
-            TargetTriplets(t.paper_id, *(pick(blocks, TRIPLET_SETS, nullable=True) for _ in range(3)))
-            for t in targets
+            TargetTriplets(t.paper_id, *(block_at(t.paper_id, s, nullable=True) for s in SECTIONS)) for t in targets
         ]
-        rows.append(EnrichedSample(sample, pick(blocks, TRIPLET_SETS), per_target, draw(st.booleans())))
+        rows.append(EnrichedSample(sample, block_at(source, "abstract"), per_target, draw(st.booleans())))
     return rows
 
 
@@ -356,7 +378,7 @@ def reference_enriched_rows(rows: list[EnrichedSample]) -> list[dict]:
     last full entry of its paper_id, which is its bare id, a source abstract
     equal to the last one of its source_paper_id, which is left out, a null
     triplet type, which is left out, and a block's paper_id and section, which
-    are left out where they equal those of its place in the row."""
+    its place in the row gives."""
     last_target, last_source = {}, {}
     expected = []
     for es in rows:
@@ -371,16 +393,10 @@ def reference_enriched_rows(rows: list[EnrichedSample]) -> list[dict]:
             if last_target.get(target["paper_id"]) == target:
                 targets[i] = target["paper_id"]
             last_target[target["paper_id"]] = target
-        placed = [(row["source_triplets"], sample["source_paper_id"], "abstract")]
-        placed += [(tt[s], tt["paper_id"], s) for tt in row["target_triplets"] for s in SECTIONS]
-        for block, paper_id, section in placed:
-            if block is None:
-                continue
+        blocks = [row["source_triplets"], *(tt[s] for tt in row["target_triplets"] for s in SECTIONS)]
+        for block in filter(None, blocks):
             block["triplets"] = [{k: v for k, v in t.items() if v is not None} for t in block["triplets"]]
-            if block["paper_id"] == paper_id:
-                del block["paper_id"]
-            if block["section"] == section:
-                del block["section"]
+            del block["paper_id"], block["section"]
         expected.append(row)
     return expected
 
@@ -522,7 +538,9 @@ class TestEncoding:
 # pools of at most two targets, sources and blocks, so entries of one key
 # repeat, alternate and revert. A pool entry may hold one field of another
 # JSON type; 1 == 1.0 == True in Python, and null or an absent field is valid
-# for some fields and not for others.
+# for some fields and not for others. Each entry of target_triplets names the
+# sample's target at its position, and a block leaves out its paper_id and
+# section or names its place's, but now and then another.
 ABSENT = object()
 HOSTILE = st.sampled_from([1, 1.0, True, None, ["a"], {"a": "a"}, ABSENT])
 LETTER = st.sampled_from(["a", "b"])
@@ -541,9 +559,10 @@ RAW_TARGETS = raw_entry(
     paper_id=st.sampled_from(["t1", "t2"]), title=LETTER, abstract=LETTER, introduction=OPTIONAL, conclusion=OPTIONAL
 )
 RAW_TRIPLETS = raw_entry(head=LETTER, relation=LETTER, tail=LETTER, head_type=OPTIONAL, tail_type=OPTIONAL)
+PLACE = object()  # a block's paper_id or section that names its place
 RAW_BLOCKS = raw_entry(
-    paper_id=st.sampled_from(["t1", "t2"]),
-    section=st.sampled_from(["abstract", "introduction"]),
+    paper_id=st.sampled_from([PLACE, ABSENT] * 5 + ["t2"]),
+    section=st.sampled_from([PLACE, ABSENT] * 5 + ["introduction"]),
     triplets=st.lists(RAW_TRIPLETS, max_size=2),
 )
 RAW_SOURCES = raw_entry(source_paper_id=st.sampled_from(["s1", "s2"]), source_abstract=LETTER)
@@ -554,6 +573,13 @@ def raw_rows(draw):
     targets = draw(st.lists(RAW_TARGETS, min_size=1, max_size=2))
     blocks = draw(st.lists(st.none() | RAW_BLOCKS, min_size=1, max_size=2))
     sources = draw(st.lists(RAW_SOURCES, min_size=1, max_size=2))
+
+    def block_at(paper_id, section):
+        block, place = draw(st.sampled_from(blocks)), {"paper_id": paper_id, "section": section}
+        if block is None:
+            return None
+        return {name: place[name] if value is PLACE else value for name, value in block.items()}
+
     rows = []
     for i in range(draw(st.integers(1, 6))):
         # a row holds its source abstract, so it stands alone
@@ -561,11 +587,13 @@ def raw_rows(draw):
         sample = {"sample_id": f"s:{i}", "citation_text": "c", **source, "targets": []}
         per_target = []
         for _ in range(draw(st.integers(0, 3))):
-            sample["targets"].append(draw(st.sampled_from(targets)))
-            per_target.append({"paper_id": "t1", **{s: draw(st.sampled_from(blocks)) for s in SECTIONS}})
+            target = draw(st.sampled_from(targets))
+            sample["targets"].append(target)
+            paper_id = draw(st.sampled_from([target.get("paper_id")] * 9 + ["t2"]))
+            per_target.append({"paper_id": paper_id, **{s: block_at(paper_id, s) for s in SECTIONS}})
         rows.append((sample, {
             "sample": sample,
-            "source_triplets": draw(st.sampled_from(blocks)),
+            "source_triplets": block_at(source.get("source_paper_id"), "abstract"),
             "target_triplets": per_target,
             "missing_target_triplets": False,
         }))
