@@ -16,7 +16,6 @@ import importlib
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -156,7 +155,7 @@ def build(args: argparse.Namespace) -> None:
         "build",
         list(corpus_files(args.corpus)),
         args.config,
-        counts={**written, "ingest": asdict(ingest), "extract": asdict(extract)},
+        counts={**written, "ingest": ingest._asdict(), "extract": extract._asdict()},
     )
     print(
         f"read {ingest.records_yielded} record(s) from {ingest.files_read} file(s); "
@@ -243,7 +242,7 @@ def kg_merge(args: argparse.Namespace) -> None:
         "kg-merge",
         [args.dataset, args.triplets],
         args.config,
-        counts={"ingest": asdict(store.stats), "attach": asdict(attach)},
+        counts={"ingest": store.stats._asdict(), "attach": attach._asdict()},
     )
     print(
         f"enriched {attach.samples_enriched} sample(s); "
@@ -325,9 +324,12 @@ def generate(args: argparse.Namespace) -> None:
             raise ValueError(f"prompt rows need sample_id and prompt fields, both strings: {exc}") from exc
         return GenerationRequest(sample_id, prompt)
 
-    batch = iter_rows(args.prompts, request)  # each request built as its line is read
+    class Batch:  # read twice, from the file each time, so no prompt is held
+        def __iter__(self):
+            return iter_rows(args.prompts, request)  # each request built as its line is read
+
     results = generate_batch(
-        batch,
+        Batch(),
         args.url,
         policy,
         out_path=args.out,

@@ -2,9 +2,10 @@
 
 The endpoint contract: POST a JSON object {"prompt", "max_new_tokens",
 "temperature", "stop"} and receive {"text": "..."} back: the prompt comes from
-the request, the rest from the run's `ClientPolicy`. The client runs up
-to `max_parallel` worker threads, which take the pending requests one at a
-time from a shared queue. Each worker holds one keep-alive connection for
+the request, the rest from the run's `ClientPolicy`. The client reads its
+batch twice: first for the ids, keeping those of the pending requests but no
+prompt, then as up to `max_parallel` worker threads take the pending
+requests one at a time from it. Each worker holds one keep-alive connection for
 every request and retry it handles, retries transient failures with
 exponential backoff, and appends each completed row to the output file as it
 lands, so an interrupted run can resume without re-requesting finished
@@ -30,44 +31,37 @@ import socket
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 from .config import DEFAULTS
-from .jsonl import dump_row, is_type, read_generations, write_text
+from .jsonl import Frozen, dump_row, is_type, read_generations, write_text
 
 DEFAULT_STOP: tuple[str, ...] = ("### Response:",)
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
+class GenerationRequest(NamedTuple):
     sample_id: str
     prompt: str
 
 
-@dataclass
-class GenerationResult:
+class GenerationResult(NamedTuple):
     sample_id: str
     text: str
     latency_ms: float = 0.0
     attempt: int = 0  # 0 marks a row loaded from a previous run
 
 
-@dataclass(frozen=True)
-class ClientPolicy:
-    """A run's settings: the `endpoint` config section but its url."""
+class ClientPolicy(Frozen):
+    """A run's settings: the `endpoint` config section but its url, in its
+    order: `max_parallel`, `max_attempts`, `backoff_seconds`,
+    `backoff_multiplier`, `timeout_seconds`, `max_new_tokens`, `temperature`."""
 
-    max_parallel: int = DEFAULTS["endpoint"]["max_parallel"]
-    max_attempts: int = DEFAULTS["endpoint"]["max_attempts"]
-    backoff_seconds: float = DEFAULTS["endpoint"]["backoff_seconds"]
-    backoff_multiplier: float = DEFAULTS["endpoint"]["backoff_multiplier"]
-    timeout_seconds: float = DEFAULTS["endpoint"]["timeout_seconds"]
-    max_new_tokens: int = DEFAULTS["endpoint"]["max_new_tokens"]
-    temperature: float = DEFAULTS["endpoint"]["temperature"]
+    _defaults = {key: value for key, value in DEFAULTS["endpoint"].items() if key != "url"}
+    __slots__ = tuple(_defaults)
 
-    def __post_init__(self):
+    def _check(self):
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be positive")
         if self.max_attempts < 1:
@@ -333,12 +327,18 @@ def generate_batch(
 ) -> list[GenerationResult]:
     """Run the batch against `endpoint`, returning results sorted by sample_id.
 
-    `batch` may be a generator; it is read once, before any request is sent.
-    With out_path set, rows already present in the file are returned without
-    any request and new rows are appended as they complete, so killing and
-    re-running converges. If any request exhausts its attempts the completed
-    rows are still persisted and EndpointError carries the failures.
+    `batch` is read twice, so it must be re-iterable, such as a list or an
+    object whose `__iter__` reads a file again; an iterator is refused with a
+    TypeError. The first read, before any request is sent, checks the ids and
+    keeps the ids of the pending requests, not the requests; the second hands
+    the pending requests to the workers as they take them. With out_path set,
+    rows already present in the file are returned without any request and new
+    rows are appended as they complete, so killing and re-running converges.
+    If any request exhausts its attempts the completed rows are still
+    persisted and EndpointError carries the failures.
     """
+    if isinstance(batch, Iterator):
+        raise TypeError("batch is read twice, so it must be re-iterable, not an iterator")
     policy = policy or ClientPolicy()
     headers = {"Authorization": f"Bearer {auth_token}"} if auth_token else {}
     first = _Transport(endpoint, policy.timeout_seconds, headers)  # a bad endpoint fails before --out is read
@@ -347,7 +347,7 @@ def generate_batch(
 
     seen_ids: set[str] = set()
     results: list[GenerationResult] = []  # reused rows keep their text, not their prompt
-    pending: list[GenerationRequest] = []
+    pending: set[str] = set()  # the ids of the requests to send, not their prompts
     for request in batch:
         if request.sample_id in seen_ids:
             raise ValueError(f"duplicate sample_id in batch: {request.sample_id}")
@@ -355,7 +355,8 @@ def generate_batch(
         if request.sample_id in texts:
             results.append(GenerationResult(request.sample_id, texts[request.sample_id]))
         else:
-            pending.append(request)
+            pending.add(request.sample_id)
+    del seen_ids  # the ids stay only in `pending` and `results`
 
     failures: list[tuple[str, str]] = []
     if pending:
@@ -372,9 +373,16 @@ def generate_batch(
                     fh.write(b"\n")
         append_handle = open(out_file, "a", encoding="utf-8") if out_file is not None else None
         lock = threading.Lock()
-        queue = iter(pending)
         stop = threading.Event()
         errors: list[Exception] = []  # unexpected ones, raised here once the workers stop
+
+        def take() -> Iterator[GenerationRequest]:
+            for request in batch:  # the second read
+                if request.sample_id in pending:  # each pending id is sent once, whatever the batch holds now
+                    pending.remove(request.sample_id)
+                    yield request
+
+        queue = take()
 
         def work(transport: _Transport, done: threading.Event) -> None:
             try:
@@ -425,10 +433,13 @@ def generate_batch(
             raise
         finally:
             with lock:
+                queue.close()  # and with it the batch's file, if the workers stopped before its end
                 if append_handle is not None:
                     append_handle.close()
         if errors:
             raise errors[0]
+        # what is left the second read did not find: the batch changed between the reads
+        failures.extend((sample_id, "not in the batch when it was read again") for sample_id in pending)
 
     results.sort(key=lambda r: r.sample_id)
     if failures:

@@ -20,13 +20,12 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .config import DEFAULTS
-from .jsonl import is_type, iter_jsonl
+from .jsonl import Record, is_type, iter_jsonl
 
 
 class ValidationError(ValueError):
@@ -37,8 +36,7 @@ class ValidationError(ValueError):
         self.field_name = field_name
 
 
-@dataclass
-class BodySection:
+class BodySection(NamedTuple):
     """One body section. `cited[i]` holds the resolved ids of the citations in
     `sentences[i]`, in offset order; None marks an unresolved citation."""
 
@@ -47,24 +45,18 @@ class BodySection:
     cited: list[list[str | None]]
 
 
-@dataclass
-class PaperRecord:
-    paper_id: str
-    title: str = ""
-    abstract: str = ""
-    fields_of_study: list[str] = field(default_factory=list)
-    body_sections: list[BodySection] = field(default_factory=list)
+class PaperRecord(Record):
+    """A paper: `paper_id`, `title`, `abstract`, `fields_of_study` (a list of
+    names) and `body_sections` (a list of `BodySection`)."""
+
+    __slots__ = ("paper_id", "title", "abstract", "fields_of_study", "body_sections")
+    _defaults = {"title": "", "abstract": "", "fields_of_study": list, "body_sections": list}
 
 
-@dataclass
-class IngestStats:
-    files_read: int = 0
-    lines_read: int = 0
-    records_yielded: int = 0
-    parse_errors: int = 0
-    validation_errors: int = 0
-    duplicate_ids: int = 0
-    filtered_out: int = 0
+class IngestStats(Record):
+    __slots__ = ("files_read", "lines_read", "records_yielded", "parse_errors", "validation_errors",
+                 "duplicate_ids", "filtered_out")
+    _defaults = dict.fromkeys(__slots__, 0)
 
     @property
     def skipped(self) -> int:

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import __version__
 from .config import DEFAULTS
-from .jsonl import dump_row, iter_rows, json_digest, row_fields, write_text
+from .jsonl import Frozen, Record, dump_row, iter_rows, json_digest, row_fields, write_text
 
 if TYPE_CHECKING:
     from .corpus import BodySection, PaperRecord
@@ -34,8 +33,7 @@ READ_SCHEMA_VERSIONS = (1, 2)  # a row may also leave the field out
 MAX_TARGETS = 3
 
 
-@dataclass
-class TargetPaper:
+class TargetPaper(NamedTuple):
     paper_id: str
     title: str = ""
     abstract: str = ""
@@ -43,8 +41,7 @@ class TargetPaper:
     conclusion: str | None = None
 
 
-@dataclass
-class CitationSample:
+class CitationSample(NamedTuple):
     sample_id: str
     source_paper_id: str
     source_abstract: str
@@ -53,20 +50,13 @@ class CitationSample:
     section_name: str = ""
 
 
-@dataclass
-class ExtractStats:
-    sentences_scanned: int = 0
-    samples_emitted: int = 0
-    unresolved_citations: int = 0
-    missing_abstract: int = 0
-    self_citations: int = 0
-    targets_trimmed: int = 0
-    sources_without_abstract: int = 0
-    trimmed_by_source_cap: int = 0
+class ExtractStats(Record):
+    __slots__ = ("sentences_scanned", "samples_emitted", "unresolved_citations", "missing_abstract",
+                 "self_citations", "targets_trimmed", "sources_without_abstract", "trimmed_by_source_cap")
+    _defaults = dict.fromkeys(__slots__, 0)
 
 
-@dataclass
-class DatasetStats:
+class DatasetStats(NamedTuple):
     n_samples: int = 0
     n_unique_source_papers: int = 0
     citation_chars_avg: float = 0.0
@@ -79,11 +69,10 @@ class DatasetStats:
     empty: bool = True
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Frozen):
     """Fractions for the train/val/test partition plus the shuffle seed.
 
     Fractions must be positive and sum to 1 within 1e-9. Sizes come from
@@ -91,12 +80,10 @@ class SplitSpec:
     at a time in train, val, test order.
     """
 
-    train_fraction: float = DEFAULTS["split"]["train"]
-    val_fraction: float = DEFAULTS["split"]["validation"]
-    test_fraction: float = DEFAULTS["split"]["test"]
-    seed: int = DEFAULTS["split"]["seed"]
+    __slots__ = ("train_fraction", "val_fraction", "test_fraction", "seed")
+    _defaults = dict(zip(__slots__, (DEFAULTS["split"][key] for key in ("train", "validation", "test", "seed"))))
 
-    def __post_init__(self):
+    def _check(self):
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
         if any(not f > 0 for f in fracs):  # NaN passes `f <= 0`
             raise ValueError("split fractions must be positive")

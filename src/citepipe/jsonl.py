@@ -2,8 +2,8 @@
 canonical row encoding (an object shared by rows is encoded by the rule of
 `dataset.last_entry`), indented JSON documents (with a long list written from
 its rows' encodings, a row per line), one strict line reader (lazy, or listed
-whole), the one field-type rule every row reader checks with, and file and
-JSON digests.
+whole), the one field-type rule every row reader checks with, the base of
+the records that are not named tuples, and file and JSON digests.
 """
 
 from __future__ import annotations
@@ -81,6 +81,66 @@ def row_fields(row: Any, spec: Mapping[str, Any], defaults: Mapping[str, Any] | 
                 raise ValueError(f"{name} is {_type_name(value)}, not {noun}")
         values.append(value)
     return values
+
+
+class Record:
+    """The base of a record whose fields change after it is made, are checked
+    when it is made or default to a fresh list or dict; any other record is a
+    `typing.NamedTuple`. The fields are the class's `__slots__`, in order;
+    the constructor takes them by position or by name, a field left out takes
+    its entry in `_defaults` (a type there gives a fresh object of that type
+    per record), and then `_check` may refuse the values; a record made once
+    per row writes its own, faster `__init__` instead. Records of one class
+    are equal when their fields are."""
+
+    __slots__ = ()
+    _defaults: Mapping[str, Any] = {}
+    __hash__ = None  # its fields may change, as a list's items may
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        names = self.__slots__
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args) :]):
+            raise TypeError(f"{type(self).__name__}() takes each of {', '.join(names)} once, by position or name")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args) :]:
+            value = kwargs.get(name, _ABSENT)
+            if value is _ABSENT:
+                value = self._defaults.get(name, _ABSENT)
+                if value is _ABSENT:
+                    raise TypeError(f"{type(self).__name__}() is missing {name}")
+                value = value() if type(value) is type else value
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Refuse, with a ValueError, fields that no record may hold."""
+
+    def _asdict(self) -> dict[str, Any]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return [getattr(self, name) for name in self.__slots__] == [getattr(other, name) for name in self.__slots__]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self._asdict().items())})"
+
+
+class Frozen(Record):
+    """A record whose fields cannot be set or deleted once it is made, and
+    which hashes by them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: {name} cannot change")
+
+    __delattr__ = __setattr__  # which is called with the name alone
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
 
 
 def _generation_row(row) -> list:

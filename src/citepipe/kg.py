@@ -16,12 +16,11 @@ section, each paper's text once, and a triplet's null types left out.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .dataset import CitationSample, PaperReferencer, last_entry, sample_encoder, sample_from_dict
-from .jsonl import dump_row, iter_jsonl, iter_rows, row_fields, write_text
+from .jsonl import Record, dump_row, iter_jsonl, iter_rows, row_fields, write_text
 
 SECTIONS = ("abstract", "introduction", "conclusion")
 
@@ -36,8 +35,7 @@ def normalize_phrase(text: str) -> str:
     return " ".join(text.split())
 
 
-@dataclass(frozen=True)
-class KGTriplet:
+class KGTriplet(NamedTuple):
     head: str
     relation: str
     tail: str
@@ -45,31 +43,29 @@ class KGTriplet:
     tail_type: str | None = None
 
 
-@dataclass
-class TripletSet:
-    paper_id: str
-    section: str
-    triplets: list[KGTriplet] = field(default_factory=list)
+class TripletSet(Record):
+    __slots__ = ("paper_id", "section", "triplets")
+
+    def __init__(self, paper_id: str, section: str, triplets: list[KGTriplet] | None = None):
+        self.paper_id, self.section = paper_id, section
+        self.triplets = [] if triplets is None else triplets
 
     def __len__(self) -> int:
         return len(self.triplets)
 
 
-@dataclass
-class KgIngestStats:
-    lines_read: int = 0
-    blocks_loaded: int = 0
-    blocks_merged: int = 0
-    malformed_lines: int = 0
-    invalid_triplets: int = 0
-    duplicate_triplets: int = 0
-    unknown_relations: int = 0
+class KgIngestStats(Record):
+    __slots__ = ("lines_read", "blocks_loaded", "blocks_merged", "malformed_lines", "invalid_triplets",
+                 "duplicate_triplets", "unknown_relations")
+    _defaults = dict.fromkeys(__slots__, 0)
 
 
-@dataclass
-class TripletStore:
-    blocks: dict[tuple[str, str], TripletSet] = field(default_factory=dict)  # by (paper_id, section)
-    stats: KgIngestStats = field(default_factory=KgIngestStats)
+class TripletStore(Record):
+    """`blocks`, the `TripletSet` of each (paper_id, section), and the
+    `stats` of their ingest."""
+
+    __slots__ = ("blocks", "stats")
+    _defaults = {"blocks": dict, "stats": KgIngestStats}
 
     def get(self, paper_id: str, section: str) -> TripletSet | None:
         return self.blocks.get((paper_id, section))
@@ -138,8 +134,7 @@ def load_triplets(path: str | Path, vocabulary: frozenset[str] | None = None) ->
     return store
 
 
-@dataclass
-class TargetTriplets:
+class TargetTriplets(NamedTuple):
     """Per-section triplet sets for one cited paper; None means no block."""
 
     paper_id: str
@@ -151,19 +146,16 @@ class TargetTriplets:
         return any(ts and len(ts) for ts in (self.abstract, self.introduction, self.conclusion))
 
 
-@dataclass
-class EnrichedSample:
+class EnrichedSample(NamedTuple):
     sample: CitationSample
     source_triplets: TripletSet
     target_triplets: list[TargetTriplets]
     missing_target_triplets: bool = False
 
 
-@dataclass
-class AttachStats:
-    samples_enriched: int = 0
-    samples_without_target_triplets: int = 0
-    orphan_papers: int = 0
+class AttachStats(Record):
+    __slots__ = ("samples_enriched", "samples_without_target_triplets", "orphan_papers")
+    _defaults = dict.fromkeys(__slots__, 0)
 
 
 def attach_triplets(
@@ -279,8 +271,9 @@ def enriched_from_dict(row: dict, papers: dict | None = None) -> EnrichedSample:
     triplet blocks are read through `papers`, the table of its file (see
     `sample_from_dict` and `_tset_from_dict`). The sample, and so its
     schema_version, is read before any other field. An entry of
-    `target_triplets` that does not name the sample's target at its position
-    is a ValueError."""
+    `target_triplets` that does not name the sample's target at its position,
+    or a `missing_target_triplets` other than what `attach_triplets` sets for
+    these blocks, is a ValueError."""
     if papers is None:
         papers = {}
     (sample,) = row_fields(row, {"sample": dict})
@@ -296,6 +289,10 @@ def enriched_from_dict(row: dict, papers: dict | None = None) -> EnrichedSample:
         per_target.append(
             TargetTriplets(paper_id, *[_tset_from_dict(b, papers, paper_id, s) for b, s in zip(blocks, SECTIONS)])
         )
+    has_triplets = any(t.has_any() for t in per_target)
+    if missing == has_triplets:  # attach_triplets sets it to `not has_triplets`
+        some = "a" if has_triplets else "no"
+        raise ValueError(f"missing_target_triplets is {dump_row(missing)}, but {some} target has triplets")
     source = _tset_from_dict(source, papers, sample.source_paper_id, "abstract")
     return EnrichedSample(sample, source, per_target, missing)
 

@@ -28,7 +28,7 @@ import itertools
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .jsonl import dump_row
 from .stemmer import stem
@@ -50,8 +50,7 @@ def _tokens(text: str | list[str]) -> list[str]:
     return tokenize(text) if isinstance(text, str) else text
 
 
-@dataclass
-class MetricScore:
+class MetricScore(NamedTuple):
     precision: float
     recall: float
     f: float
@@ -308,8 +307,7 @@ def meteor(candidate: str | list[str], reference: str | list[str]) -> MetricScor
 REPORT_COLUMNS = ("METEOR", "Rouge-1", "Rouge-2", "Rouge-L")
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     """A scored corpus: each sample's report row as its `dump_row` line, in
     pair order, and the corpus means."""
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
+
+from .jsonl import Frozen, Record
 
 Objective = Callable[[list[float]], tuple[float, list[float]]]
 
@@ -79,16 +80,14 @@ def inverse_normal_cdf(p: float) -> float:
     return x - u / (1.0 + x * u / 2.0)
 
 
-@dataclass
-class QuantileMap:
-    """Strictly increasing bin values with an exact zero at index 2^(n-1)."""
+class QuantileMap(Record):
+    """Strictly increasing bin values with an exact zero at index 2^(n-1):
+    `n_bits`, `bins` (a list of floats), `normalization` and `symmetric`."""
 
-    n_bits: int
-    bins: list[float]
-    normalization: str = "absmax"
-    symmetric: bool = True
+    __slots__ = ("n_bits", "bins", "normalization", "symmetric")
+    _defaults = {"normalization": "absmax", "symmetric": True}
 
-    def __post_init__(self):
+    def _check(self):
         expected = 2 ** self.n_bits
         if len(self.bins) != expected:
             raise ValueError(f"expected {expected} bins, got {len(self.bins)}")
@@ -150,8 +149,7 @@ def build_quantile_map(n_bits: int = 4, symmetric: bool = True) -> QuantileMap:
     return QuantileMap(n_bits, neg + [0.0] + pos, symmetric=True)
 
 
-@dataclass
-class QuantizedBlock:
+class QuantizedBlock(NamedTuple):
     """Blockwise absmax quantization of one vector against a quantile map."""
 
     qmap: QuantileMap
@@ -208,22 +206,16 @@ def dequantize_block(qb: QuantizedBlock) -> list[float]:
     ]
 
 
-@dataclass
-class OptimizerState:
-    """First/second moment accumulators plus hyperparameters for one vector."""
+class OptimizerState(Record):
+    """First/second moment accumulators plus hyperparameters for one vector:
+    the lists `w`, `m` and `v` (zeros when left out), the step `t`, `beta`,
+    `gamma`, `eta`, `eps`, `weight_decay` and `mode`, "paper" or "standard"."""
 
-    w: list[float]
-    m: list[float] = field(default_factory=list)
-    v: list[float] = field(default_factory=list)
-    t: int = 0
-    beta: float = 0.9
-    gamma: float = 0.999
-    eta: float = 3e-4
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    mode: str = "paper"  # or "standard"
+    __slots__ = ("w", "m", "v", "t", "beta", "gamma", "eta", "eps", "weight_decay", "mode")
+    _defaults = {"m": list, "v": list, "t": 0, "beta": 0.9, "gamma": 0.999, "eta": 3e-4, "eps": 1e-8,
+                 "weight_decay": 0.0, "mode": "paper"}
 
-    def __post_init__(self):
+    def _check(self):
         if not self.m:
             self.m = [0.0] * len(self.w)
         if not self.v:
@@ -291,15 +283,13 @@ def optimizer_step(state: OptimizerState, gradient: Sequence[float], lr: float |
     )
 
 
-@dataclass(frozen=True)
-class LrSchedule:
+class LrSchedule(Frozen):
     """Linear warmup from 0 to base_lr, then linear decay to 0 at total_steps."""
 
-    base_lr: float = 3e-4
-    warmup_steps: int = 100
-    total_steps: int = 1100
+    __slots__ = ("base_lr", "warmup_steps", "total_steps")
+    _defaults = {"base_lr": 3e-4, "warmup_steps": 100, "total_steps": 1100}
 
-    def __post_init__(self):
+    def _check(self):
         if self.warmup_steps < 0 or self.total_steps < self.warmup_steps:
             raise ValueError("need 0 <= warmup_steps <= total_steps")
 
@@ -316,8 +306,7 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
     return schedule.base_lr * remaining / (schedule.total_steps - schedule.warmup_steps)
 
 
-@dataclass
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     step: int
     w: list[float]
     value: float

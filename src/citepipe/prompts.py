@@ -21,13 +21,12 @@ The block order and each target section's two rungs are stated once, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .config import DEFAULTS
 from .dataset import CitationSample, last_entry
-from .jsonl import write_jsonl
+from .jsonl import Frozen, Record, write_jsonl
 from .kg import EnrichedSample, TripletSet, pooled_triplets, render_triplets
 
 SOURCE_ABSTRACT_FLOOR_TOKENS = 200
@@ -50,12 +49,11 @@ def default_estimator(text: str) -> int:
     return (len(text) + 3) // 4
 
 
-@dataclass(frozen=True)
-class TokenBudget:
-    max_tokens: int = DEFAULTS["budget"]["max_tokens"]
-    reserve_for_response: int = DEFAULTS["budget"]["reserve_for_response"]
+class TokenBudget(Frozen):
+    __slots__ = ("max_tokens", "reserve_for_response")
+    _defaults = {key: DEFAULTS["budget"][key] for key in __slots__}
 
-    def __post_init__(self):
+    def _check(self):
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be positive")
         if not 0 <= self.reserve_for_response < self.max_tokens:
@@ -71,21 +69,20 @@ BASELINE_TEMPLATE = "instruct-baseline"
 KG_TEMPLATE = "instruct-kg"
 
 
-@dataclass
-class Truncation:
+class Truncation(NamedTuple):
     slot: str
     original_len: int
     kept_len: int
 
 
-@dataclass
-class PromptInstance:
-    sample_id: str
-    template_name: str
-    text: str
-    token_estimate: int
-    truncations: list[Truncation] = field(default_factory=list)
-    gold_response: str | None = None
+class PromptInstance(Record):
+    __slots__ = ("sample_id", "template_name", "text", "token_estimate", "truncations", "gold_response")
+
+    def __init__(self, sample_id: str, template_name: str, text: str, token_estimate: int,
+                 truncations: list[Truncation] | None = None, gold_response: str | None = None):
+        self.sample_id, self.template_name, self.text = sample_id, template_name, text
+        self.token_estimate, self.gold_response = token_estimate, gold_response
+        self.truncations = [] if truncations is None else truncations
 
 
 class BudgetExhausted(ValueError):
@@ -96,14 +93,14 @@ class BudgetExhausted(ValueError):
         self.sample_id = sample_id
 
 
-@dataclass
-class _Block:
-    slot: str
-    label: str
-    content: str
-    rung: int  # 0 = never cut by the ladder
-    header_when_empty: bool = True
-    dropped: bool = False
+class _Block(Record):
+    __slots__ = ("slot", "label", "content", "rung", "header_when_empty", "dropped")
+
+    def __init__(self, slot: str, label: str, content: str, rung: int, header_when_empty: bool = True,
+                 dropped: bool = False):
+        self.slot, self.label, self.content = slot, label, content
+        self.rung = rung  # 0 = never cut by the ladder
+        self.header_when_empty, self.dropped = header_when_empty, dropped
 
 
 def _compose(instruction: str, blocks: list[_Block]) -> str:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -49,6 +48,13 @@ def write_jsonl_file(path: Path, rows: list[dict]) -> Path:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
     return path
+
+
+def asdict(record):
+    """A record, and every record and list in it, as plain dicts and lists."""
+    if hasattr(record, "_asdict"):
+        return {name: asdict(value) for name, value in record._asdict().items()}
+    return [asdict(value) for value in record] if type(record) is list else record
 
 
 def inline_sample_row(sample) -> dict:

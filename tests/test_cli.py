@@ -4,7 +4,8 @@ Commands run in-process through main(argv) so exit codes and both output
 streams can be asserted directly.
 """
 
-import dataclasses
+import ast
+import collections
 import gc
 import inspect
 import json
@@ -423,7 +424,7 @@ class TestConfig:
         assert SplitSpec() == SplitSpec(split["train"], split["validation"], split["test"], split["seed"])
         assert TokenBudget() == TokenBudget(budget["max_tokens"], budget["reserve_for_response"])
         settings = {key: value for key, value in endpoint.items() if key != "url"}
-        assert [f.name for f in dataclasses.fields(ClientPolicy)] == list(settings)
+        assert list(ClientPolicy.__slots__) == list(settings)
         assert ClientPolicy() == ClientPolicy(**settings)
         fields = inspect.signature(stream_corpus).parameters["fields_of_study"].default
         assert fields == frozenset(DEFAULTS["filter"]["fields_of_study"])
@@ -1214,10 +1215,22 @@ def chain(hand_corpus, triplets_file, tmp_path, capsys, mock_endpoint):
     return steps
 
 
-# standard-library modules no command needs: the thread pool, and the HTTP
+# standard-library modules no command needs: the thread pool; the HTTP
 # library, which brings in the email parser and ssl (generate speaks HTTP/1.1
-# on a plain socket, and imports ssl only for an https:// endpoint)
-UNNEEDED = ("concurrent.futures", "email.parser", "http.client", "ssl")
+# on a plain socket, and imports ssl only for an https:// endpoint); and
+# dataclasses, which brings in inspect, dis, ast and tokenize (records are
+# named tuples or `jsonl.Record`s)
+UNNEEDED = ("concurrent.futures", "email.parser", "http.client", "ssl", "dataclasses", "inspect")
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    package = Path(citepipe.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            assert "dataclasses" not in [name.partition(".")[0] for name in names], path.name
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_LAYERS))
@@ -1563,6 +1576,27 @@ class TestMemoryFollowsPapersNotRows:
         capsys.readouterr()
         small_peak = self.peak(capsys, self.argv(command, small))
         large_peak = self.peak(capsys, self.argv(command, large))
+        assert large_peak < 1.5 * small_peak, (small_peak, large_peak)
+
+    def test_generate_holds_the_ids_of_its_prompts_not_their_text(self, tmp_path, capsys, mock_endpoint):
+        """Every prompt is pending, and each is 8 KB; `generate` reads the
+        file twice rather than hold them. The mock's request log is dropped
+        as it grows, as it is the test's memory, not the command's."""
+        mock_endpoint.requests = collections.deque(maxlen=0)
+
+        def argv(base: Path, n: int) -> list[str]:
+            base.mkdir()
+            (base / "prompts.jsonl").write_text("".join(
+                dump_row({"sample_id": f"s{i:05d}", "prompt": f"prompt {i:05d} " + "word " * 1600}) + "\n"
+                for i in range(n)
+            ))
+            return ["generate", "--prompts", str(base / "prompts.jsonl"), "--out", str(base / "generated.jsonl"),
+                    "--endpoint", mock_endpoint.url, "--backoff-seconds", "0"]
+
+        n = 40
+        assert main(argv(tmp_path / "warm", 4)) == 0  # imports the client
+        small, large = argv(tmp_path / "small", n), argv(tmp_path / "large", 4 * n)
+        small_peak, large_peak = self.peak(capsys, small), self.peak(capsys, large)
         assert large_peak < 1.5 * small_peak, (small_peak, large_peak)
 
 

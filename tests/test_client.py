@@ -10,7 +10,6 @@ import threading
 import time
 import warnings
 import weakref
-from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -168,7 +167,7 @@ class TestRetries:
             ClientPolicy(**setting)
 
     def test_a_request_is_a_sample_id_and_a_prompt(self):
-        assert [f.name for f in fields(GenerationRequest)] == ["sample_id", "prompt"]
+        assert list(GenerationRequest._fields) == ["sample_id", "prompt"]
 
 
 class TestResumableOutput:
@@ -264,17 +263,21 @@ class TestResumableOutput:
         out.write_text("".join(dump_row({"sample_id": sid, "text": f"old {sid}"}) + "\n" for sid in sorted(written)))
         reused = []
 
-        def batch():
-            for i in range(6):
-                request = req(f"s{i}")
-                if request.sample_id in written:
-                    reused.append(weakref.ref(request))
-                yield request
+        class Prompt(str):  # a string a weak reference can follow, which a request is not
+            pass
 
-        # while requests are in flight, the requests of reused rows are gone
+        class Batch:  # read twice, and each read makes its requests afresh, as a prompts file's does
+            def __iter__(self):
+                for i in range(6):
+                    request = GenerationRequest(f"s{i}", Prompt(f"prompt for s{i}"))
+                    if request.sample_id in written:
+                        reused.append(weakref.ref(request.prompt))
+                    yield request
+
+        # while requests are in flight, the prompts of reused rows are gone
         held = []
         mock_endpoint.responder = lambda payload: held.append(sum(r() is not None for r in reused)) or "new"
-        results = generate_batch(batch(), mock_endpoint.url, FAST, out_path=out)
+        results = generate_batch(Batch(), mock_endpoint.url, FAST, out_path=out)
         assert sorted(mock_endpoint.prompts_seen()) == ["prompt for s0", "prompt for s2", "prompt for s5"]
         assert held == [0, 0, 0]
         assert [(r.sample_id, r.text, r.attempt) for r in results] == [
@@ -287,11 +290,42 @@ class TestResumableOutput:
     def test_a_generator_with_a_duplicate_id_sends_nothing(self, mock_endpoint, tmp_path):
         out = tmp_path / "gen.jsonl"
         out.write_text(dump_row({"sample_id": "s1", "text": "old"}) + "\n")
-        batch = (req(sid) for sid in ["s0", "s1", "s2", "s0"])
+        batch = [req(sid) for sid in ["s0", "s1", "s2", "s0"]]
         with pytest.raises(ValueError, match="duplicate sample_id in batch: s0"):
             generate_batch(batch, mock_endpoint.url, FAST, out_path=out)
         assert mock_endpoint.requests == []
         assert out.read_text() == dump_row({"sample_id": "s1", "text": "old"}) + "\n"
+
+    def test_the_second_read_sends_each_pending_id_once_and_fails_one_it_does_not_find(self, mock_endpoint, tmp_path):
+        out = tmp_path / "gen.jsonl"
+        out.write_text(dump_row({"sample_id": "s3", "text": "old"}) + "\n")
+        reads = []
+
+        class Batch:  # a file that changed between the reads
+            def __iter__(self):
+                reads.append(len(reads))
+                ids = ["s0", "s1", "s3"] if len(reads) == 1 else ["s1", "s1", "s2", "s3"]
+                return iter([req(sid) for sid in ids])
+
+        with pytest.raises(EndpointError) as caught:
+            generate_batch(Batch(), mock_endpoint.url, FAST, out_path=out)
+        assert caught.value.failures == [("s0", "not in the batch when it was read again")]
+        assert reads == [0, 1]
+        assert mock_endpoint.prompts_seen() == ["prompt for s1"]
+        assert [(r.sample_id, r.attempt) for r in caught.value.results] == [("s1", 1), ("s3", 0)]
+
+    @pytest.mark.parametrize("one_shot", [
+        pytest.param(lambda requests: iter(requests), id="iterator"),
+        pytest.param(lambda requests: (r for r in requests), id="generator"),
+    ])
+    def test_a_batch_that_cannot_be_read_twice_is_refused_before_anything_is_sent(
+        self, mock_endpoint, tmp_path, one_shot
+    ):
+        out = tmp_path / "gen.jsonl"
+        with pytest.raises(TypeError, match="re-iterable"):
+            generate_batch(one_shot([req("s0"), req("s1")]), mock_endpoint.url, FAST, out_path=out)
+        assert mock_endpoint.requests == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_last_row_without_its_newline_keeps_a_line_of_its_own(self, mock_endpoint, tmp_path):
         out = tmp_path / "gen.jsonl"

@@ -1,6 +1,5 @@
 """Sample extraction, seeded splitting, statistics, and dataset files."""
 
-import dataclasses
 import json
 
 import pytest
@@ -260,7 +259,7 @@ class TestDatasetFiles:
         path = tmp_path / "dataset.jsonl"
         write_dataset(samples, path)
         before = path.read_bytes()
-        bad = [samples[0], dataclasses.replace(samples[1], targets=None)]
+        bad = [samples[0], samples[1]._replace(targets=None)]
         with pytest.raises(TypeError):
             write_dataset(bad, path)
         assert path.read_bytes() == before
@@ -270,7 +269,7 @@ class TestDatasetFiles:
         first = TargetPaper("t1", "Title", "Abstract.", None, "Done.")
         second = TargetPaper("t2", abstract="Other.")
         samples = [
-            CitationSample(f"s:0:{i}", "s", "Source.", [dataclasses.replace(first), second], "Cited.")
+            CitationSample(f"s:0:{i}", "s", "Source.", [first._replace(), second], "Cited.")
             for i in range(5)
         ]
         path = tmp_path / "dataset.jsonl"

@@ -12,7 +12,7 @@ import pytest
 from citepipe.cli import main
 from citepipe.dataset import PaperReferencer, read_dataset, write_dataset
 from citepipe.jsonl import dump_row
-from citepipe.kg import read_enriched, write_enriched
+from citepipe.kg import SECTIONS, read_enriched, write_enriched
 
 from conftest import inline_enriched_row, inline_sample_row
 
@@ -205,8 +205,14 @@ def name_papers(row, names):
          "the block at ('t1', 'abstract') names ('t2', 'abstract')"),
         (lambda row: row["source_triplets"].update(section="conclusion"),
          "the block at ('s1', 'abstract') names ('s1', 'conclusion')"),
+        # the flag kg-merge sets from the blocks, flipped
+        (lambda row: row.update(missing_target_triplets=True),
+         "missing_target_triplets is true, but a target has triplets"),
+        (lambda row: [tt.update(dict.fromkeys(SECTIONS)) for tt in row["target_triplets"]],
+         "missing_target_triplets is false, but no target has triplets"),
     ],
-    ids=["fewer-entries", "other-papers", "swapped-papers", "block-names-another-paper", "block-names-another-section"],
+    ids=["fewer-entries", "other-papers", "swapped-papers", "block-names-another-paper", "block-names-another-section",
+         "flag-without-its-blocks", "blocks-without-their-flag"],
 )
 def test_prompts_refuses_an_enriched_row_whose_triplets_are_not_at_their_place(edit, message, tmp_path, capsys):
     # every block is read by its place in the row, so a row that says otherwise is corrupt

@@ -1,7 +1,6 @@
 """Triplet ingest, normalization, sample enrichment, and rendering."""
 
 import copy
-import dataclasses
 import json
 from unittest import mock
 
@@ -295,14 +294,18 @@ class TestEnrichedFiles:
     @pytest.mark.parametrize(
         "misplace, message",
         [
-            (lambda es: setattr(es.target_triplets[0], "abstract", TripletSet("t2", "abstract")),
+            (lambda es, one, two: es._replace(
+                target_triplets=[one._replace(abstract=TripletSet("t2", "abstract")), two]),
              r"the block of \('t2', 'abstract'\) is at \('t1', 'abstract'\)"),
-            (lambda es: setattr(es.target_triplets[1], "introduction", TripletSet("t2", "conclusion")),
+            (lambda es, one, two: es._replace(
+                target_triplets=[one, two._replace(introduction=TripletSet("t2", "conclusion"))]),
              r"the block of \('t2', 'conclusion'\) is at \('t2', 'introduction'\)"),
-            (lambda es: setattr(es, "source_triplets", TripletSet("t1", "abstract")),
+            (lambda es, one, two: es._replace(source_triplets=TripletSet("t1", "abstract")),
              r"the block of \('t1', 'abstract'\) is at \('s1', 'abstract'\)"),
-            (lambda es: es.target_triplets.pop(), "target_triplets do not name its targets in order"),
-            (lambda es: es.target_triplets.reverse(), "target_triplets do not name its targets in order"),
+            (lambda es, one, two: es._replace(target_triplets=[one]),
+             "target_triplets do not name its targets in order"),
+            (lambda es, one, two: es._replace(target_triplets=[two, one]),
+             "target_triplets do not name its targets in order"),
         ],
         ids=["another-paper", "another-section", "source", "fewer-entries", "swapped-entries"],
     )
@@ -310,7 +313,7 @@ class TestEnrichedFiles:
         # kg-merge takes each block from the store by its place; a block
         # placed elsewhere would read back under its place's key
         rows = list(attach_triplets([sample("s1:0:0"), sample("s1:0:1")], TripletStore()))
-        misplace(rows[1])
+        rows[1] = misplace(rows[1], *rows[1].target_triplets)
         out = tmp_path / "enriched.jsonl"
         with pytest.raises(ValueError, match=f"^sample 's1:0:1': {message}$"):
             write_enriched(rows, out)
@@ -345,7 +348,7 @@ def enriched_rows(draw):
     blocks: dict = {}  # by place, the block first drawn there
 
     def pick(pool, fresh, nullable=False):
-        choices = [st.sampled_from(pool), st.sampled_from(pool).map(dataclasses.replace), fresh]
+        choices = [st.sampled_from(pool), st.sampled_from(pool).map(copy.copy), fresh]
         return draw(st.one_of(choices + [st.none()] * nullable))
 
     def block_at(paper_id, section, nullable=False):
@@ -360,7 +363,9 @@ def enriched_rows(draw):
         per_target = [
             TargetTriplets(t.paper_id, *(block_at(t.paper_id, s, nullable=True) for s in SECTIONS)) for t in targets
         ]
-        rows.append(EnrichedSample(sample, block_at(source, "abstract"), per_target, draw(st.booleans())))
+        # the flag attach_triplets sets, which the reader checks
+        missing = not any(tt.has_any() for tt in per_target)
+        rows.append(EnrichedSample(sample, block_at(source, "abstract"), per_target, missing))
     return rows
 
 
@@ -480,7 +485,7 @@ class TestEncoding:
         other = TargetPaper("t2", abstract="Two.")
         samples = [
             CitationSample(f"s:{i}", "s", "Source.", [target, other], "Cited.")
-            for i, target in enumerate([first, dataclasses.replace(first), edited, first, first])
+            for i, target in enumerate([first, first._replace(), edited, first, first])
         ]
         out = tmp_path / "enriched.jsonl"
         write_enriched(attach_triplets(samples, TripletStore()), out)

@@ -105,9 +105,10 @@ GOLDEN_KG = GOLDEN_BASELINE.replace(
 def sectioned_enriched() -> EnrichedSample:
     """tiny_enriched with body texts: target 1 has both, target 2 a conclusion only."""
     enriched = tiny_enriched()
-    first, second = enriched.sample.targets
-    first.introduction, first.conclusion = "Intro one.", "Concl one."
-    second.conclusion = "Concl two."
+    targets = enriched.sample.targets
+    first, second = targets
+    targets[0] = first._replace(introduction="Intro one.", conclusion="Concl one.")
+    targets[1] = second._replace(conclusion="Concl two.")
     return enriched
 
 
@@ -221,8 +222,7 @@ class TestGoldenPrompts:
 
     def test_optional_body_text_sections(self):
         sample = tiny_sample()
-        sample.targets[0].introduction = "Intro text."
-        sample.targets[0].conclusion = "Concl text."
+        sample.targets[0] = sample.targets[0]._replace(introduction="Intro text.", conclusion="Concl text.")
         off = render_baseline(sample, BIG).text
         assert "Target paper 1 introduction:" not in off
         on = render_baseline(
