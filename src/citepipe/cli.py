@@ -37,7 +37,6 @@ _LAYERS = {
     "corpus": ("IngestStats", "corpus_files", "stream_corpus"),
     "dataset": (
         "ExtractStats",
-        "PaperReferencer",
         "SplitSpec",
         "build_lookup",
         "compute_stats",
@@ -212,7 +211,7 @@ def split(args: argparse.Namespace) -> None:
     digests: dict = {}  # the three manifests hash the dataset once
     for name, part in zip(("train", "validation", "test"), parts):
         part_path = Path(args.out_dir) / f"{name}.jsonl"
-        written = write_dataset(part, part_path, PaperReferencer())  # each part stands alone
+        written = write_dataset(part, part_path, referencing=True)  # each part stands alone
         write_run_manifest(
             part_path,
             f"split:{name}",
@@ -255,6 +254,8 @@ def prompts(args: argparse.Namespace) -> None:
     """Compose budgeted prompts from a dataset or an enriched dataset."""
     _bind("dataset", "kg", "prompts")
     budget = TokenBudget(max_tokens=args.max_tokens, reserve_for_response=args.reserve_for_response)
+    if args.triplet_budget is not None and args.triplet_budget < 0:  # refused in either mode, as no run could use it
+        raise ValueError(f"triplet budget must not be negative: {args.triplet_budget}")
     if args.mode == "baseline":
         if args.dataset is None:
             args.parser.error("--mode baseline needs --dataset")

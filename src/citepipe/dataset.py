@@ -8,9 +8,9 @@ to a paper already in the target set, so a contiguous discussion of the
 same papers travels as one passage.
 
 How rows go on disk is the README's "File formats": dataset rows stand
-alone, split parts and enriched files hold each paper once (`PaperReferencer`
-writes that rule, and `sample_from_dict` and `last_entry` read it), and a
-field at its reader's default is left out.
+alone, split parts and enriched files hold each paper once (`is_last` and
+`last_entry` state that rule, which `sample_encoder` writes and
+`sample_from_dict` reads), and a field at its reader's default is left out.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Na
 
 from . import __version__
 from .config import DEFAULTS
-from .jsonl import Frozen, Record, dump_row, iter_rows, json_digest, row_fields, write_text
+from .jsonl import Frozen, Record, dump_row, iter_rows, json_digest, row_fields, without_nulls, write_text
 
 if TYPE_CHECKING:
     from .corpus import BodySection, PaperRecord
@@ -294,73 +294,43 @@ def compute_stats(samples: list[CitationSample]) -> DatasetStats:
 
 def _target_to_dict(target: TargetPaper) -> dict:
     """A target's entry; a null section is left out, as its reader's default."""
-    row = {"paper_id": target.paper_id, "title": target.title, "abstract": target.abstract}
-    if target.introduction is not None:
-        row["introduction"] = target.introduction
-    if target.conclusion is not None:
-        row["conclusion"] = target.conclusion
-    return row
+    return without_nulls(target)
 
 
-def _sample_fields(sample: CitationSample) -> dict:
-    """Every field of a sample's row but `targets`."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "sample_id": sample.sample_id,
-        "source_paper_id": sample.source_paper_id,
-        "source_abstract": sample.source_abstract,
-        "section_name": sample.section_name,
-        "citation_text": sample.citation_text,
-    }
-
-
-class PaperReferencer:
-    """Which of a paper's text a row writes in a file that holds it once; keep
-    one per file written. A target is its full entry the first time its paper
-    appears, or when it differs from the last full entry written for that
-    paper_id, and otherwise the bare id, which `sample_from_dict` resolves to
-    that entry. A source abstract is written likewise, and a row whose source
-    abstract equals the last one written for its source_paper_id leaves it out."""
-
-    def __init__(self):
-        self._targets: dict[str, tuple[TargetPaper, str]] = {}  # each paper's last full entry and encoded id
-        self._sources: dict[str, str] = {}  # the last abstract written for each source
-
-    def target(self, target: TargetPaper) -> str:
-        """The encoding of `target`."""
-        last = self._targets.get(target.paper_id)
-        if last is not None and (last[0] is target or last[0] == target):
-            return last[1]
-        self._targets[target.paper_id] = (target, dump_row(target.paper_id))
-        return dump_row(_target_to_dict(target))
-
-    def writes_source_abstract(self, sample: CitationSample) -> bool:
-        """Whether the row of `sample` holds its source abstract."""
-        last = self._sources.get(sample.source_paper_id)
-        if last is sample.source_abstract or last == sample.source_abstract:
-            return False
-        self._sources[sample.source_paper_id] = sample.source_abstract
-        return True
-
-
-def sample_encoder(referencer: PaperReferencer | None = None) -> Callable[[CitationSample], str]:
+def sample_encoder(referencing: bool = False) -> Callable[[CitationSample], str]:
     """The row of a sample: its fields and each target's entry, a target that
     is or equals the last one of its paper_id reusing its bytes (see
-    `last_entry`); given a `referencer`, it decides the form of each target and
-    whether a row holds its source abstract."""
-    if referencer is None:
-        encoded: dict = {}
+    `last_entry`). A `referencing` encoder, for a file that holds each paper
+    once, writes such a target as its bare id instead and leaves out a source
+    abstract that is or equals the last one of its source_paper_id; its table
+    keeps each key's last entry with the bytes of its reference, not its own,
+    so it holds no paper's text encoded."""
+    table: dict = {}
 
-        def encode_target(target: TargetPaper) -> str:
-            return last_entry(encoded, target.paper_id, target, lambda t: dump_row(_target_to_dict(t)))
-
-    else:
-        encode_target = referencer.target
+    def encode_target(target: TargetPaper) -> str:
+        key = target.paper_id
+        if not referencing:
+            return last_entry(table, key, target, lambda t: dump_row(_target_to_dict(t)))
+        if is_last(table, key, target):
+            return table[key][1]
+        table[key] = (target, dump_row(key))
+        return dump_row(_target_to_dict(target))
 
     def encode(sample: CitationSample) -> str:
-        fields = _sample_fields(sample)
-        if referencer is not None and not referencer.writes_source_abstract(sample):
-            del fields["source_abstract"]
+        fields = {
+            "schema_version": SCHEMA_VERSION,
+            "sample_id": sample.sample_id,
+            "source_paper_id": sample.source_paper_id,
+            "source_abstract": sample.source_abstract,
+            "section_name": sample.section_name,
+            "citation_text": sample.citation_text,
+        }
+        if referencing:
+            source = (sample.source_paper_id,)
+            if is_last(table, source, sample.source_abstract):
+                del fields["source_abstract"]
+            else:
+                table[source] = (sample.source_abstract, None)
         head = dump_row(fields)
         # "targets" sorts after every other key, so it closes the object
         targets = ", ".join([encode_target(t) for t in sample.targets])
@@ -375,16 +345,23 @@ _TARGET = {"paper_id": str, "title": str, "abstract": str, "introduction": (str,
 _TARGET_DEFAULTS = {"title": "", "abstract": "", "introduction": None, "conclusion": None}
 
 
-def last_entry(papers: dict, key: Any, entry: Any, parse: Callable[[Any], Any]) -> Any:
-    """`parse(entry)` for an entry of `key`, raw JSON or an object, by the
-    README's "Each paper once per file": `papers` holds each key's last entry
-    and result, which an entry that is or equals it takes. JSON equal to it
-    needs no check, as a string equals only a string and null only null; a
-    target whose paper_id is not a string has the key None, for `parse` to name."""
+def is_last(papers: dict, key: Any, entry: Any) -> bool:
+    """Whether `entry` is or equals the last entry of `key` in `papers`, the
+    table of a file by the README's "Each paper once per file", which holds
+    each key's last entry and its result."""
     last = papers.get(key)
-    if last is None or (last[0] is not entry and last[0] != entry):
-        last = papers[key] = (entry, parse(entry))
-    return last[1]
+    return last is not None and (last[0] is entry or last[0] == entry)
+
+
+def last_entry(papers: dict, key: Any, entry: Any, parse: Callable[[Any], Any]) -> Any:
+    """`parse(entry)` for an entry of `key`, raw JSON or an object: the result
+    of the last entry of `key` in `papers` when `entry` is or equals it
+    (`is_last`), which then needs no parse. JSON equal to it needs no check,
+    as a string equals only a string and null only null; a target whose
+    paper_id is not a string has the key None, for `parse` to name."""
+    if not is_last(papers, key, entry):
+        papers[key] = (entry, parse(entry))
+    return papers[key][1]
 
 
 def _target(raw: Any) -> TargetPaper:
@@ -410,11 +387,11 @@ def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
     source = (source_id,)
     if "source_abstract" in row:
         (abstract,) = row_fields(row, _SOURCE_ABSTRACT)
-        if papers.get(source) != abstract:
-            papers[source] = abstract
-    elif source not in papers:
+        abstract = last_entry(papers, source, abstract, str)  # rows of one source share one string
+    elif source in papers:
+        abstract = papers[source][1]
+    else:
         raise ValueError(f"source {source_id!r} has no source_abstract in this row or an earlier one")
-    abstract = papers[source]  # rows of one source share one string
     targets = []
     for t in raw_targets:
         if type(t) is str:
@@ -428,16 +405,12 @@ def sample_from_dict(row: dict, papers: dict | None = None) -> CitationSample:
     return CitationSample(sample_id, source_id, abstract, targets, citation, section)
 
 
-def write_dataset(
-    samples: list[CitationSample],
-    path: str | Path,
-    referencer: PaperReferencer | None = None,
-) -> dict:
-    """Write samples as JSONL, with every row standalone or, given a
-    `PaperReferencer`, each paper's text once; returns the sample count,
+def write_dataset(samples: list[CitationSample], path: str | Path, referencing: bool = False) -> dict:
+    """Write samples as JSONL, with every row standalone or, `referencing`,
+    each paper's text once (see `sample_encoder`); returns the sample count,
     stats digest and builder/schema versions, which the stage records in its
     `.run.json`."""
-    encode = sample_encoder(referencer)
+    encode = sample_encoder(referencing)
     return {
         "samples": write_text(path, (encode(sample) + "\n" for sample in samples)),
         "stats_digest": json_digest(compute_stats(samples).to_dict()),

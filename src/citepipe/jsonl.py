@@ -163,6 +163,12 @@ def dump_row(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
+def without_nulls(record: tuple) -> dict:
+    """A named tuple's entry, each field by name but a null one, which is
+    left out as its reader's default."""
+    return {name: value for name, value in zip(record._fields, record) if value is not None}
+
+
 def write_text(path: str | Path, chunks: Iterable[str]) -> int:
     """Replace `path` with the chunks via a hidden temp file and `os.replace`,
     so a failure or interrupt leaves `path` as it was; first it removes the

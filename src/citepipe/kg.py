@@ -19,8 +19,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .dataset import CitationSample, PaperReferencer, last_entry, sample_encoder, sample_from_dict
-from .jsonl import Record, dump_row, iter_jsonl, iter_rows, row_fields, write_text
+from .dataset import CitationSample, last_entry, sample_encoder, sample_from_dict
+from .jsonl import Record, dump_row, iter_jsonl, iter_rows, row_fields, without_nulls, write_text
 
 SECTIONS = ("abstract", "introduction", "conclusion")
 
@@ -207,12 +207,15 @@ def attach_triplets(
 def render_triplets(tset: TripletSet | None, budget: int | None = None) -> str:
     """Render as "(head | relation | tail)" joined by "; ".
 
-    A budget keeps only the first `budget` triplets; None keeps all. Empty
-    or missing sets render as the empty string.
+    A budget keeps only the first `budget` triplets; None keeps all, and a
+    negative one is a ValueError. Empty or missing sets render as the empty
+    string.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"triplet budget must not be negative: {budget}")
     if tset is None or not tset.triplets:
         return ""
-    triplets = tset.triplets if budget is None else tset.triplets[: max(budget, 0)]
+    triplets = tset.triplets if budget is None else tset.triplets[:budget]
     return "; ".join(f"({t.head} | {t.relation} | {t.tail})" for t in triplets)
 
 
@@ -233,19 +236,9 @@ def pooled_triplets(target: TargetTriplets) -> TripletSet:
 
 # Serialization for the enriched dataset written between pipeline stages.
 
-def _triplet_to_dict(t: KGTriplet) -> dict:
-    """A triplet's entry; a null type is left out, as its reader's default."""
-    row = {"head": t.head, "relation": t.relation, "tail": t.tail}
-    if t.head_type is not None:
-        row["head_type"] = t.head_type
-    if t.tail_type is not None:
-        row["tail_type"] = t.tail_type
-    return row
-
-
 def _tset_to_dict(tset: TripletSet) -> dict:
     """A block's entry: its triplets, as its place in its row is its key."""
-    return {"triplets": [_triplet_to_dict(t) for t in tset.triplets]}
+    return {"triplets": [without_nulls(t) for t in tset.triplets]}
 
 
 def _tset_from_dict(row: dict | None, papers: dict, paper_id: str, section: str) -> TripletSet | None:
@@ -301,11 +294,12 @@ def write_enriched(samples: Iterable[EnrichedSample], path: str | Path) -> int:
     """Write one row per sample by the README's "File formats": a paper's text
     once, so a later mention of a target whose fields equal its last full
     entry is its bare id, and a source abstract equal to the last one written
-    for its source_paper_id is left out (see `PaperReferencer`); and a block
-    by its place, reusing the bytes of the last block there that it is or
-    equals. A sample whose `target_triplets` do not name its targets in order,
-    or whose block is not its place's, is a ValueError, and `path` is kept."""
-    encode_sample = sample_encoder(PaperReferencer())
+    for its source_paper_id is left out (`sample_encoder(referencing=True)`);
+    and a block by its place, reusing the bytes of the last block there that
+    it is or equals. A sample whose `target_triplets` do not name its targets
+    in order, or whose block is not its place's, is a ValueError, and `path`
+    is kept."""
+    encode_sample = sample_encoder(referencing=True)
     encoded: dict = {}
 
     def block(es: EnrichedSample, tset: TripletSet | None, *place: str) -> str:

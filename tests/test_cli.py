@@ -42,9 +42,11 @@ from citepipe.dataset import (
 )
 from citepipe.jsonl import dump_row, file_digest, json_digest
 from citepipe.kg import read_enriched
-from citepipe.prompts import TokenBudget
+from citepipe.prompts import TokenBudget, render_kg
 
 from conftest import inline_enriched_row, inline_sample_row, make_record
+
+V2_FIXTURES = Path(__file__).parent / "fixtures" / "v2"
 
 # `config_sha256` of the built-in configuration; a run with no --config records it
 DEFAULT_CONFIG_SHA256 = "160b0eef91c417bb320d836155333ffbea61d7e33260c8f8a3e7923f8315764a"
@@ -580,6 +582,20 @@ class TestKgMerge:
         assert f"{dataset}: line 4: " in err
         assert {p.name: p.read_bytes() for p in out_path.parent.iterdir()} == before
 
+    def test_the_scierc_vocabulary_counts_a_label_outside_it_and_alters_none(
+        self, dataset, triplets_file, tmp_path, capsys
+    ):
+        unknown, written = [], []
+        for flags in ([], ["--scierc-vocabulary"]):
+            out_path = tmp_path / f"enriched{len(flags)}.jsonl"
+            argv = ["kg-merge", "--dataset", str(dataset), "--triplets", str(triplets_file), "--out", str(out_path)]
+            assert run(capsys, *argv, *flags)[0] == 0
+            unknown.append(read_run_manifest(out_path)["counts"]["ingest"]["unknown_relations"])
+            written.append(out_path.read_bytes())
+        # the file's one label, `used-for`, is not SciERC's `Used-For`
+        assert unknown == [0, 1]
+        assert written[0] == written[1]
+
 
 class TestPrompts:
     def test_baseline_prompts(self, dataset, tmp_path, capsys):
@@ -632,6 +648,39 @@ class TestPrompts:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "dataset.jsonl", "prompts.jsonl", "prompts.jsonl.run.json"
         ]
+
+    def test_kg_options_render_as_render_kg_does(self, tmp_path, capsys):
+        enriched, out_path = V2_FIXTURES / "enriched.jsonl", tmp_path / "prompts.jsonl"
+        code, _, err = run(
+            capsys, "prompts", "--mode", "kg", "--enriched", str(enriched), "--out", str(out_path),
+            "--pooled", "--no-empty-kg-headers", "--triplet-budget", "1",
+        )
+        assert (code, err) == (0, "")
+        expected = [
+            render_kg(es, TokenBudget(), triplet_budget=1, include_empty_kg_headers=False, pooled=True)
+            for es in read_enriched(enriched)
+        ]
+        assert [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()] == [
+            {"sample_id": p.sample_id, "prompt": p.text, "response": p.gold_response} for p in expected
+        ]
+
+    @pytest.mark.parametrize("mode", ["baseline", "kg"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_a_negative_triplet_budget_exits_1_before_any_file_is_written(self, mode, given, tmp_path, capsys):
+        out_path = tmp_path / "out" / "prompts.jsonl"
+        out_path.parent.mkdir()
+        source = {"baseline": "dataset", "kg": "enriched"}[mode]
+        argv = ["prompts", "--mode", mode, f"--{source}", str(V2_FIXTURES / f"{source}.jsonl"), "--out", str(out_path)]
+        if given == "flag":
+            argv, budget = [*argv, "--triplet-budget", "-3"], -3
+        else:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text("budget:\n  triplet_budget: -2\n", encoding="utf-8")
+            argv, budget = ["--config", str(cfg), *argv], -2
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: triplet budget must not be negative: {budget}\n"
+        assert list(out_path.parent.iterdir()) == []
 
     def test_mode_input_mismatch(self, dataset, tmp_path, capsys):
         code, _, err = run(capsys, "prompts", "--mode", "kg", "--out", str(tmp_path / "p"))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from citepipe.cli import main
-from citepipe.dataset import PaperReferencer, read_dataset, write_dataset
+from citepipe.dataset import read_dataset, write_dataset
 from citepipe.jsonl import dump_row
 from citepipe.kg import SECTIONS, read_enriched, write_enriched
 
@@ -85,8 +85,8 @@ def test_the_writers_write_the_inline_samples_as_the_referenced_files(name, tmp_
     source, out = FIXTURES / "inline" / f"{name}.jsonl", tmp_path / f"{name}.jsonl"
     if name == "enriched":
         write_enriched(read_enriched(source), out)
-    else:  # `build` writes every row standalone, `split` each part through a referencer
-        write_dataset(read_dataset(source), out, PaperReferencer() if name == "train" else None)
+    else:  # `build` writes every row standalone, `split` each part referencing
+        write_dataset(read_dataset(source), out, referencing=name == "train")
     assert out.read_bytes() == (FIXTURES / "v2" / f"{name}.jsonl").read_bytes()
 
 

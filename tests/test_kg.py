@@ -12,7 +12,6 @@ from citepipe import dataset, kg
 from citepipe.dataset import (
     SCHEMA_VERSION,
     CitationSample,
-    PaperReferencer,
     TargetPaper,
     iter_dataset,
     read_dataset,
@@ -248,6 +247,8 @@ class TestRender:
         assert render_triplets(tset, budget=2) == "(h0 | Used-For | t0); (h1 | Used-For | t1)"
         assert render_triplets(tset, budget=0) == ""
         assert render_triplets(tset, budget=99).count(";") == 4
+        with pytest.raises(ValueError, match="triplet budget must not be negative: -1"):
+            render_triplets(tset, budget=-1)
 
     def test_none_and_empty_render_empty(self):
         assert render_triplets(None) == ""
@@ -418,7 +419,7 @@ class TestEncoding:
         out = scratch_dir
         samples = [es.sample for es in rows]
         write_dataset(samples, out / "dataset.jsonl")
-        write_dataset(samples, out / "part.jsonl", PaperReferencer())
+        write_dataset(samples, out / "part.jsonl", referencing=True)
         write_enriched(rows, out / "enriched.jsonl")
         assert (out / "dataset.jsonl").read_bytes() == "".join(
             dump_row(written_sample_row(s)) + "\n" for s in samples
@@ -439,7 +440,7 @@ class TestEncoding:
         assert read_dataset(out / "part.jsonl") == read_dataset(out / "dataset.jsonl") == read_dataset(inline) == samples
         # the shared objects read back write the same bytes again
         write_dataset(read_dataset(out / "dataset.jsonl"), out / "dataset-again.jsonl")
-        write_dataset(read_dataset(out / "part.jsonl"), out / "part-again.jsonl", PaperReferencer())
+        write_dataset(read_dataset(out / "part.jsonl"), out / "part-again.jsonl", referencing=True)
         write_enriched(read_enriched(out / "enriched.jsonl"), out / "enriched-again.jsonl")
         assert (out / "dataset-again.jsonl").read_bytes() == (out / "dataset.jsonl").read_bytes()
         assert (out / "part-again.jsonl").read_bytes() == (out / "part.jsonl").read_bytes()
