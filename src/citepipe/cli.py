@@ -209,15 +209,19 @@ def split(args: argparse.Namespace) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     sizes = []
     digests: dict = {}  # the three manifests hash the dataset once
+    train_sources = {s.source_paper_id for s in parts[0]}
     for name, part in zip(("train", "validation", "test"), parts):
         part_path = Path(args.out_dir) / f"{name}.jsonl"
         written = write_dataset(part, part_path, referencing=True)  # each part stands alone
+        sources = {s.source_paper_id for s in part}
+        # a held-out part's source papers that train holds too, as their samples share an abstract
+        leaked = {} if name == "train" else {"sources_in_train": len(sources & train_sources)}
         write_run_manifest(
             part_path,
             f"split:{name}",
             [args.dataset],
             args.config,
-            counts={**written, "seed": spec.seed},
+            counts={**written, "seed": spec.seed, "source_papers": len(sources), **leaked},
             digests=digests,
         )
         sizes.append(len(part))

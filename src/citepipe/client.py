@@ -73,8 +73,10 @@ class ClientPolicy(Frozen):
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # NaN fails both comparisons
                 raise ValueError(f"{name} must be non-negative and finite, not {value!r}")
-        if not math.isfinite(self.temperature):
-            raise ValueError(f"temperature must be finite, not {self.temperature!r}")
+        if self.max_new_tokens < 1:
+            raise ValueError(f"max_new_tokens must be positive, not {self.max_new_tokens!r}")
+        if not 0 <= self.temperature < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"temperature must be finite and non-negative, not {self.temperature!r}")
 
 
 class EndpointError(OSError):

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Na
 
 from . import __version__
 from .config import DEFAULTS
-from .jsonl import Frozen, Record, dump_row, iter_rows, json_digest, row_fields, without_nulls, write_text
+from .jsonl import Frozen, Record, dump_object, dump_row, iter_rows, json_digest, row_fields, without_nulls, write_text
 
 if TYPE_CHECKING:
     from .corpus import BodySection, PaperRecord
@@ -331,10 +331,7 @@ def sample_encoder(referencing: bool = False) -> Callable[[CitationSample], str]
                 del fields["source_abstract"]
             else:
                 table[source] = (sample.source_abstract, None)
-        head = dump_row(fields)
-        # "targets" sorts after every other key, so it closes the object
-        targets = ", ".join([encode_target(t) for t in sample.targets])
-        return f'{head[:-1]}, "targets": [{targets}]}}'
+        return dump_object(fields, targets=[encode_target(t) for t in sample.targets])
 
     return encode
 

@@ -1,9 +1,12 @@
 """How every artifact goes on disk and comes back: one atomic writer, one
-canonical row encoding (an object shared by rows is encoded by the rule of
-`dataset.last_entry`), indented JSON documents (with a long list written from
-its rows' encodings, a row per line), one strict line reader (lazy, or listed
-whole), the one field-type rule every row reader checks with, the base of
-the records that are not named tuples, and file and JSON digests.
+canonical row encoding (`dump_row`: sorted keys, unescaped UTF-8, and `,`
+and `:` with no space after them; `dump_object` writes it for an object some
+of whose values are encoded already, and an object shared by rows is encoded
+by the rule of `dataset.last_entry`), indented JSON documents (with a long
+list written from its rows' encodings, a row per line), one strict line
+reader (lazy, or listed whole; readers take any spacing), the one field-type
+rule every row reader checks with, the base of the records that are not
+named tuples, and file and JSON digests.
 """
 
 from __future__ import annotations
@@ -158,9 +161,19 @@ def read_generations(path: str | Path) -> dict[str, str]:
     return texts
 
 
-def dump_row(obj: Any) -> str:
-    # sort_keys keeps files byte-stable across runs
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+# The one row encoding, made once: sorted keys keep files byte-stable across
+# runs, and no space follows a separator.
+dump_row: Callable[[Any], str] = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+
+
+def dump_object(fields: Mapping[str, Any], **encoded: str | list[str]) -> str:
+    """`dump_row` of the object of `fields` and `encoded`, whose keys differ,
+    where each value of `encoded` is given as its `dump_row` encoding, or a
+    list as its items' encodings, so a writer can reuse bytes it encoded once."""
+    for key, value in fields.items():
+        encoded[key] = dump_row(value)
+    items = [dump_row(k) + ":" + (v if type(v) is str else "[" + ",".join(v) + "]") for k, v in sorted(encoded.items())]
+    return "{" + ",".join(items) + "}"
 
 
 def without_nulls(record: tuple) -> dict:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .dataset import CitationSample, last_entry, sample_encoder, sample_from_dict
-from .jsonl import Record, dump_row, iter_jsonl, iter_rows, row_fields, without_nulls, write_text
+from .jsonl import Record, dump_object, dump_row, iter_jsonl, iter_rows, row_fields, without_nulls, write_text
 
 SECTIONS = ("abstract", "introduction", "conclusion")
 
@@ -295,39 +295,37 @@ def write_enriched(samples: Iterable[EnrichedSample], path: str | Path) -> int:
     once, so a later mention of a target whose fields equal its last full
     entry is its bare id, and a source abstract equal to the last one written
     for its source_paper_id is left out (`sample_encoder(referencing=True)`);
-    and a block by its place, reusing the bytes of the last block there that
-    it is or equals. A sample whose `target_triplets` do not name its targets
+    and a block by its place; a block, or a target's entry of blocks, reuses
+    the bytes of the last one of its place or paper_id that it is or equals.
+    A sample whose `target_triplets` do not name its targets
     in order, or whose block is not its place's, is a ValueError, and `path`
     is kept."""
     encode_sample = sample_encoder(referencing=True)
-    encoded: dict = {}
+    encoded: dict = {}  # by place, a block's bytes; by paper_id, a target entry's
 
     def block(es: EnrichedSample, tset: TripletSet | None, *place: str) -> str:
         if tset is None:
-            return "null"
+            return dump_row(None)
         if (tset.paper_id, tset.section) != place:
             raise ValueError(f"sample {es.sample.sample_id!r}: the block of {(tset.paper_id, tset.section)} is at {place}")
         return last_entry(encoded, place, tset, lambda t: dump_row(_tset_to_dict(t)))
 
+    def target(es: EnrichedSample, tt: TargetTriplets) -> str:
+        return dump_object(
+            {"paper_id": tt.paper_id},
+            abstract=block(es, tt.abstract, tt.paper_id, "abstract"),
+            conclusion=block(es, tt.conclusion, tt.paper_id, "conclusion"),
+            introduction=block(es, tt.introduction, tt.paper_id, "introduction"),
+        )
+
     def row(es: EnrichedSample) -> str:
         if [tt.paper_id for tt in es.target_triplets] != [t.paper_id for t in es.sample.targets]:
             raise ValueError(f"sample {es.sample.sample_id!r}: target_triplets do not name its targets in order")
-        # keys in sorted order, as dump_row writes them
-        targets = ", ".join(
-            [
-                f'{{"abstract": {block(es, tt.abstract, tt.paper_id, "abstract")}, '
-                f'"conclusion": {block(es, tt.conclusion, tt.paper_id, "conclusion")}, '
-                f'"introduction": {block(es, tt.introduction, tt.paper_id, "introduction")}, '
-                f'"paper_id": {dump_row(tt.paper_id)}}}'
-                for tt in es.target_triplets
-            ]
-        )
+        targets = [last_entry(encoded, tt.paper_id, tt, lambda entry: target(es, entry)) for tt in es.target_triplets]
         source = block(es, es.source_triplets, es.sample.source_paper_id, "abstract")
-        return (
-            f'{{"missing_target_triplets": {dump_row(es.missing_target_triplets)}, '
-            f'"sample": {encode_sample(es.sample)}, "source_triplets": {source}, '
-            f'"target_triplets": [{targets}]}}\n'
-        )
+        fields = {"missing_target_triplets": es.missing_target_triplets}
+        sample = encode_sample(es.sample)
+        return dump_object(fields, sample=sample, source_triplets=source, target_triplets=targets) + "\n"
 
     return write_text(path, (row(es) for es in samples))
 

@@ -50,6 +50,27 @@ def write_jsonl_file(path: Path, rows: list[dict]) -> Path:
     return path
 
 
+def compact_row(text: str) -> str:
+    """A JSON row as the README's "File formats" says every row is encoded:
+    sorted keys, unescaped UTF-8, and no space after `,` or `:`. The tests'
+    own statement of the rule, independent of the program's `dump_row`."""
+    return json.dumps(json.loads(text), ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+def compacted(path: Path) -> bytes:
+    """The bytes of `path` with each row re-encoded by `compact_row`: every
+    line of a `.jsonl` file, or each `per_sample` line of a report, which
+    sits indented under its key; every other line is kept as it is."""
+    lines = path.read_text(encoding="utf-8").split("\n")  # not splitlines: a row may hold U+2028
+    for k, line in enumerate(lines):
+        if path.suffix == ".jsonl" and line:
+            lines[k] = compact_row(line)
+        elif line.startswith("    {"):
+            row, comma = (line[4:-1], ",") if line.endswith(",") else (line[4:], "")
+            lines[k] = f"    {compact_row(row)}{comma}"
+    return "\n".join(lines).encode("utf-8")
+
+
 def asdict(record):
     """A record, and every record and list in it, as plain dicts and lists."""
     if hasattr(record, "_asdict"):

@@ -6,6 +6,9 @@ triplet file, against the mock endpoint. Every file the chain writes must
 have the sha256 that `tests/fixtures/chain/digests.json` gives it, so a
 change that alters any artifact's bytes fails here and names the files. A
 change that alters bytes on purpose updates the digests in the same commit.
+Every row of every JSONL file and of the report must also be in the one
+canonical encoding, by the tests' own rule (`conftest.compact_row`), so a
+writer that assembles a row by hand cannot drift from `dump_row`.
 """
 
 import hashlib
@@ -16,6 +19,8 @@ import pytest
 
 from citepipe.cli import main
 from citepipe.jsonl import dump_row
+
+from conftest import compacted
 
 CHAIN = Path(__file__).parent / "fixtures" / "chain"
 
@@ -70,6 +75,8 @@ def test_the_chain_writes_the_committed_bytes(name, mock_endpoint, tmp_path, cap
     assert (prompted["truncated"] > 0) == (name == "kg-truncated")
     generated = json.loads((out / "generated.jsonl.run.json").read_text(encoding="utf-8"))["counts"]
     assert (generated["reused"] > 0) == resume
+    for path in [*sorted(out.rglob("*.jsonl")), out / "report.json"]:
+        assert path.read_bytes() == compacted(path), f"{name}: {path.relative_to(out)} has a row not in canonical form"
     expected = json.loads((CHAIN / "digests.json").read_text(encoding="utf-8")).get(name, {})
     differ = sorted(path for path in expected.keys() | found.keys() if expected.get(path) != found.get(path))
     assert not differ, f"{name}: {', '.join(differ)} differ from digests.json; found {json.dumps(found, indent=2)}"

@@ -49,7 +49,7 @@ from conftest import inline_enriched_row, inline_sample_row, make_record
 V2_FIXTURES = Path(__file__).parent / "fixtures" / "v2"
 
 # `config_sha256` of the built-in configuration; a run with no --config records it
-DEFAULT_CONFIG_SHA256 = "160b0eef91c417bb320d836155333ffbea61d7e33260c8f8a3e7923f8315764a"
+DEFAULT_CONFIG_SHA256 = "15c80288e1af83964167b7382bb67b1558a7efa36c325039a4488fd421378a81"
 
 STATS_ROWS = [
     "# citations",
@@ -227,6 +227,36 @@ class TestSplit:
             "--dataset", str(dataset), "--out-dir", str(tmp_path / "b"), "--seed", "3",
         )
         assert code == 0 and "(seed 3)" in out
+
+
+    @pytest.mark.parametrize("sources, known", [
+        # one source paper: every part holds it, so each held-out part's source is in train
+        ("aaaaaaaaaa", {"train": (1, None), "validation": (1, 1), "test": (1, 1)}),
+        # a source paper per sample: no part shares one
+        ("abcdefghij", {"train": (6, None), "validation": (2, 0), "test": (2, 0)}),
+        # four papers of 4, 3, 2 and 1 samples: the overlap is read back from the parts
+        ("aaaabbbccd", None),
+    ], ids=["one-source", "distinct-sources", "mixed"])
+    def test_each_part_counts_its_source_papers_and_those_in_train(self, sources, known, tmp_path, capsys):
+        targets = [TargetPaper("t1", abstract="One."), TargetPaper("t2", abstract="Two.")]
+        samples = [
+            CitationSample(f"{s}:0:{i}", s, f"Source {s}.", targets, f"Passage {i}.") for i, s in enumerate(sources)
+        ]
+        dataset, out_dir = tmp_path / "dataset.jsonl", tmp_path / "splits"
+        write_dataset(samples, dataset)
+        fractions = ["--train", "0.6", "--validation", "0.2", "--test", "0.2"]
+        code, out, _ = run(capsys, "split", "--dataset", str(dataset), "--out-dir", str(out_dir), *fractions)
+        assert code == 0 and "into 6/2/2" in out
+        held = {
+            name: {s.source_paper_id for s in read_dataset(out_dir / f"{name}.jsonl")}
+            for name in ("train", "validation", "test")
+        }
+        found = {}
+        for name, papers in held.items():
+            counts = read_run_manifest(out_dir / f"{name}.jsonl")["counts"]
+            found[name] = (counts["source_papers"], counts.get("sources_in_train"))
+            assert found[name] == (len(papers), None if name == "train" else len(papers & held["train"]))
+        assert known is None or found == known
 
 
 class TestSplitReferences:
@@ -826,7 +856,7 @@ class TestEnrichedReferences:
         rows = [inline_enriched_row(es) for es in read_enriched(enriched)]
         legacy = tmp_path / "legacy.jsonl"
         legacy.write_text("".join(dump_row(row) + "\n" for row in rows), encoding="utf-8")
-        assert '"head_type": null' in legacy.read_text(encoding="utf-8")
+        assert '"head_type":null' in legacy.read_text(encoding="utf-8")
         assert "head_type" not in enriched.read_text(encoding="utf-8")
         assert enriched.stat().st_size < legacy.stat().st_size
         assert read_enriched(legacy) == read_enriched(enriched)
@@ -1078,6 +1108,13 @@ class TestGenerateEvaluate:
                      "'http://***@127.0.0.1:9/x' is not an http:// or https:// URL with a host and no credentials",
                      id="credentials"),
         pytest.param(("--temperature", "nan"), "temperature must be finite", id="nan-temperature"),
+        pytest.param(("--temperature", "-3"), "temperature must be finite and non-negative", id="negative-temperature"),
+        pytest.param(("--config", "endpoint:\n  temperature: -0.5\n"), "temperature must be finite and non-negative",
+                     id="negative-config-temperature"),
+        pytest.param(("--max-new-tokens", "0"), "max_new_tokens must be positive", id="zero-max-new-tokens"),
+        pytest.param(("--max-new-tokens", "-5"), "max_new_tokens must be positive", id="negative-max-new-tokens"),
+        pytest.param(("--config", "endpoint:\n  max_new_tokens: 0\n"), "max_new_tokens must be positive",
+                     id="zero-config-max-new-tokens"),
         pytest.param(("--timeout-seconds", "0"), "timeout_seconds must be positive", id="zero-timeout"),
         pytest.param(("--timeout-seconds", "-1"), "timeout_seconds must be positive", id="negative-timeout"),
         pytest.param(("--timeout-seconds", "1e300"), "timeout_seconds must be positive and at most",
@@ -1106,6 +1143,17 @@ class TestGenerateEvaluate:
         assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1, done.stderr
         assert message in done.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [("--max-new-tokens", "-5"), ("--temperature", "-3")],
+                             ids=["tokens", "temperature"])
+    def test_a_setting_no_request_could_use_sends_no_request(self, setting, mock_endpoint, tmp_path, capsys):
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text("".join(dump_row({"sample_id": i, "prompt": "p"}) + "\n" for i in "abc"))
+        out = tmp_path / "g.jsonl"
+        argv = ["generate", "--prompts", str(prompts), "--out", str(out), "--endpoint", mock_endpoint.url, *setting]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "") and len(err.splitlines()) == 1, err
+        assert mock_endpoint.requests == [] and not out.exists()
 
     @pytest.mark.parametrize("endpoint, token", [
         pytest.param("ftp://nowhere/x", None, id="ftp"),

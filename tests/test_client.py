@@ -149,6 +149,9 @@ class TestRetries:
     @pytest.mark.parametrize("setting", [
         pytest.param({"temperature": float("nan")}, id="nan-temperature"),
         pytest.param({"temperature": float("inf")}, id="inf-temperature"),
+        pytest.param({"temperature": -0.1}, id="negative-temperature"),
+        pytest.param({"max_new_tokens": 0}, id="zero-max-new-tokens"),
+        pytest.param({"max_new_tokens": -5}, id="negative-max-new-tokens"),
         pytest.param({"timeout_seconds": 0.0}, id="zero-timeout"),
         pytest.param({"timeout_seconds": -1.0}, id="negative-timeout"),
         pytest.param({"timeout_seconds": float("inf")}, id="inf-timeout"),

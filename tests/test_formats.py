@@ -1,7 +1,9 @@
 """Every file format a writer ever produced still reads to the same samples
 and renders to the same prompts, today's writers write the newest, and
 `evaluate` writes the same report and table. The fixtures never change with
-the code: their digests are pinned here."""
+the code: their digests are pinned here. They were written with a space after
+each `,` and `:`, so a writer's bytes are compared with a fixture re-encoded
+by the tests' own compact rule (`conftest.compacted`)."""
 
 import hashlib
 import json
@@ -14,7 +16,7 @@ from citepipe.dataset import read_dataset, write_dataset
 from citepipe.jsonl import dump_row
 from citepipe.kg import SECTIONS, read_enriched, write_enriched
 
-from conftest import inline_enriched_row, inline_sample_row
+from conftest import compacted, inline_enriched_row, inline_sample_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FORMATS = ("inline", "referenced", "v2")
@@ -77,7 +79,7 @@ def test_each_format_renders_the_same_prompts(fmt, name, mode, flag, tmp_path, c
     out = tmp_path / "prompts.jsonl"
     argv = ["prompts", "--mode", mode, flag, str(FIXTURES / fmt / f"{name}.jsonl"), "--out", str(out)]
     assert main([*argv, "--include-introductions", "--include-conclusions"]) == 0, capsys.readouterr()
-    assert out.read_bytes() == (FIXTURES / "prompts" / f"{name}.{mode}.jsonl").read_bytes()
+    assert out.read_bytes() == compacted(FIXTURES / "prompts" / f"{name}.{mode}.jsonl")
 
 
 @pytest.mark.parametrize("name", ["dataset", "train", "enriched"])
@@ -87,7 +89,7 @@ def test_the_writers_write_the_inline_samples_as_the_referenced_files(name, tmp_
         write_enriched(read_enriched(source), out)
     else:  # `build` writes every row standalone, `split` each part referencing
         write_dataset(read_dataset(source), out, referencing=name == "train")
-    assert out.read_bytes() == (FIXTURES / "v2" / f"{name}.jsonl").read_bytes()
+    assert out.read_bytes() == compacted(FIXTURES / "v2" / f"{name}.jsonl")
 
 
 def with_version(source: Path, out: Path, lineno: int, version) -> Path:
@@ -110,11 +112,17 @@ def read_samples(path: Path) -> list:
     return read_enriched(path) if path.name == "enriched.jsonl" else read_dataset(path)
 
 
+def spaced_row(row) -> str:
+    """A row as the writers of the frozen fixtures encoded it, with a space
+    after each `,` and `:`."""
+    return json.dumps(row, ensure_ascii=False, sort_keys=True)
+
+
 @pytest.mark.parametrize("name", ["dataset", "train", "enriched"])
 def test_the_tests_reference_encoder_writes_the_inline_files(name):
     path = FIXTURES / "inline" / f"{name}.jsonl"
     encode = inline_enriched_row if name == "enriched" else inline_sample_row
-    assert "".join(dump_row(encode(s)) + "\n" for s in read_samples(path)).encode("utf-8") == path.read_bytes()
+    assert "".join(spaced_row(encode(s)) + "\n" for s in read_samples(path)).encode("utf-8") == path.read_bytes()
 
 
 # a dataset row, a split part's row with bare-id targets, an enriched row's
@@ -233,4 +241,4 @@ def test_evaluate_writes_the_frozen_report_and_table(tmp_path, capsys):
             "--dataset", str(FIXTURES / "inline" / "dataset.jsonl"), "--out", str(out), "--label", "demo"]
     assert main(argv) == 0
     assert capsys.readouterr().out == (report / "table.txt").read_text(encoding="utf-8")
-    assert out.read_bytes() == (report / "report.json").read_bytes()
+    assert out.read_bytes() == compacted(report / "report.json")

@@ -1,5 +1,6 @@
 """Canonical JSONL encoding and digest helpers."""
 
+import hashlib
 import json
 import os
 import signal
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import citepipe
 from citepipe.jsonl import (
+    dump_object,
     dump_row,
     file_digest,
     is_type,
@@ -29,12 +31,20 @@ from citepipe.jsonl import (
 
 def test_dump_row_is_canonical():
     row = {"b": 2, "a": 1}
-    assert dump_row(row) == '{"a": 1, "b": 2}'
+    assert dump_row(row) == '{"a":1,"b":2}'
     assert dump_row({"a": 1, "b": 2}) == dump_row(row)
 
 
 def test_dump_row_keeps_unicode():
-    assert dump_row({"t": "naïve"}) == '{"t": "naïve"}'
+    assert dump_row({"t": "naïve"}) == '{"t":"naïve"}'
+
+
+def test_dump_object_is_dump_row_of_the_whole_object():
+    inner = {"z": [1, "é"], "a": None}
+    row = {"m": True, "b": "x", "k": inner, "c": [inner, 2], "e": []}
+    encoded = dump_object({"m": True, "b": "x"}, k=dump_row(inner), c=[dump_row(inner), dump_row(2)], e=[])
+    assert encoded == dump_row(row)
+    assert encoded == '{"b":"x","c":[{"a":null,"z":[1,"é"]},2],"e":[],"k":{"a":null,"z":[1,"é"]},"m":true}'
 
 
 def test_iter_jsonl_line_numbers_skip_blanks(tmp_path):
@@ -131,7 +141,7 @@ def test_write_json_rows_indents_the_head_and_writes_a_row_per_line(tmp_path):
     # the rows come encoded, and may come from a generator
     write_json_rows(path, {"n": 2, "label": "é"}, "rows", map(dump_row, [{"b": 1, "a": "é"}, {"a": [2]}]))
     assert path.read_text(encoding="utf-8") == (
-        '{\n  "label": "\\u00e9",\n  "n": 2,\n  "rows": [\n    {"a": "é", "b": 1},\n    {"a": [2]}\n  ]\n}\n'
+        '{\n  "label": "\\u00e9",\n  "n": 2,\n  "rows": [\n    {"a":"é","b":1},\n    {"a":[2]}\n  ]\n}\n'
     )
     write_json_rows(path, {"n": 0}, "rows", iter([]))
     assert path.read_text(encoding="utf-8") == '{\n  "n": 0,\n  "rows": []\n}\n'
@@ -210,3 +220,7 @@ def test_file_digest_tracks_content(tmp_path):
 def test_json_digest_ignores_key_order():
     assert json_digest({"x": 1, "y": [2, 3]}) == json_digest({"y": [2, 3], "x": 1})
     assert json_digest({"x": 1}) != json_digest({"x": 2})
+
+
+def test_json_digest_hashes_the_row_encoding():
+    assert json_digest({"b": [1, 2], "a": "é"}) == hashlib.sha256('{"a":"é","b":[1,2]}'.encode("utf-8")).hexdigest()
