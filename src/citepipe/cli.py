@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import config_from_dict, load_config, write_run_manifest
+from .config import config_from_dict, load_config, read_run_manifest, run_manifest_path, write_run_manifest
 from .jsonl import is_type, iter_rows, read_generations, row_fields, write_json_rows
 # no command calls it now, but code that wraps this module's names before a
 # command runs, like the benchmark's tracer, still expects to find it here
@@ -149,13 +149,8 @@ def build(args: argparse.Namespace) -> None:
         stats=extract,
     )
     written = write_dataset(samples, args.out)
-    write_run_manifest(
-        args.out,
-        "build",
-        list(corpus_files(args.corpus)),
-        args.config,
-        counts={**written, "ingest": ingest._asdict(), "extract": extract._asdict()},
-    )
+    write_run_manifest(args.out, "build", list(corpus_files(args.corpus)), _settings(args),
+                       counts={**written, "ingest": ingest._asdict(), "extract": extract._asdict()})
     print(
         f"read {ingest.records_yielded} record(s) from {ingest.files_read} file(s); "
         f"skipped {ingest.skipped}, filtered out {ingest.filtered_out}"
@@ -216,14 +211,8 @@ def split(args: argparse.Namespace) -> None:
         sources = {s.source_paper_id for s in part}
         # a held-out part's source papers that train holds too, as their samples share an abstract
         leaked = {} if name == "train" else {"sources_in_train": len(sources & train_sources)}
-        write_run_manifest(
-            part_path,
-            f"split:{name}",
-            [args.dataset],
-            args.config,
-            counts={**written, "seed": spec.seed, "source_papers": len(sources), **leaked},
-            digests=digests,
-        )
+        write_run_manifest(part_path, f"split:{name}", [args.dataset], _settings(args),
+                           counts={**written, "source_papers": len(sources), **leaked}, digests=digests)
         sizes.append(len(part))
     print(
         f"split {len(samples)} sample(s) into {sizes[0]}/{sizes[1]}/{sizes[2]} "
@@ -240,13 +229,8 @@ def kg_merge(args: argparse.Namespace) -> None:
     attach = AttachStats()
     # each sample is read, enriched and written in turn, never all held
     write_enriched(attach_triplets(iter_dataset(args.dataset), store, attach), args.out)
-    write_run_manifest(
-        args.out,
-        "kg-merge",
-        [args.dataset, args.triplets],
-        args.config,
-        counts={"ingest": store.stats._asdict(), "attach": attach._asdict()},
-    )
+    write_run_manifest(args.out, "kg-merge", [args.dataset, args.triplets], _settings(args),
+                       counts={"ingest": store.stats._asdict(), "attach": attach._asdict()})
     print(
         f"enriched {attach.samples_enriched} sample(s); "
         f"{attach.samples_without_target_triplets} without target relations; "
@@ -288,17 +272,30 @@ def prompts(args: argparse.Namespace) -> None:
         )
         input_path = args.enriched
     written = emit_finetune_file(instances, args.out, include_response=args.responses)
-    write_run_manifest(
-        args.out,
-        "prompts",
-        [input_path],
-        args.config,
-        counts={**written, "mode": args.mode},
-    )
+    write_run_manifest(args.out, "prompts", [input_path], _settings(args), counts=written)
     print(
         f"wrote {written['prompts']} prompt(s) to {args.out}; "
         f"{written['truncated']} truncated to fit {budget.max_tokens} tokens"
     )
+
+
+def _recorded_reserve(prompts_path: str) -> int | None:
+    """The tokens the prompts at `prompts_path` were fitted to leave for the
+    response, as their `.run.json` records it; None without one, or with
+    one from a version that recorded no settings."""
+    try:
+        settings = read_run_manifest(prompts_path).get("settings")
+        if settings is None:
+            return None
+        reserve = settings["reserve_for_response"]
+    except FileNotFoundError:
+        return None
+    except (ValueError, AttributeError, KeyError, TypeError):  # not JSON, or not a prompts manifest
+        reserve = None
+    if not (is_type(reserve, int) and reserve >= 0):
+        raise ValueError(f"{run_manifest_path(prompts_path)}: not a prompts run manifest with a non-negative "
+                         "integer reserve_for_response")
+    return reserve
 
 
 def generate(args: argparse.Namespace) -> None:
@@ -307,16 +304,23 @@ def generate(args: argparse.Namespace) -> None:
     Bearer auth comes from the CITEPIPE_API_TOKEN environment variable.
     """
     _bind("client")
-    multiplier = args.config["endpoint"]["backoff_multiplier"]  # config-only, no flag
-    try:
-        multiplier = _from_config(multiplier, float)
-    except ValueError:
-        _config_error(args, "endpoint.backoff_multiplier", float, multiplier)
+    # ask for the room the prompts were fitted to leave, and never for more
+    reserve, source = _recorded_reserve(args.prompts), str(run_manifest_path(args.prompts))
+    if args.max_new_tokens is None:
+        if reserve is None:
+            source = "budget.reserve_for_response"
+            reserve = _config_value(args, source, int)
+        args.max_new_tokens = reserve
+    elif reserve is not None and args.max_new_tokens > reserve:
+        raise ValueError(f"--max-new-tokens {args.max_new_tokens} is above the {reserve} tokens {source} "
+                         "reserved for the response")
+    else:
+        source = "--max-new-tokens"
     policy = ClientPolicy(
         max_parallel=args.max_parallel,
         max_attempts=args.max_attempts,
         backoff_seconds=args.backoff_seconds,
-        backoff_multiplier=multiplier,
+        backoff_multiplier=_config_value(args, "endpoint.backoff_multiplier", float),  # config-only, no flag
         timeout_seconds=args.timeout_seconds,
         max_new_tokens=args.max_new_tokens,
         temperature=args.temperature,
@@ -341,19 +345,14 @@ def generate(args: argparse.Namespace) -> None:
         auth_token=os.environ.get(AUTH_TOKEN_ENV),
     )
     reused = sum(1 for r in results if r.attempt == 0)
-    write_run_manifest(
-        args.out,
-        "generate",
-        [args.prompts],
-        args.config,
-        counts={"generated": len(results), "reused": reused},
-    )
+    write_run_manifest(args.out, "generate", [args.prompts], _settings(args),
+                       counts={"generated": len(results), "reused": reused})
     print(
         f"generated {len(results)} completion(s) to {args.out} "
         f"({reused} reused from a previous run)",
         flush=True,  # ahead of the summary on stderr when both go to one file
     )
-    print(request_summary(results), file=sys.stderr)
+    print(f"{request_summary(results)}; max_new_tokens {args.max_new_tokens} from {source}", file=sys.stderr)
 
 
 def evaluate(args: argparse.Namespace) -> None:
@@ -377,13 +376,8 @@ def evaluate(args: argparse.Namespace) -> None:
     # the report holds each sample's row encoded, which goes to the file as it is
     report = evaluate_corpus([(generated[i], gold[i]) for i in ids], sample_ids=ids)
     write_json_rows(args.out, {"label": args.label, "n": report.n, "corpus": report.corpus}, "per_sample", report.rows)
-    write_run_manifest(
-        args.out,
-        "evaluate",
-        [args.generated, args.dataset],
-        args.config,
-        counts={"scored": report.n, "gold": n_gold, "missing": len(missing), "missing_ids": sorted(missing)},
-    )
+    counts = {"scored": report.n, "gold": n_gold, "missing": len(missing), "missing_ids": sorted(missing)}
+    write_run_manifest(args.out, "evaluate", [args.generated, args.dataset], _settings(args), counts=counts)
     print(render_report_table(report, args.label), end="")
 
 
@@ -568,6 +562,29 @@ def _from_config(value, convert):
 
 def _config_error(args: argparse.Namespace, name: str, convert, value) -> None:
     args.parser.error(f"{name}: invalid {convert.__name__} value in the config: {value!r}")
+
+
+def _config_value(args: argparse.Namespace, name: str, convert):
+    """The configured value of `name` (`section.key`), which no flag of the
+    command feeds, taken as `_from_config` takes it."""
+    section, key = name.split(".")
+    value = args.config[section][key]
+    try:
+        return _from_config(value, convert)
+    except ValueError:
+        _config_error(args, name, convert, value)
+
+
+# the flags no `.run.json` records: paths, the endpoint URL, and generate's
+# transport settings, which change how its requests go but not what they ask
+_UNRECORDED = {"help", "corpus", "dataset", "triplets", "enriched", "prompts", "generated", "out", "out_dir", "url",
+               "max_parallel", "max_attempts", "backoff_seconds", "timeout_seconds"}
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The resolved value of each flag of the command that can change its
+    output or its counts, by dest: what its `.run.json` records as `settings`."""
+    return {a.dest: getattr(args, a.dest) for a in args.parser._actions if a.dest not in _UNRECORDED}
 
 
 def _apply_config(args: argparse.Namespace) -> None:

@@ -55,10 +55,12 @@ class GenerationResult(NamedTuple):
 
 class ClientPolicy(Frozen):
     """A run's settings: the `endpoint` config section but its url, in its
-    order: `max_parallel`, `max_attempts`, `backoff_seconds`,
-    `backoff_multiplier`, `timeout_seconds`, `max_new_tokens`, `temperature`."""
+    order (`max_parallel`, `max_attempts`, `backoff_seconds`,
+    `backoff_multiplier`, `timeout_seconds`, `temperature`), then
+    `max_new_tokens`, by default the room `prompts` leaves for the response."""
 
     _defaults = {key: value for key, value in DEFAULTS["endpoint"].items() if key != "url"}
+    _defaults["max_new_tokens"] = DEFAULTS["budget"]["reserve_for_response"]
     __slots__ = tuple(_defaults)
 
     def _check(self):

@@ -6,11 +6,12 @@ rejected at every level so typos fail loudly instead of silently falling
 back to defaults. The CLI gives each command its settings as option
 defaults, so a flag still wins. Every CLI stage writes a run manifest next
 to its output (`<output>.run.json`) recording input digests, the digest of
-each input's own run manifest when present, the configuration digest and
+each input's own run manifest when present, the settings that can change
+the output (each flag's resolved value, paths and transport left out) and
 the stage's counts (for datasets also the stats digest and builder/schema
 versions), so a finished artifact can be traced back through the stages
-that produced it. Manifests carry no timestamps: re-running a stage on
-identical inputs yields an identical manifest.
+that produced it. Manifests carry no timestamps: a stage re-run on
+identical inputs with identical settings writes an identical manifest.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .jsonl import file_digest, json_digest, write_json
+from .jsonl import file_digest, write_json
 
 # every setting and its built-in value; the README's Configuration block
 # shows this table, and a test keeps the two equal
@@ -34,7 +35,6 @@ DEFAULTS: dict[str, dict] = {
         "backoff_seconds": 0.5,
         "backoff_multiplier": 2.0,
         "timeout_seconds": 60.0,
-        "max_new_tokens": 512,
         "temperature": 0.0,
     },
 }
@@ -80,10 +80,6 @@ def load_config(path: str | Path) -> dict:
     return config_from_dict(data)
 
 
-def config_digest(config: dict) -> str:
-    return json_digest(config)
-
-
 def run_manifest_path(out_path: str | Path) -> Path:
     return Path(str(out_path) + ".run.json")
 
@@ -92,12 +88,13 @@ def write_run_manifest(
     out_path: str | Path,
     stage: str,
     inputs: list[str | Path],
-    config: dict | None = None,
+    settings: dict,
     counts: dict | None = None,
     *,
     digests: dict[Path, str] | None = None,
 ) -> dict:
-    """Record how `out_path` was produced; returns the manifest written.
+    """Record how `out_path` was produced from `inputs` under `settings`;
+    returns the manifest written.
 
     `digests` maps a file to its sha256 and gains every file this call
     hashes; a command writing several manifests over the same inputs passes
@@ -120,9 +117,8 @@ def write_run_manifest(
         described.append(entry)
     manifest = {
         "stage": stage,
-        "output": Path(out_path).name,
         "inputs": described,
-        "config_sha256": config_digest(config) if config is not None else None,
+        "settings": settings,
         "counts": counts or {},
     }
     write_json(run_manifest_path(out_path), manifest)

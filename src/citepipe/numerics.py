@@ -224,6 +224,8 @@ class OptimizerState(Record):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (len(self.w) == len(self.m) == len(self.v)):
             raise ValueError("w, m, v must have equal length")
+        if not 0.0 <= self.weight_decay < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"weight_decay must be non-negative and finite, not {self.weight_decay!r}")
 
 
 def optimizer_step(state: OptimizerState, gradient: Sequence[float], lr: float | None = None) -> OptimizerState:
@@ -344,6 +346,8 @@ def minimize(
     at the bottom of the warmup ramp. The returned trajectory has steps + 1
     points; point 0 is the starting iterate.
     """
+    if steps < 0:
+        raise ValueError(f"steps must not be negative: {steps}")
     state = OptimizerState(
         w=list(x0), beta=beta, gamma=gamma, eta=lr, eps=eps,
         weight_decay=weight_decay, mode=mode,

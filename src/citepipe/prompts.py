@@ -326,9 +326,9 @@ def emit_finetune_file(
     include_response: bool = True,
 ) -> dict:
     """Write prompt/response rows as JSONL in one pass over `instances`, which
-    may be a generator; returns the prompt count, the templates used, how many
-    prompts were truncated and `with_responses`, which the stage records in
-    its `.run.json`. JSON encoding keeps multi-line prompts one row per line."""
+    may be a generator; returns the prompt count, the templates used and how
+    many prompts were truncated, which the stage records in its `.run.json`.
+    JSON encoding keeps multi-line prompts one row per line."""
     templates: set[str] = set()
     truncated = 0
 
@@ -347,5 +347,4 @@ def emit_finetune_file(
         "prompts": write_jsonl(path, (row(instance) for instance in instances)),
         "templates": sorted(templates),
         "truncated": truncated,
-        "with_responses": include_response,
     }

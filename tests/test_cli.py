@@ -48,9 +48,6 @@ from conftest import inline_enriched_row, inline_sample_row, make_record
 
 V2_FIXTURES = Path(__file__).parent / "fixtures" / "v2"
 
-# `config_sha256` of the built-in configuration; a run with no --config records it
-DEFAULT_CONFIG_SHA256 = "15c80288e1af83964167b7382bb67b1558a7efa36c325039a4488fd421378a81"
-
 STATS_ROWS = [
     "# citations",
     "# unique papers",
@@ -102,7 +99,7 @@ class TestBuild:
         assert manifest["counts"]["samples"] == 3
         assert manifest["inputs"][0]["path"] == "corpus.jsonl"
         assert manifest["inputs"][0]["sha256"] == file_digest(hand_corpus)
-        assert manifest["config_sha256"]
+        assert manifest["settings"] == {"fields": ["Computer Science"], "max_samples_per_source": None}
 
     def test_field_filter_flag(self, hand_corpus, tmp_path, capsys):
         out_path = tmp_path / "bio.jsonl"
@@ -442,9 +439,6 @@ class TestConfig:
         assert code == 1
         assert "unrecognized arguments" in err
 
-    def test_default_config_digest_is_pinned(self, dataset):
-        assert read_run_manifest(dataset)["config_sha256"] == DEFAULT_CONFIG_SHA256
-
     def test_readme_configuration_block_is_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("## Configuration", 1)[1]
@@ -456,8 +450,9 @@ class TestConfig:
         assert SplitSpec() == SplitSpec(split["train"], split["validation"], split["test"], split["seed"])
         assert TokenBudget() == TokenBudget(budget["max_tokens"], budget["reserve_for_response"])
         settings = {key: value for key, value in endpoint.items() if key != "url"}
-        assert list(ClientPolicy.__slots__) == list(settings)
-        assert ClientPolicy() == ClientPolicy(**settings)
+        assert list(ClientPolicy.__slots__) == [*settings, "max_new_tokens"]
+        # a default request asks for the room a default prompt leaves for it
+        assert ClientPolicy() == ClientPolicy(**settings, max_new_tokens=budget["reserve_for_response"])
         fields = inspect.signature(stream_corpus).parameters["fields_of_study"].default
         assert fields == frozenset(DEFAULTS["filter"]["fields_of_study"])
 
@@ -476,7 +471,7 @@ class TestConfig:
         for name in ("train", "validation", "test"):
             part = f"{name}.jsonl"
             assert (tmp_path / "a" / part).read_bytes() == (tmp_path / "b" / part).read_bytes()
-        assert read_run_manifest(tmp_path / "a" / "train.jsonl")["counts"]["seed"] == 9
+        assert read_run_manifest(tmp_path / "a" / "train.jsonl")["settings"]["seed"] == 9
 
     def test_config_value_its_flag_rejects_is_a_usage_error(self, tmp_path, capsys):
         prompts = tmp_path / "prompts.jsonl"
@@ -499,6 +494,9 @@ class TestConfig:
                      "argument --max-tokens: invalid int value in the config: 2048.9", id="float-max-tokens"),
         pytest.param("endpoint:\n  backoff_multiplier: true\n", "generate",
                      "endpoint.backoff_multiplier: invalid float value in the config: True", id="bool-backoff-multiplier"),
+        # generate asks for the configured reserve when its prompts record none
+        pytest.param("budget:\n  reserve_for_response: 2.5\n", "generate",
+                     "budget.reserve_for_response: invalid int value in the config: 2.5", id="float-reserve-for-generate"),
     ])
     def test_config_value_of_a_type_its_flag_refuses_is_a_usage_error(
         self, config, command, message, dataset, tmp_path, capsys, monkeypatch
@@ -639,12 +637,11 @@ class TestPrompts:
         rows = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert {"sample_id", "prompt", "response"} <= set(rows[0])
         manifest = read_run_manifest(out_path)
-        assert manifest["counts"] == {
-            "prompts": 3,
-            "truncated": 0,
-            "mode": "baseline",
-            "templates": ["instruct-baseline"],
-            "with_responses": True,
+        assert manifest["counts"] == {"prompts": 3, "truncated": 0, "templates": ["instruct-baseline"]}
+        assert manifest["settings"] == {
+            "mode": "baseline", "max_tokens": 2048, "reserve_for_response": 256, "triplet_budget": None,
+            "empty_kg_headers": True, "pooled": False, "include_introductions": False, "include_conclusions": False,
+            "responses": True,
         }
 
     def test_kg_prompts(self, dataset, triplets_file, tmp_path, capsys):
@@ -991,12 +988,13 @@ class TestGenerateEvaluate:
         assert "requests:" not in out
         [line] = [line for line in err.splitlines() if line.startswith("requests:")]
         assert line.startswith("requests: 4 sent for 3 new row(s); latency_ms p50 ")
-        assert line.endswith("; attempts 1:2 2:1")
+        asked = f"; max_new_tokens 256 from {run_manifest_path(prompts)}"
+        assert line.endswith("; attempts 1:2 2:1" + asked)
         assert "latency" not in run_manifest_path(generated).read_text()
 
         code, _, err = run(capsys, *argv)
         assert code == 0
-        assert err.splitlines() == ["requests: 0 sent for 0 new row(s)"]
+        assert err.splitlines() == ["requests: 0 sent for 0 new row(s)" + asked]
 
     def test_endpoint_failure_exits_2(self, dataset, tmp_path, capsys, mock_endpoint, monkeypatch):
         monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
@@ -1113,8 +1111,10 @@ class TestGenerateEvaluate:
                      id="negative-config-temperature"),
         pytest.param(("--max-new-tokens", "0"), "max_new_tokens must be positive", id="zero-max-new-tokens"),
         pytest.param(("--max-new-tokens", "-5"), "max_new_tokens must be positive", id="negative-max-new-tokens"),
-        pytest.param(("--config", "endpoint:\n  max_new_tokens: 0\n"), "max_new_tokens must be positive",
-                     id="zero-config-max-new-tokens"),
+        pytest.param(("--config", "budget:\n  reserve_for_response: 0\n"), "max_new_tokens must be positive",
+                     id="zero-config-reserve"),
+        pytest.param(("--config", "endpoint:\n  max_new_tokens: 512\n"), "unknown key(s) in endpoint: max_new_tokens",
+                     id="retired-config-max-new-tokens"),
         pytest.param(("--timeout-seconds", "0"), "timeout_seconds must be positive", id="zero-timeout"),
         pytest.param(("--timeout-seconds", "-1"), "timeout_seconds must be positive", id="negative-timeout"),
         pytest.param(("--timeout-seconds", "1e300"), "timeout_seconds must be positive and at most",
@@ -1154,6 +1154,73 @@ class TestGenerateEvaluate:
         code, stdout, err = run(capsys, *argv)
         assert (code, stdout) == (1, "") and len(err.splitlines()) == 1, err
         assert mock_endpoint.requests == [] and not out.exists()
+
+    # what `prompts.jsonl.run.json` is: as `prompts` wrote it, gone, or as a
+    # version that recorded no settings wrote it
+    @pytest.mark.parametrize("prompt_flags, manifest, config, flags, asked, source", [
+        pytest.param([], "written", "", [], 256, "manifest", id="default-chain"),
+        pytest.param(["--reserve", "100"], "written", "", [], 100, "manifest", id="recorded-reserve"),
+        pytest.param(["--reserve", "100"], "written", "budget:\n  reserve_for_response: 64\n", [], 100, "manifest",
+                     id="recorded-reserve-beats-config"),
+        pytest.param([], "written", "", ["--max-new-tokens", "50"], 50, "--max-new-tokens", id="flag-below-reserve"),
+        pytest.param([], "written", "", ["--max-new-tokens", "256"], 256, "--max-new-tokens", id="flag-at-reserve"),
+        pytest.param([], "absent", "", [], 256, "budget.reserve_for_response", id="no-manifest"),
+        pytest.param([], "absent", "budget:\n  reserve_for_response: 64\n", [], 64, "budget.reserve_for_response",
+                     id="no-manifest-configured-reserve"),
+        pytest.param([], "older", "budget:\n  reserve_for_response: 64\n", [], 64, "budget.reserve_for_response",
+                     id="older-manifest"),
+        pytest.param([], "older", "", ["--max-new-tokens", "300"], 300, "--max-new-tokens",
+                     id="older-manifest-checks-nothing"),
+    ])
+    def test_generate_asks_for_the_room_its_prompts_were_fitted_to_leave(
+        self, prompt_flags, manifest, config, flags, asked, source, dataset, tmp_path, capsys, mock_endpoint, monkeypatch
+    ):
+        monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
+        prompts, generated = tmp_path / "prompts.jsonl", tmp_path / "generated.jsonl"
+        assert run(capsys, "prompts", "--dataset", str(dataset), "--out", str(prompts), *prompt_flags)[0] == 0
+        recorded = run_manifest_path(prompts)
+        if manifest == "absent":
+            recorded.unlink()
+        elif manifest == "older":
+            older = {k: v for k, v in json.loads(recorded.read_text()).items() if k != "settings"}
+            recorded.write_text(json.dumps({**older, "config_sha256": "0" * 64, "output": "prompts.jsonl"}))
+        before = []
+        if config:
+            (tmp_path / "cfg.yaml").write_text(config, encoding="utf-8")
+            before = ["--config", str(tmp_path / "cfg.yaml")]
+        code, _, err = run(capsys, *before, "generate", "--prompts", str(prompts), "--out", str(generated),
+                           "--endpoint", mock_endpoint.url, "--backoff-seconds", "0", *flags)
+        assert code == 0, err
+        assert [e["payload"]["max_new_tokens"] for e in mock_endpoint.requests] == [asked] * 3
+        source = str(recorded) if source == "manifest" else source
+        assert err.endswith(f"; max_new_tokens {asked} from {source}\n"), err
+        assert read_run_manifest(generated)["settings"] == {"max_new_tokens": asked, "temperature": 0.0}
+
+    @pytest.mark.parametrize("manifest, flags, message", [
+        pytest.param(None, ["--max-new-tokens", "300"],
+                     "--max-new-tokens 300 is above the 256 tokens {manifest} reserved for the response",
+                     id="flag-above-the-reserve"),
+        pytest.param("{oops", [], "{manifest}: not a prompts run manifest", id="not-json"),
+        pytest.param("[1]", [], "{manifest}: not a prompts run manifest", id="not-an-object"),
+        pytest.param('{"settings": {"mode": "kg"}}', [], "{manifest}: not a prompts run manifest", id="no-reserve"),
+        pytest.param('{"settings": {"reserve_for_response": -1}}', [],
+                     "{manifest}: not a prompts run manifest with a non-negative integer", id="negative-reserve"),
+        pytest.param('{"settings": {"reserve_for_response": true}}', ["--max-new-tokens", "1"],
+                     "{manifest}: not a prompts run manifest with a non-negative integer", id="bool-reserve"),
+    ])
+    def test_a_token_request_the_prompts_cannot_hold_exits_1_sends_nothing_and_writes_nothing(
+        self, manifest, flags, message, dataset, tmp_path, capsys, mock_endpoint
+    ):
+        prompts = self.make_prompts(dataset, tmp_path, capsys)
+        if manifest is not None:
+            run_manifest_path(prompts).write_text(manifest, encoding="utf-8")
+        out = tmp_path / "g.jsonl"
+        code, stdout, err = run(capsys, "generate", "--prompts", str(prompts), "--out", str(out),
+                                "--endpoint", mock_endpoint.url, *flags)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: " + message.format(manifest=run_manifest_path(prompts))), err
+        assert len(err.splitlines()) == 1, err
+        assert mock_endpoint.requests == [] and not out.exists() and not run_manifest_path(out).exists()
 
     @pytest.mark.parametrize("endpoint, token", [
         pytest.param("ftp://nowhere/x", None, id="ftp"),
@@ -1246,9 +1313,46 @@ class TestProvenance:
         assert read_run_manifest(train)["counts"]["stats_digest"] == json_digest(
             compute_stats(read_dataset(train)).to_dict()
         )
-        counts = read_run_manifest(prompts)["counts"]
-        assert counts["templates"] == ["instruct-kg"]
-        assert counts["with_responses"] is True
+        assert read_run_manifest(prompts)["counts"]["templates"] == ["instruct-kg"]
+        assert read_run_manifest(prompts)["settings"]["responses"] is True
+
+    # the flags no manifest records: paths, the endpoint URL and generate's
+    # transport settings, which change how requests go but not what they ask
+    UNRECORDED = {"help", "corpus", "dataset", "triplets", "enriched", "prompts", "generated", "out", "out_dir",
+                  "url", "max_parallel", "max_attempts", "backoff_seconds", "timeout_seconds"}
+    SETTINGS = {
+        "build": ["fields", "max_samples_per_source"],
+        "split": ["seed", "train", "validation", "test"],
+        "kg-merge": ["scierc_vocabulary"],
+        "prompts": ["mode", "max_tokens", "reserve_for_response", "triplet_budget", "empty_kg_headers", "pooled",
+                    "include_introductions", "include_conclusions", "responses"],
+        "generate": ["max_new_tokens", "temperature"],
+        "evaluate": ["label"],
+    }
+
+    def test_each_manifest_records_the_settings_of_every_flag_but_paths_and_transport(self, chain, tmp_path, capsys):
+        commands = next(a for a in citepipe.cli._parser()._actions if a.choices and "build" in a.choices).choices
+        for command, keys in self.SETTINGS.items():
+            # a new flag of the command is recorded unless it is added to UNRECORDED
+            assert {a.dest for a in commands[command]._actions} - self.UNRECORDED == set(keys), command
+            argv = chain[command]
+            assert main(argv) == 0, command
+            outs = [tmp_path / "splits" / f"{n}.jsonl" for n in ("train", "validation", "test")] if command == "split" \
+                else [Path(argv[argv.index("--out") + 1])]
+            for out in outs:
+                assert sorted(read_run_manifest(out)["settings"]) == sorted(keys), command
+        capsys.readouterr()
+
+    def test_a_config_key_the_stage_does_not_read_leaves_its_manifest_alone(self, hand_corpus, tmp_path, capsys):
+        manifests = []
+        for name in ("a", "b"):
+            config = tmp_path / f"{name}.yaml"
+            config.write_text(f"endpoint:\n  url: http://{name}.invalid/generate\n", encoding="utf-8")
+            out = tmp_path / name / "dataset.jsonl"
+            out.parent.mkdir()
+            assert run(capsys, "--config", str(config), "build", "--corpus", str(hand_corpus), "--out", str(out))[0] == 0
+            manifests.append(run_manifest_path(out).read_bytes())
+        assert manifests[0] == manifests[1]
 
 
 def fresh(*argv: str, cwd=None, timeout=None) -> subprocess.CompletedProcess:
@@ -1547,6 +1651,72 @@ def test_a_rerun_after_a_kill_at_any_write_gives_the_clean_run_bytes(command, ch
     assert k > 2  # at least the output's chunk and its replace, and the sidecar's
 
 
+# Runs the command in its arguments with `citepipe.jsonl.write_text` wrapped,
+# so that the process sends itself SIGKILL, which skips every cleanup, at one
+# point of its first two writes, the output and then its `.run.json`:
+# "output" inside the output's temp write, "between" after the output's
+# replace and before the manifest's write, "manifest" inside the manifest's
+# temp write. The package has no fault hook; the wrapper is set before any
+# layer imports the writer by name.
+KILLED_AT = """
+import os, signal, sys, citepipe.jsonl as jsonl
+point, write, writes = sys.argv[1], jsonl.write_text, []
+
+def killed_after_the_first(chunks):
+    for chunk in chunks:
+        yield chunk
+        os.kill(os.getpid(), signal.SIGKILL)
+
+def write_text(path, chunks):
+    writes.append(path)
+    if (len(writes), point) == (2, "between"):
+        os.kill(os.getpid(), signal.SIGKILL)
+    if (len(writes), point) in ((1, "output"), (2, "manifest")):
+        chunks = killed_after_the_first(chunks)
+    return write(path, chunks)
+
+jsonl.write_text = write_text
+import citepipe.cli
+sys.exit(citepipe.cli.main(sys.argv[2:]))
+"""
+
+# the flags of an earlier run of each command, whose files a killed run finds
+EARLIER_RUN = {
+    "build": ["--max-samples-per-source", "1"],
+    "split": ["--seed", "5"],
+    "kg-merge": ["--scierc-vocabulary"],
+    "prompts": ["--reserve", "100"],
+    "evaluate": ["--label", "earlier"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EARLIER_RUN))
+def test_a_sigkill_at_a_write_boundary_leaves_whole_files_and_a_rerun_the_clean_bytes(command, chain, tmp_path, capsys):
+    argv = chain[command]
+    assert main([*argv, *EARLIER_RUN[command]]) == 0
+    before = tree(tmp_path)
+    assert main(argv) == 0
+    clean = tree(tmp_path)
+    assert clean != before
+    for point in ("output", "between", "manifest"):
+        restore(tmp_path, before)
+        done = fresh("-c", KILLED_AT, point, *argv, timeout=60)
+        assert done.returncode == -signal.SIGKILL, (point, done.stdout, done.stderr)
+        after = tree(tmp_path)
+        # a kill inside a temp write leaves that temp file, which no cleanup removed
+        assert any(name.endswith(".tmp") for name in after) == (point != "between"), point
+        for name in before.keys() | clean.keys():
+            assert after.get(name) in (before.get(name), clean.get(name)), (point, name)
+        if (command, point) == ("prompts", "between"):
+            # the window the README names: the new prompts beside the earlier run's manifest
+            prompts = Path(argv[argv.index("--out") + 1])
+            assert prompts.read_bytes() == clean[prompts.name]
+            assert read_run_manifest(prompts)["settings"]["reserve_for_response"] == 100
+        assert main(argv) == 0, point
+        assert tree(tmp_path) == clean, point  # its manifest too, and no temp file
+    capsys.readouterr()
+
+
 def test_an_interrupt_keeps_every_answered_row(tmp_path, mock_endpoint):
     ids = [f"s{i:02d}" for i in range(40)]
     prompts = tmp_path / "prompts.jsonl"
@@ -1782,3 +1952,17 @@ class TestNumericsCommands:
         assert code == 1 and "dimension must match" in err
         code, _, err = run(capsys, "numerics", "optimize", "--warmup", "5")
         assert code == 1 and "--warmup needs --total" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--weight-decay=-1"], "weight_decay must be non-negative and finite, not -1.0", id="negative-decay"),
+        pytest.param(["--weight-decay=nan"], "weight_decay must be non-negative and finite, not nan", id="nan-decay"),
+        pytest.param(["--weight-decay=inf"], "weight_decay must be non-negative and finite, not inf", id="inf-decay"),
+        pytest.param(["--steps", "-1"], "steps must not be negative: -1", id="negative-steps"),
+    ])
+    def test_optimize_refuses_a_setting_no_run_can_use(self, flags, message, capsys):
+        code, out, err = run(capsys, "numerics", "optimize", *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_optimize_with_no_steps_prints_the_start_point(self, capsys):
+        code, out, _ = run(capsys, "numerics", "optimize", "--steps", "0")
+        assert (code, out.splitlines()) == (0, ["step,value,w0", "0,1,1"])

@@ -650,7 +650,6 @@ class TestPromptFiles:
             "prompts": 2,
             "templates": ["instruct-baseline", "instruct-kg"],
             "truncated": 0,
-            "with_responses": True,
         }
         assert sorted(p.name for p in tmp_path.iterdir()) == ["prompts.jsonl"]
         rows = read_prompt_file(out)
@@ -672,8 +671,7 @@ class TestPromptFiles:
 
     def test_without_responses(self, tmp_path):
         out = tmp_path / "prompts.jsonl"
-        manifest = emit_finetune_file([render_baseline(tiny_sample(), BIG)], out, include_response=False)
-        assert manifest["with_responses"] is False
+        assert emit_finetune_file([render_baseline(tiny_sample(), BIG)], out, include_response=False)["prompts"] == 1
         assert "response" not in read_prompt_file(out)[0]
 
     def test_missing_gold_response_rejected(self, tmp_path):
